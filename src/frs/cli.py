@@ -79,10 +79,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"local confluence: all {conf.joined_count} critical pairs joined")
     elif conf.counterexample is not None:
         pair = conf.counterexample
-        print(
-            f"local confluence: {conf.status} at source '{pair.source}' "
-            f"({conf.left_nf} vs {conf.right_nf})"
-        )
+        if conf.status == completeness.INCONCLUSIVE:
+            detail = f"step cap {args.step_cap} exceeded"
+        else:
+            detail = f"{conf.left_nf} vs {conf.right_nf}"
+        print(f"local confluence: {conf.status} at source '{pair.source}' ({detail})")
     else:
         print(f"local confluence: {conf.status}")
     print(f"verdict: {report.verdict}")

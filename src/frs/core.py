@@ -3,16 +3,27 @@
 Everything in this module is a pure value: letters are interned per
 alphabet, words compare by their letter sequence, and all reduction
 functions are deterministic functions of their inputs.
+
+Reduction contract: a reduction step rewrites the leftmost position at
+which some left-hand side occurs, and among the rules whose left-hand side
+occurs there, the one with the lowest index (``rightmost=True`` flips the
+position order only).  ``one_step_reductions`` lists every step ordered by
+(position, rule index).  Every redex and factor search goes through the
+system's :class:`LhsMatcher`, which is built once per system on first use.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 LETTER_NAME = re.compile(r"[A-Za-z0-9_']+\Z")
+
+_NAME = operator.attrgetter("name")
 
 DEFAULT_STEP_CAP = 10_000
 
@@ -150,7 +161,7 @@ class Word:
         return self.letters[item]
 
     def names(self) -> tuple[str, ...]:
-        return tuple(letter.name for letter in self.letters)
+        return tuple(map(_NAME, self.letters))
 
     def startswith(self, prefix: "Word") -> bool:
         return self.letters[: len(prefix)] == prefix.letters
@@ -243,8 +254,14 @@ class RewritingSystem:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def left_sides(self) -> tuple[Word, ...]:
-        return tuple(rule.lhs for rule in self.rules)
+    @cached_property
+    def matcher(self) -> "LhsMatcher":
+        """The left-hand-side matcher of ``rules``, built on first use.
+
+        Caching is safe because ``rules`` is an immutable tuple; the cache
+        lives in the instance dict and takes no part in ``__eq__``.
+        """
+        return LhsMatcher(self.rules)
 
     def max_lhs_len(self) -> int:
         return max((len(rule.lhs) for rule in self.rules), default=0)
@@ -255,6 +272,62 @@ class RewritingSystem:
     def __repr__(self) -> str:
         rules = ", ".join(f"{r.lhs}->{r.rhs}" for r in self.rules)
         return f"RewritingSystem([{', '.join(self.alphabet.names())}]; {rules})"
+
+
+class LhsMatcher:
+    """The left-hand sides of a rule list, hashed by their letter names.
+
+    ``table`` maps each distinct left-hand side to the ascending indexes of
+    the rules that have it (duplicates keep every index); ``lengths`` holds
+    the distinct left-hand-side lengths in ascending order.  A position of
+    a word is tested with one dict lookup per length instead of one slice
+    comparison per rule.  Searches take the word as its tuple of letter
+    names, whose hashes Python caches.
+    """
+
+    __slots__ = ("table", "lengths")
+
+    def __init__(self, rules: Iterable[Rule]):
+        table: dict[tuple[str, ...], list[int]] = {}
+        for idx, rule in enumerate(rules):
+            table.setdefault(rule.lhs.names(), []).append(idx)
+        self.table = {key: tuple(idxs) for key, idxs in table.items()}
+        self.lengths = tuple(sorted({len(key) for key in table}))
+
+    def first_redex(
+        self, names: tuple[str, ...], rightmost: bool = False
+    ) -> tuple[int, int] | None:
+        """(rule index, position) of the first redex: leftmost position
+        (rightmost with ``rightmost=True``), then lowest rule index."""
+        get, lengths, n = self.table.get, self.lengths, len(names)
+        positions = range(n - 1, -1, -1) if rightmost else range(n)
+        for pos in positions:
+            best = None
+            for k in lengths:
+                end = pos + k
+                if end > n:
+                    break
+                idxs = get(names[pos:end])
+                if idxs is not None and (best is None or idxs[0] < best):
+                    best = idxs[0]
+            if best is not None:
+                return best, pos
+        return None
+
+    def redexes(self, names: tuple[str, ...]) -> list[tuple[int, int]]:
+        """Every (position, rule index) occurrence, in that order."""
+        get, lengths, n = self.table.get, self.lengths, len(names)
+        hits: list[tuple[int, int]] = []
+        for pos in range(n):
+            for k in lengths:
+                end = pos + k
+                if end > n:
+                    break
+                idxs = get(names[pos:end])
+                if idxs is not None:
+                    hits.extend((pos, idx) for idx in idxs)
+        hits.sort()
+        return hits
 
 
 def _require_known(word: Word, system: RewritingSystem) -> None:
@@ -273,14 +346,10 @@ def one_step_reductions(
     if not word:
         raise InputError("cannot reduce the empty word")
     _require_known(word, system)
-    out: list[tuple[ReductionStep, Word]] = []
-    for pos in range(len(word)):
-        for idx, rule in enumerate(system.rules):
-            k = len(rule.lhs)
-            if pos + k <= len(word) and word.letters[pos: pos + k] == rule.lhs.letters:
-                result = Word(word.letters[:pos] + rule.rhs.letters + word.letters[pos + k:])
-                out.append((ReductionStep(idx, pos), result))
-    return out
+    return [
+        (ReductionStep(idx, pos), _apply(word, system, idx, pos))
+        for pos, idx in system.matcher.redexes(word.names())
+    ]
 
 
 def is_irreducible(word: Word, system: RewritingSystem) -> bool:
@@ -288,19 +357,7 @@ def is_irreducible(word: Word, system: RewritingSystem) -> bool:
     if not word:
         raise InputError("the empty word is not a rewriting input")
     _require_known(word, system)
-    return all(word.find(lhs) < 0 for lhs in system.left_sides())
-
-
-def _first_redex(
-    word: Word, system: RewritingSystem, rightmost: bool
-) -> tuple[int, int] | None:
-    positions = range(len(word) - 1, -1, -1) if rightmost else range(len(word))
-    for pos in positions:
-        for idx, rule in enumerate(system.rules):
-            k = len(rule.lhs)
-            if pos + k <= len(word) and word.letters[pos: pos + k] == rule.lhs.letters:
-                return idx, pos
-    return None
+    return system.matcher.first_redex(word.names()) is None
 
 
 def _apply(word: Word, system: RewritingSystem, idx: int, pos: int) -> Word:
@@ -324,10 +381,11 @@ def normal_form(
     if not word:
         raise InputError("the empty word is not a rewriting input")
     _require_known(word, system)
+    first_redex = system.matcher.first_redex
     trace = [word]
     current = word
     for _ in range(step_cap):
-        redex = _first_redex(current, system, rightmost)
+        redex = first_redex(current.names(), rightmost)
         if redex is None:
             return current
         current = _apply(current, system, *redex)

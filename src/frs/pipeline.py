@@ -17,6 +17,7 @@ from .core import (
     DEFAULT_STEP_CAP,
     InputError,
     InternalError,
+    LhsMatcher,
     PreconditionError,
     RewritingSystem,
     Rule,
@@ -128,15 +129,21 @@ def normalize_q2_q3(
             normalized.append(Rule(rule.lhs, rhs, rule.tags))
 
         deleted = False
+        matcher = LhsMatcher(normalized)
         for i, rule in enumerate(normalized):
-            others = [r for j, r in enumerate(normalized) if j != i]
-            if any(rule.lhs.find(other.lhs) >= 0 for other in others):
+            if _reducible_by_other(matcher, i, rule):
                 del normalized[i]
                 deleted = True
                 break
         if normalized == rules and not deleted:
             return system.with_rules(normalized)
         rules = normalized
+
+
+def _reducible_by_other(matcher: LhsMatcher, idx: int, rule: Rule) -> bool:
+    """True iff the left-hand side of a rule other than ``idx`` occurs in
+    ``rule.lhs`` (Q3 fails for it)."""
+    return any(j != idx for _, j in matcher.redexes(rule.lhs.names()))
 
 
 def satisfies_q1(presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP) -> bool:
@@ -154,11 +161,10 @@ def satisfies_q2(system: RewritingSystem) -> bool:
 
 
 def satisfies_q3(system: RewritingSystem) -> bool:
-    for i, rule in enumerate(system.rules):
-        for j, other in enumerate(system.rules):
-            if i != j and rule.lhs.find(other.lhs) >= 0:
-                return False
-    return True
+    return not any(
+        _reducible_by_other(system.matcher, i, rule)
+        for i, rule in enumerate(system.rules)
+    )
 
 
 def check_subsemigroup_closed(

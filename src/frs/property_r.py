@@ -269,13 +269,14 @@ def check_p1_to_p6(
                 )
         return PropertyResult("P6", VERIFIED, bound_b, len(b_words))
 
-    for check in (p1, p2, p3, p4, p5, p6):
+    # The bound each property is swept to, also when a step cap stops it.
+    bounds = (bound_a, 0, bound_b, bound_b, bound_a, bound_b)
+    for name, bound, check in zip(PROPERTY_NAMES, bounds, (p1, p2, p3, p4, p5, p6)):
         try:
             results.append(check())
         except NonTerminationError as exc:
-            name = PROPERTY_NAMES[len(results)]
             results.append(
-                PropertyResult(name, INCONCLUSIVE, bound_b, 0, note=str(exc))
+                PropertyResult(name, INCONCLUSIVE, bound, 0, note=str(exc))
             )
     overall = all(res.status == VERIFIED for res in results)
     return PropertyRReport(tuple(results), overall)

@@ -7,6 +7,7 @@ FREE_AB = "alphabet: a b\n"
 AAA = "alphabet: a\nrule: a a a -> a\ncomplement: a\n"
 FREE_AB_COMP = "alphabet: a b\ncomplement: a\n"
 NONCONFLUENT = "alphabet: a b\nrule: a b -> a\nrule: a b -> b\n"
+CYCLE = "alphabet: a b\nrule: a b -> b a\nrule: b a -> a b\n"
 
 
 @pytest.fixture
@@ -31,6 +32,15 @@ class TestCheck:
         write, _ = files
         assert main(["check", write("n.frs", NONCONFLUENT)]) == 1
         assert "incomplete" in capsys.readouterr().out
+
+    def test_inconclusive_confluence_names_the_step_cap(self, files, capsys):
+        write, _ = files
+        assert main(["check", write("c.frs", CYCLE), "--step-cap", "50"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "termination: counterexample (a b -> b a -> a b)",
+            "local confluence: inconclusive at source 'a b a' (step cap 50 exceeded)",
+            "verdict: incomplete",
+        ]
 
     def test_parse_error_exits_two(self, files, capsys):
         write, _ = files

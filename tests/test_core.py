@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frs import (
     Alphabet,
     InputError,
     NonTerminationError,
+    ReductionStep,
     Rule,
     RewritingSystem,
     Word,
@@ -17,8 +19,89 @@ from frs import (
     reduces_to,
     words_over,
 )
+from frs.core import DEFAULT_STEP_CAP
 
 from conftest import all_normal_forms, longest_path_by_enumeration, system, w
+
+# The conftest fixtures that are rewriting systems.
+SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
+
+
+# Reference kernel: the plain scan over every rule at every position that
+# the hashed left-hand-side matcher replaced.
+def naive_first_redex(word, sys, rightmost=False):
+    positions = range(len(word) - 1, -1, -1) if rightmost else range(len(word))
+    for pos in positions:
+        for idx, rule in enumerate(sys.rules):
+            k = len(rule.lhs)
+            if pos + k <= len(word) and word.letters[pos: pos + k] == rule.lhs.letters:
+                return idx, pos
+    return None
+
+
+def naive_apply(word, sys, idx, pos):
+    rule = sys.rules[idx]
+    return Word(word.letters[:pos] + rule.rhs.letters + word.letters[pos + len(rule.lhs):])
+
+
+def naive_normal_form(word, sys, step_cap, rightmost=False):
+    trace = [word]
+    for _ in range(step_cap):
+        redex = naive_first_redex(trace[-1], sys, rightmost)
+        if redex is None:
+            return trace[-1]
+        trace.append(naive_apply(trace[-1], sys, *redex))
+    raise NonTerminationError("step cap exceeded", tuple(trace))
+
+
+def naive_one_step_reductions(word, sys):
+    return [
+        (ReductionStep(idx, pos), naive_apply(word, sys, idx, pos))
+        for pos in range(len(word))
+        for idx, rule in enumerate(sys.rules)
+        if word.letters[pos: pos + len(rule.lhs)] == rule.lhs.letters
+    ]
+
+
+def naive_is_irreducible(word, sys):
+    return all(word.find(rule.lhs) < 0 for rule in sys.rules)
+
+
+def outcome(reduce, *args, **kwargs):
+    """The normal form, or the trace of the step-cap hit."""
+    try:
+        return "normal form", reduce(*args, **kwargs)
+    except NonTerminationError as err:
+        return "step cap", err.trace
+
+
+def assert_kernel_matches_reference(word, sys, step_cap=DEFAULT_STEP_CAP):
+    for rightmost in (False, True):
+        assert outcome(normal_form, word, sys, step_cap, rightmost=rightmost) == outcome(
+            naive_normal_form, word, sys, step_cap, rightmost=rightmost
+        )
+    assert one_step_reductions(word, sys) == naive_one_step_reductions(word, sys)
+    assert is_irreducible(word, sys) == naive_is_irreducible(word, sys)
+
+
+LETTERS = ("a", "b", "c")
+letter_lists = st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3)
+
+
+@st.composite
+def small_systems(draw):
+    """Random rules over {a, b, c}, always with a duplicate left-hand side
+    and with a proper prefix of a longer left-hand side at a higher index,
+    so two lengths match at one position and the shorter one loses."""
+    pairs = draw(st.lists(st.tuples(letter_lists, letter_lists), max_size=5))
+    longer = draw(st.lists(st.sampled_from(LETTERS), min_size=2, max_size=3))
+    pairs.insert(draw(st.integers(0, len(pairs))), (longer, draw(letter_lists)))
+    pairs.append((draw(st.sampled_from(pairs))[0], draw(letter_lists)))
+    pairs.append((longer[: draw(st.integers(1, len(longer) - 1))], draw(letter_lists)))
+    alphabet = Alphabet(LETTERS)
+    return RewritingSystem(
+        alphabet, tuple(Rule(alphabet.word(lhs), alphabet.word(rhs)) for lhs, rhs in pairs)
+    )
 
 
 class TestLettersAndWords:
@@ -205,3 +288,47 @@ class TestReachability:
         alphabet = sys_moves.alphabet
         assert reduces_to(w(alphabet, "saa"), w(alphabet, "ss"), sys_moves)
         assert not reduces_to(w(alphabet, "ss"), w(alphabet, "saa"), sys_moves)
+
+
+class TestMatcherAgainstReference:
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_fixture_words_agree(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        max_len = 7 if len(sys.alphabet) <= 3 else 6
+        for word in words_over(sys.alphabet, max_len):
+            assert_kernel_matches_reference(word, sys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        small_systems(),
+        st.lists(st.sampled_from(LETTERS), min_size=1, max_size=8),
+    )
+    def test_random_systems_agree(self, sys, names):
+        assert_kernel_matches_reference(sys.alphabet.word(names), sys, step_cap=30)
+
+    def test_lowest_index_wins_across_lengths(self):
+        # 'a' (index 1) and both 'a b' rules (indexes 0 and 2) match at 0.
+        sys = system("a b", ("ab", "b"), ("a", "bb"), ("ab", "a"))
+        word = w(sys.alphabet, "ab")
+        assert [
+            (step.position, step.rule_index) for step, _ in one_step_reductions(word, sys)
+        ] == [(0, 0), (0, 1), (0, 2)]
+        assert normal_form(word, sys) == w(sys.alphabet, "b")
+        shorter_first = system("a b", ("a", "bb"), ("ab", "b"))
+        assert normal_form(word, shorter_first) == w(sys.alphabet, "bbb")
+
+    def test_foreign_letter_rejected_after_matcher_built(self, sys_moves):
+        assert sys_moves.matcher is sys_moves.matcher
+        foreign = w(Alphabet(["a", "z"]), "az")
+        for reduce in (normal_form, one_step_reductions, is_irreducible):
+            with pytest.raises(InputError):
+                reduce(foreign, sys_moves)
+
+    def test_equality_ignores_the_matcher(self):
+        left = system("a s", ("aa", "s"), ("sa", "as"))
+        right = system("a s", ("aa", "s"), ("sa", "as"))
+        assert left.matcher is not None
+        assert left == right and right == left
+        assert right.matcher is not None
+        assert left == right
+        assert left != system("a s", ("aa", "s"))

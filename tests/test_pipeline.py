@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frs import (
+    Alphabet,
     ComplementSpec,
     InputError,
     PreconditionError,
@@ -11,6 +13,8 @@ from frs import (
     normal_form,
     normalize_q2_q3,
     prepare_presentation,
+    RewritingSystem,
+    Rule,
     words_over,
 )
 from frs.pipeline import satisfies_q1, satisfies_q2, satisfies_q3
@@ -113,6 +117,64 @@ class TestNormalizeQ2Q3:
         result = normalize_q2_q3(sys)
         for word in words_over(sys.alphabet, 6):
             assert normal_form(word, sys) == normal_form(word, result)
+
+
+def naive_satisfies_q3(sys):
+    """Reference: no left-hand side occurs in another rule's left-hand side."""
+    return not any(
+        i != j and rule.lhs.find(other.lhs) >= 0
+        for i, rule in enumerate(sys.rules)
+        for j, other in enumerate(sys.rules)
+    )
+
+
+def naive_normalize_q2_q3(sys):
+    """Reference: the pairwise deletion scan, first deleted index, restart."""
+    rules = list(sys.rules)
+    while True:
+        current = sys.with_rules(rules)
+        normalized, seen = [], set()
+        for rule in rules:
+            key = (rule.lhs, normal_form(rule.rhs, current))
+            if key not in seen:
+                seen.add(key)
+                normalized.append(Rule(rule.lhs, key[1], rule.tags))
+        deleted = False
+        for i, rule in enumerate(normalized):
+            if any(
+                j != i and rule.lhs.find(other.lhs) >= 0
+                for j, other in enumerate(normalized)
+            ):
+                del normalized[i]
+                deleted = True
+                break
+        if normalized == rules and not deleted:
+            return sys.with_rules(normalized)
+        rules = normalized
+
+
+@st.composite
+def length_reducing_systems(draw):
+    """Random terminating rules over {a, b}, with duplicate left-hand sides
+    and left-hand sides nested in others likely."""
+    alphabet = Alphabet(["a", "b"])
+    side = st.lists(st.sampled_from("ab"), min_size=1, max_size=4)
+    rules = []
+    for lhs in draw(st.lists(side.filter(lambda s: len(s) > 1), min_size=1, max_size=6)):
+        rhs = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=len(lhs) - 1))
+        rules.append(Rule(alphabet.word(lhs), alphabet.word(rhs)))
+    rules.append(Rule(draw(st.sampled_from(rules)).lhs, alphabet.word("a")))
+    return RewritingSystem(alphabet, tuple(rules))
+
+
+class TestQ3AgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(length_reducing_systems())
+    def test_interreduction_and_q3_agree(self, sys):
+        assert satisfies_q3(sys) == naive_satisfies_q3(sys)
+        result = normalize_q2_q3(sys)
+        assert result.rules == naive_normalize_q2_q3(sys).rules
+        assert satisfies_q3(result) and naive_satisfies_q3(result)
 
 
 class TestPrepare:

@@ -2,6 +2,8 @@ import pytest
 
 from frs import (
     CandidateTuple,
+    ComplementSpec,
+    Presentation,
     PreconditionError,
     build_construction,
     build_letter_intro,
@@ -87,6 +89,22 @@ class TestProperties:
         )
         with pytest.raises(PreconditionError):
             check_p1_to_p6(broken, 6, 4)
+
+
+    def test_inconclusive_results_name_their_own_bound(self):
+        # b a -> a b gives P1 witnesses; step cap 1 stops every
+        # reachability search that needs a second state.
+        base = system("a b", ("ba", "ab"))
+        pres = Presentation(base, ComplementSpec((w(base.alphabet, "a"),)))
+        tup = build_construction(prepare_presentation(pres)).as_candidate_tuple()
+        assert check_p1_to_p6(tup, 4, 2).result("P1").witness_count > 0
+        report = check_p1_to_p6(tup, 4, 2, step_cap=1)
+        expected = {"P1": 4, "P2": 0, "P4": 2}
+        for name, bound in expected.items():
+            res = report.result(name)
+            assert res.status == "inconclusive"
+            assert res.bound == bound
+        assert not report.overall
 
 
 class TestIsomorphismSlice:
