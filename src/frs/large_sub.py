@@ -19,6 +19,7 @@ B-factorization; phi substitutes images back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     DEFAULT_STEP_CAP,
@@ -88,11 +89,31 @@ class LargeSubConstruction:
     r_t: RewritingSystem
     n_bound: int
 
+    # The tables phi and rho read, built once per construction on first use
+    # (the dataclass is frozen, so they cannot go stale).  They are keyed by
+    # letter names, whose hashes Python caches.
+    @cached_property
+    def _images(self) -> dict[str, Word]:
+        return {c.letter.name: c.image for c in self.c_letters}
+
+    @cached_property
+    def _by_image(self) -> dict[tuple[str, ...], Letter]:
+        by_image = {c.image.names(): c.letter for c in self.c_letters}
+        for f1_word in self.f_sets.f1:
+            by_image.setdefault(f1_word.names(), f1_word.letters[0])
+        return by_image
+
+    @cached_property
+    def _a1(self) -> frozenset[str]:
+        return frozenset(letter.name for letter in self.classification.a1)
+
+    @cached_property
+    def _a_s(self) -> frozenset[str]:
+        return frozenset(letter.name for letter in self.classification.a_s)
+
     def letter_image(self, letter: Letter) -> Word:
-        for c in self.c_letters:
-            if c.letter == letter:
-                return c.image
-        return Word((letter,))
+        image = self._images.get(letter.name)
+        return Word((letter,)) if image is None else image
 
     def phi(self, word: Word) -> Word:
         return phi_t(word, self)
@@ -135,17 +156,15 @@ def classify_letters(
 ) -> LetterClassification:
     """Partition the alphabet by where each letter's class lives."""
     _require_prepared(presentation, step_cap)
-    complement = {word.letters[0] for word in presentation.complement}
+    complement = presentation.membership.complement_letters
     a1, a_s, excluded = [], [], []
     for letter in presentation.system.alphabet:
-        if letter in complement:
+        if letter.name in complement:
             a_s.append(letter)
-            continue
-        form = normal_form(Word((letter,)), presentation.system, step_cap)
-        if len(form) == 1 and form.letters[0] in complement:
-            excluded.append(letter)
-        else:
+        elif _class_in_t(Word((letter,)), presentation, step_cap):
             a1.append(letter)
+        else:
+            excluded.append(letter)
     return LetterClassification(tuple(a1), tuple(a_s), tuple(excluded))
 
 
@@ -153,9 +172,18 @@ def in_T(
     word: Word, presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP
 ) -> bool:
     """True iff the word's class lies in the subsemigroup, i.e. its normal
-    form is not a complement letter."""
-    complement = set(presentation.complement.words)
+    form is not a complement word."""
+    complement = presentation.membership.complement_words
     return normal_form(word, presentation.system, step_cap) not in complement
+
+
+def _class_in_t(word: Word, presentation: Presentation, step_cap: int) -> bool:
+    """True iff the word's normal form is not a complement letter."""
+    form = normal_form(word, presentation.system, step_cap)
+    return not (
+        len(form) == 1
+        and form.letters[0].name in presentation.membership.complement_letters
+    )
 
 
 def in_AT(
@@ -163,28 +191,78 @@ def in_AT(
 ) -> bool:
     """Membership in the representative set: the word's class is in T, all
     its letters are usable (in a1 or a_s), and every factor whose class
-    falls outside T is a single complement letter."""
+    falls outside T is a single complement letter.
+
+    Let ok(w) say that every letter of w is usable and every factor of w of
+    length at least 2 has its class in T.  The factors of w of length at
+    least 2 are w itself and the factors of w[:-1] and of w[1:], so
+
+      ok(x)  iff  x is a complement letter or nf(x) is not one  (one letter)
+      ok(w)  iff  ok(w[:-1]) and ok(w[1:]) and nf(w) is not a complement
+                  letter                                         (|w| >= 2)
+
+    and w is in A(T) iff ok(w), plus, for a single letter, nf(w) is not a
+    complement letter.  ok is memoized per presentation and step cap
+    (``Presentation.membership``), so a word whose two maximal proper
+    factors were seen before costs one normal form instead of one per
+    factor.  A step cap exceeded on some factor raises and caches nothing
+    for that factor.
+    """
     if not word:
         return False
-    complement = {w.letters[0] for w in presentation.complement.words}
-    system = presentation.system
+    membership = presentation.membership
+    names = word.names()
+    table = membership.factor_ok.setdefault(step_cap, {})
+    ok = table.get(names)
+    if ok is None:
+        ok = _factors_ok(word, names, presentation, table, step_cap)
+    if len(names) == 1 and names[0] in membership.complement_letters:
+        return ok and _class_in_t(word, presentation, step_cap)
+    return ok
 
-    def factor_in_t(factor: Word) -> bool:
-        form = normal_form(factor, system, step_cap)
-        return not (len(form) == 1 and form.letters[0] in complement)
 
-    for letter in word:
-        single = Word((letter,))
-        if letter not in complement and not factor_in_t(single):
-            return False  # reduces to a complement letter without being one
-    if not factor_in_t(word):
-        return False
-    n = len(word)
-    for i in range(n):
-        for j in range(i + 2, n + 1):
-            if (i, j) != (0, n) and not factor_in_t(word[i:j]):
-                return False
-    return True
+def _factors_ok(
+    word: Word,
+    names: tuple[str, ...],
+    presentation: Presentation,
+    table: dict[tuple[str, ...], bool],
+    step_cap: int,
+) -> bool:
+    """ok(word) by the recursion in :func:`in_AT`, filling ``table``.
+
+    The letters are tested first, left to right, so an unusable letter
+    answers False and a letter outside the alphabet raises InputError just
+    as a scan of every factor would.  The recursion runs on an explicit
+    stack of factor bounds, so long words stay clear of the interpreter's
+    recursion limit.
+    """
+    complement = presentation.membership.complement_letters
+    for i, name in enumerate(names):
+        ok = table.get((name,))
+        if ok is None:
+            ok = name in complement or _class_in_t(word[i : i + 1], presentation, step_cap)
+            table[(name,)] = ok
+        if not ok:
+            return False
+    if len(names) == 1:
+        return True
+    stack = [(0, len(names))]
+    while stack:
+        i, j = stack[-1]
+        ok = table.get(names[i : j - 1])
+        if ok is None:
+            stack.append((i, j - 1))
+            continue
+        if ok:
+            ok = table.get(names[i + 1 : j])
+            if ok is None:
+                stack.append((i + 1, j))
+                continue
+        if ok:
+            ok = _class_in_t(word[i:j], presentation, step_cap)
+        table[names[i:j]] = ok
+        stack.pop()
+    return table[names]
 
 
 def build_f_sets(
@@ -267,10 +345,10 @@ def build_b_alphabet(
 
 def phi_t(word: Word, construction: LargeSubConstruction) -> Word:
     """Substitute every generator by its image word."""
-    images = {c.letter: c.image for c in construction.c_letters}
+    images = construction._images
     letters: list[Letter] = []
     for letter in word:
-        image = images.get(letter)
+        image = images.get(letter.name)
         if image is None:
             letters.append(letter)
         else:
@@ -290,38 +368,32 @@ def rho_t(
     letter.  Otherwise peel one a1 letter, or one length-2 boundary prefix,
     and recurse; the remainder is again a representative.
     """
-    if check and not in_AT(word, construction.presentation, step_cap):
+    if (check and not in_AT(word, construction.presentation, step_cap)) or not word:
         raise PreconditionError(
             f"'{word}' is not in the representative set; rho is undefined on it"
         )
-    cls = construction.classification
-    a1 = set(cls.a1)
-    a_s = set(cls.a_s)
-    by_image: dict[Word, Letter] = {c.image: c.letter for c in construction.c_letters}
-    for f1_word in construction.f_sets.f1:
-        by_image.setdefault(f1_word, f1_word.letters[0])
-
+    a1, a_s, by_image = construction._a1, construction._a_s, construction._by_image
+    names = word.names()
     out: list[Letter] = []
-    rest = word
+    start = 0  # the part of the word left to factor is word[start:]
     while True:
-        hit = by_image.get(rest)
+        hit = by_image.get(names[start:])
         if hit is not None:
             out.append(hit)
             return Word(tuple(out))
-        first = rest.letters[0]
+        first = names[start]
         if first in a1:
-            out.append(first)
-            rest = rest[1:]
-        elif first in a_s and len(rest) >= 3:
-            prefix = rest[:2]
-            head = by_image.get(prefix)
+            out.append(word.letters[start])
+            start += 1
+        elif first in a_s and len(names) - start >= 3:
+            head = by_image.get(names[start : start + 2])
             if head is None:
                 raise PreconditionError(
                     f"'{word}' is not in the representative set "
-                    f"(prefix '{prefix}' crosses the complement)"
+                    f"(prefix '{word[start : start + 2]}' crosses the complement)"
                 )
             out.append(head)
-            rest = rest[2:]
+            start += 2
         else:
             raise PreconditionError(
                 f"'{word}' is not in the representative set"

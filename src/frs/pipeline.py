@@ -11,6 +11,7 @@ can change the normal forms of the remaining representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import completeness
 from .core import (
@@ -59,6 +60,41 @@ class Presentation:
                             f"complement word '{word}' uses letter "
                             f"{letter.name!r} outside the alphabet"
                         )
+
+    @cached_property
+    def membership(self) -> "Membership":
+        """The complement sets and membership tables, built on first use.
+
+        The cache lives in the instance dict and takes no part in
+        ``__eq__``, like :attr:`RewritingSystem.matcher`.
+        """
+        if self.complement is None:
+            raise PreconditionError(
+                "the presentation has no complement declaration, so membership "
+                "in T and in the representative set is undefined"
+            )
+        return Membership(self.complement)
+
+
+class Membership:
+    """What membership tests read from one presentation's complement.
+
+    ``complement_words`` is the set of complement words and
+    ``complement_letters`` the names of their first letters (the complement
+    letters, under Q1).  ``factor_ok`` maps a step cap to the table of
+    ``large_sub.in_AT``'s factor test, keyed by tuples of letter names;
+    entries are only ever added, and only for tests that finished within
+    that cap.
+    """
+
+    __slots__ = ("complement_words", "complement_letters", "factor_ok")
+
+    def __init__(self, complement: ComplementSpec):
+        self.complement_words = frozenset(complement.words)
+        self.complement_letters = frozenset(
+            word.letters[0].name for word in complement.words if word
+        )
+        self.factor_ok: dict[int, dict[tuple[str, ...], bool]] = {}
 
 
 def canonicalize_complement(

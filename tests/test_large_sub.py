@@ -1,9 +1,20 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from frs import (
+    Alphabet,
     ComplementSpec,
+    InputError,
+    NonTerminationError,
     PreconditionError,
     Presentation,
+    RewriteError,
+    RewritingSystem,
+    Rule,
+    Word,
     build_construction,
     build_f_sets,
     classify_letters,
@@ -18,9 +29,86 @@ from frs import (
     verify_complete,
     words_over,
 )
+from frs.core import DEFAULT_STEP_CAP
 from frs.large_sub import ConstructionError, build_b_alphabet
 
 from conftest import rule_set, system, w
+
+# Ladder shapes as (alphabet, rules, complement), prepared before use.
+LADDER_SHAPES = {
+    "comm": ("a b", [("ba", "ab")], ["a"]),
+    "two": ("a b", [("aaa", "a"), ("bb", "b")], ["a", "aa"]),
+    "idem": ("a b", [("aa", "a"), ("bb", "b")], ["a"]),
+    "idcomm": ("a b", [("aa", "a"), ("ba", "ab")], ["a"]),
+    "aba": ("a b", [("aba", "a")], ["a"]),
+    "mono42": ("a", [("aaaa", "aa")], ["a"]),
+    "comm_aa": ("a b", [("ba", "ab")], ["a", "aa"]),
+}
+
+
+def ladder_presentation(shape):
+    letters, rules, complement = LADDER_SHAPES[shape]
+    sys = system(letters, *rules)
+    words = tuple(w(sys.alphabet, text) for text in complement)
+    return prepare_presentation(Presentation(sys, ComplementSpec(words)))
+
+
+def reference_in_T(word, presentation, step_cap=DEFAULT_STEP_CAP):
+    """The unmemoized membership test in T."""
+    complement = set(presentation.complement.words)
+    return normal_form(word, presentation.system, step_cap) not in complement
+
+
+def reference_in_AT(word, presentation, step_cap=DEFAULT_STEP_CAP):
+    """The unmemoized representative-set test: one normal form per factor."""
+    if not word:
+        return False
+    complement = {w.letters[0] for w in presentation.complement.words}
+    system = presentation.system
+
+    def factor_in_t(factor):
+        form = normal_form(factor, system, step_cap)
+        return not (len(form) == 1 and form.letters[0] in complement)
+
+    for letter in word:
+        single = Word((letter,))
+        if letter not in complement and not factor_in_t(single):
+            return False  # reduces to a complement letter without being one
+    if not factor_in_t(word):
+        return False
+    n = len(word)
+    for i in range(n):
+        for j in range(i + 2, n + 1):
+            if (i, j) != (0, n) and not factor_in_t(word[i:j]):
+                return False
+    return True
+
+
+def assert_membership_matches_reference(presentation, max_len):
+    for word in words_over(presentation.system.alphabet, max_len):
+        assert in_AT(word, presentation) == reference_in_AT(word, presentation), word
+        assert in_T(word, presentation) == reference_in_T(word, presentation), word
+
+
+@st.composite
+def prepared_presentations(draw):
+    """Random length-reducing systems over {a, b} with a random complement
+    of short words, run through the preparation pipeline; inputs that are
+    not complete are rejected."""
+    alphabet = Alphabet(["a", "b"])
+    rules = []
+    for lhs in draw(st.lists(st.text("ab", min_size=2, max_size=3), min_size=1, max_size=3)):
+        rhs = draw(st.text("ab", min_size=1, max_size=len(lhs) - 1))
+        rules.append(Rule(alphabet.word(list(lhs)), alphabet.word(list(rhs))))
+    complement = draw(st.lists(st.text("ab", min_size=1, max_size=2), min_size=1, max_size=2))
+    presentation = Presentation(
+        RewritingSystem(alphabet, tuple(rules)),
+        ComplementSpec(tuple(alphabet.word(list(text)) for text in complement)),
+    )
+    try:
+        return prepare_presentation(presentation)
+    except RewriteError:
+        assume(False)
 
 
 @pytest.fixture
@@ -83,6 +171,85 @@ class TestMembership:
         sys = system("a b", ("b", "a"))
         pres = Presentation(sys, ComplementSpec((w(sys.alphabet, "a"),)))
         assert not in_AT(w(sys.alphabet, "bb"), pres)
+
+    def test_without_complement_rejected(self, free_ab):
+        pres = Presentation(free_ab)
+        word = w(free_ab.alphabet, "ab")
+        for member in (in_AT, in_T):
+            with pytest.raises(PreconditionError, match="no complement declaration"):
+                member(word, pres)
+
+
+class TestMembershipAgainstReference:
+    @pytest.mark.parametrize("fixture", ["pres_aaa", "pres_free_ab"])
+    def test_fixture_words_agree(self, fixture, request):
+        assert_membership_matches_reference(request.getfixturevalue(fixture), 7)
+
+    @pytest.mark.parametrize("shape", sorted(LADDER_SHAPES))
+    def test_ladder_words_agree(self, shape):
+        assert_membership_matches_reference(ladder_presentation(shape), 7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(prepared_presentations())
+    def test_random_presentations_agree(self, presentation):
+        assert_membership_matches_reference(presentation, 5)
+
+
+class TestMembershipCache:
+    def test_step_cap_failure_not_cached(self):
+        pres = ladder_presentation("comm")
+        word = w(pres.system.alphabet, "ba")
+        for _ in range(2):
+            with pytest.raises(NonTerminationError):
+                in_AT(word, pres, step_cap=1)
+        assert ("b", "a") not in pres.membership.factor_ok[1]
+        assert in_AT(word, pres, step_cap=2)
+
+    def test_step_caps_never_share_entries(self):
+        pres = ladder_presentation("comm")
+        word = w(pres.system.alphabet, "bba")
+        assert in_AT(word, pres)
+        with pytest.raises(NonTerminationError):
+            in_AT(word, pres, step_cap=1)
+        tables = pres.membership.factor_ok
+        assert word.names() in tables[DEFAULT_STEP_CAP]
+        assert word.names() not in tables[1]
+
+    def test_foreign_letter_rejected_after_table_warm(self, pres_free_ab):
+        for word in words_over(pres_free_ab.system.alphabet, 4):
+            in_AT(word, pres_free_ab)
+        foreign = w(Alphabet(["a", "b", "z"]), "abz")
+        with pytest.raises(InputError):
+            in_AT(foreign, pres_free_ab)
+        with pytest.raises(InputError):
+            in_T(foreign, pres_free_ab)
+
+    def test_threads_sharing_a_cold_table_agree_with_reference(self):
+        # The sweeps of check_p1_to_p6 call in_AT from pool threads, which
+        # then fill one table at the same time.
+        pres = ladder_presentation("two")
+        words = list(words_over(pres.system.alphabet, 6))
+        expected = [reference_in_AT(word, pres) for word in words]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(lambda: [in_AT(word, pres) for word in words])
+                    for _ in range(4)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
+
+    def test_equality_ignores_the_cache(self, free_ab):
+        left = Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "a"),)))
+        right = Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "a"),)))
+        assert in_AT(w(free_ab.alphabet, "aba"), left)
+        assert left == right and right == left
+        assert left.membership is not right.membership
+        assert left != Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "b"),)))
 
 
 class TestFSets:
@@ -169,6 +336,11 @@ class TestPhiRho:
         base = cons_free.presentation.system.alphabet
         with pytest.raises(PreconditionError):
             rho_t(w(base, "a"), cons_free)
+
+    def test_rho_of_the_empty_word_rejected(self, cons_free):
+        for check in (True, False):
+            with pytest.raises(PreconditionError, match="rho is undefined"):
+                rho_t(Word(), cons_free, check=check)
 
     def test_retraction_identity_on_representatives(self, cons_free, cons_aaa):
         for cons in (cons_free, cons_aaa):

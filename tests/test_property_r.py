@@ -106,6 +106,14 @@ class TestProperties:
             assert res.bound == bound
         assert not report.overall
 
+    def test_p1_has_witnesses_on_the_commutation_construction(self):
+        base = system("a b", ("ba", "ab"))
+        pres = Presentation(base, ComplementSpec((w(base.alphabet, "a"),)))
+        tup = build_construction(prepare_presentation(pres)).as_candidate_tuple()
+        res = check_p1_to_p6(tup, 6, 3).result("P1")
+        assert res.status == "verified"
+        assert res.witness_count > 0
+
 
 class TestIsomorphismSlice:
     def test_passes_at_bound_six_on_both_fixtures(self, tuple_free, tuple_aaa):
