@@ -24,7 +24,6 @@ from .core import (
     Rule,
     Word,
     normal_form,
-    one_step_reductions,
     words_over,
 )
 
@@ -94,30 +93,37 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     """
     pairs: list[CriticalPair] = []
     rules = system.rules
-    for i, ri in enumerate(rules):
-        for j, rj in enumerate(rules):
-            li, lj = ri.lhs, rj.lhs
-            for k in range(1, min(len(li), len(lj))):
-                if li.letters[len(li) - k:] == lj.letters[:k]:
-                    source = Word(li.letters + lj.letters[k:])
-                    left = Word(ri.rhs.letters + lj.letters[k:])
-                    right = Word(li.letters[: len(li) - k] + rj.rhs.letters)
+    lhs = system.matcher.lhs
+    for i, ni in enumerate(lhs):
+        ri, len_i = rules[i], len(ni)
+        li = ri.lhs.letters
+        for j, nj in enumerate(lhs):
+            len_j = len(nj)
+            for k in range(1, min(len_i, len_j)):
+                if ni[len_i - k:] == nj[:k]:
+                    rj = rules[j]
+                    tail = rj.lhs.letters[k:]
                     pairs.append(
-                        CriticalPair(source, left, right, SUFFIX_PREFIX, (i, j))
+                        CriticalPair(
+                            Word(li + tail),
+                            Word(ri.rhs.letters + tail),
+                            Word(li[: len_i - k] + rj.rhs.letters),
+                            SUFFIX_PREFIX,
+                            (i, j),
+                        )
                     )
-            if i == j:
+            if i == j or len_j > len_i:
                 continue
-            if li == lj:
+            if ni == nj:
                 if i < j:
-                    pairs.append(CriticalPair(li, ri.rhs, rj.rhs, EMBEDDING, (i, j)))
+                    pairs.append(
+                        CriticalPair(ri.lhs, ri.rhs, rules[j].rhs, EMBEDDING, (i, j))
+                    )
                 continue
-            if len(lj) >= len(li):
-                continue
-            for pos in li.occurrences(lj):
-                inner = Word(
-                    li.letters[:pos] + rj.rhs.letters + li.letters[pos + len(lj):]
-                )
-                pairs.append(CriticalPair(li, ri.rhs, inner, EMBEDDING, (i, j)))
+            for pos in range(len_i - len_j + 1):
+                if ni[pos: pos + len_j] == nj:
+                    inner = Word(li[:pos] + rules[j].rhs.letters + li[pos + len_j:])
+                    pairs.append(CriticalPair(ri.lhs, ri.rhs, inner, EMBEDDING, (i, j)))
     return pairs
 
 
@@ -201,20 +207,20 @@ def _bounded_cycle_search(
     system: RewritingSystem, max_len: int, step_cap: int
 ) -> TerminationEvidence:
     """Exhaustive cycle search over the reduction graph restricted to words
-    of length <= max_len."""
-    color: dict[Word, int] = {}  # 1 = on current path, 2 = done
+    of length <= max_len, on tuples of letter names."""
+    successors = system.matcher.successors
+    color: dict[tuple[str, ...], int] = {}  # 1 = on current path, 2 = done
     explored = 0
-    for start in words_over(system.alphabet, max_len):
+    for word in words_over(system.alphabet, max_len):
+        start = word.names()
         if color.get(start) == 2:
             continue
-        path: list[Word] = []
-        stack: list[tuple[Word, list[Word] | None]] = [(start, None)]
+        path: list[tuple[str, ...]] = []
+        stack: list[tuple[tuple[str, ...], list[tuple[str, ...]] | None]] = [(start, None)]
         while stack:
             node, succ = stack.pop()
             if succ is None:
-                if color.get(node) == 2:
-                    continue
-                if color.get(node) == 1:
+                if node in color:
                     continue
                 color[node] = 1
                 path.append(node)
@@ -224,18 +230,17 @@ def _bounded_cycle_search(
                         UNKNOWN,
                         certificate=f"bounded search stopped: more than {step_cap} states",
                     )
-                succ = [
-                    result
-                    for _, result in one_step_reductions(node, system)
-                    if len(result) <= max_len
-                ]
+                succ = [nxt for nxt in successors(node) if len(nxt) <= max_len]
                 for nxt in succ:
                     if color.get(nxt) == 1:
                         cycle = path[path.index(nxt):] + [nxt]
-                        return TerminationEvidence(COUNTEREXAMPLE, cycle=tuple(cycle))
+                        return TerminationEvidence(
+                            COUNTEREXAMPLE,
+                            cycle=tuple(system.alphabet.word(names) for names in cycle),
+                        )
                 stack.append((node, succ))
                 for nxt in succ:
-                    if color.get(nxt) is None:
+                    if nxt not in color:
                         stack.append((nxt, None))
             else:
                 color[node] = 2

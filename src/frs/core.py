@@ -10,6 +10,12 @@ occurs there, the one with the lowest index (``rightmost=True`` flips the
 position order only).  ``one_step_reductions`` lists every step ordered by
 (position, rule index).  Every redex and factor search goes through the
 system's :class:`LhsMatcher`, which is built once per system on first use.
+
+Graph searches (``reduces_to``, ``descendants``, ``disorder``, and the
+cycle and property searches of ``completeness`` and ``property_r``) run on
+tuples of letter names through :meth:`LhsMatcher.successors`.  They check
+their start word once, at entry, and build :class:`Word` objects only for
+what they hand back: returned words, cycle traces and error traces.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 LETTER_NAME = re.compile(r"[A-Za-z0-9_']+\Z")
 
@@ -277,22 +283,36 @@ class RewritingSystem:
 class LhsMatcher:
     """The left-hand sides of a rule list, hashed by their letter names.
 
-    ``table`` maps each distinct left-hand side to the ascending indexes of
+    ``lhs`` holds each rule's left-hand side as a tuple of letter names, by
+    rule index; ``table`` maps each distinct one to the ascending indexes of
     the rules that have it (duplicates keep every index); ``lengths`` holds
     the distinct left-hand-side lengths in ascending order.  A position of
     a word is tested with one dict lookup per length instead of one slice
     comparison per rule.  Searches take the word as its tuple of letter
-    names, whose hashes Python caches.
+    names: a tuple hashes by hashing its items, and CPython caches the hash
+    of each ``str``, so no Python-level ``__hash__`` runs.
     """
 
-    __slots__ = ("table", "lengths")
+    __slots__ = ("table", "lengths", "lhs", "_rules", "_rhs")
 
     def __init__(self, rules: Iterable[Rule]):
+        self._rules = tuple(rules)
+        self._rhs: tuple[tuple[str, ...], ...] | None = None
+        self.lhs = tuple(rule.lhs.names() for rule in self._rules)
         table: dict[tuple[str, ...], list[int]] = {}
-        for idx, rule in enumerate(rules):
-            table.setdefault(rule.lhs.names(), []).append(idx)
+        for idx, names in enumerate(self.lhs):
+            table.setdefault(names, []).append(idx)
         self.table = {key: tuple(idxs) for key, idxs in table.items()}
         self.lengths = tuple(sorted({len(key) for key in table}))
+
+    @property
+    def rhs(self) -> tuple[tuple[str, ...], ...]:
+        """The right-hand sides as name tuples, by rule index (``lhs``
+        holds the left-hand sides).  Built on the first search, so that a
+        matcher used only for redex tests (the Q3 scans) never pays for it."""
+        if self._rhs is None:
+            self._rhs = tuple(rule.rhs.names() for rule in self._rules)
+        return self._rhs
 
     def first_redex(
         self, names: tuple[str, ...], rightmost: bool = False
@@ -314,26 +334,50 @@ class LhsMatcher:
                 return best, pos
         return None
 
-    def redexes(self, names: tuple[str, ...]) -> list[tuple[int, int]]:
-        """Every (position, rule index) occurrence, in that order."""
+    def _matches(self, names: tuple[str, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(position, ascending rule indexes) for every position at which
+        some left-hand side occurs, left to right."""
         get, lengths, n = self.table.get, self.lengths, len(names)
-        hits: list[tuple[int, int]] = []
         for pos in range(n):
+            found = None
             for k in lengths:
                 end = pos + k
                 if end > n:
                     break
                 idxs = get(names[pos:end])
                 if idxs is not None:
-                    hits.extend((pos, idx) for idx in idxs)
-        hits.sort()
-        return hits
+                    # Two lengths matching at one position is rare; only
+                    # then do their index lists need merging.
+                    found = idxs if found is None else tuple(sorted(found + idxs))
+            if found is not None:
+                yield pos, found
+
+    def redexes(self, names: tuple[str, ...]) -> list[tuple[int, int]]:
+        """Every (position, rule index) occurrence, in that order."""
+        return [(pos, idx) for pos, idxs in self._matches(names) for idx in idxs]
+
+    def successors(self, names: tuple[str, ...]) -> list[tuple[str, ...]]:
+        """Every one-step reduct of ``names``, as name tuples, in the
+        (position, rule index) order of :func:`one_step_reductions`.  The
+        word is not validated; callers check it once before a search."""
+        lhs, rhs = self.lhs, self.rhs
+        out = []
+        for pos, idxs in self._matches(names):
+            head = names[:pos]
+            for idx in idxs:
+                out.append(head + rhs[idx] + names[pos + len(lhs[idx]):])
+        return out
 
 
-def _require_known(word: Word, system: RewritingSystem) -> None:
-    for letter in word:
-        if letter not in system.alphabet:
-            raise InputError(f"letter {letter.name!r} is not in the system's alphabet")
+def _require_known(word: Word, system: RewritingSystem) -> tuple[str, ...]:
+    """The letter names of ``word``, after checking that each is in the
+    system's alphabet."""
+    names = word.names()
+    known = system.alphabet._by_name
+    if not all(map(known.__contains__, names)):
+        foreign = next(name for name in names if name not in known)
+        raise InputError(f"letter {foreign!r} is not in the system's alphabet")
+    return names
 
 
 def one_step_reductions(
@@ -345,10 +389,10 @@ def one_step_reductions(
     """
     if not word:
         raise InputError("cannot reduce the empty word")
-    _require_known(word, system)
+    names = _require_known(word, system)
     return [
         (ReductionStep(idx, pos), _apply(word, system, idx, pos))
-        for pos, idx in system.matcher.redexes(word.names())
+        for pos, idx in system.matcher.redexes(names)
     ]
 
 
@@ -356,8 +400,7 @@ def is_irreducible(word: Word, system: RewritingSystem) -> bool:
     """True iff no left-hand side occurs as a factor of ``word``."""
     if not word:
         raise InputError("the empty word is not a rewriting input")
-    _require_known(word, system)
-    return system.matcher.first_redex(word.names()) is None
+    return system.matcher.first_redex(_require_known(word, system)) is None
 
 
 def _apply(word: Word, system: RewritingSystem, idx: int, pos: int) -> Word:
@@ -380,16 +423,17 @@ def normal_form(
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
-    _require_known(word, system)
+    names = _require_known(word, system)
     first_redex = system.matcher.first_redex
     trace = [word]
     current = word
     for _ in range(step_cap):
-        redex = first_redex(current.names(), rightmost)
+        redex = first_redex(names, rightmost)
         if redex is None:
             return current
         current = _apply(current, system, *redex)
         trace.append(current)
+        names = current.names()
     raise NonTerminationError(
         f"possible non-termination: {step_cap} reduction steps exceeded", tuple(trace)
     )
@@ -405,10 +449,11 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
-    _require_known(word, system)
-    memo: dict[Word, int] = {}
-    on_path: set[Word] = set()
-    stack: list[tuple[Word, list[Word] | None]] = [(word, None)]
+    start = _require_known(word, system)
+    successors = system.matcher.successors
+    memo: dict[tuple[str, ...], int] = {}
+    on_path: set[tuple[str, ...]] = set()
+    stack: list[tuple[tuple[str, ...], list[tuple[str, ...]] | None]] = [(start, None)]
     while stack:
         node, succ = stack.pop()
         if succ is None:
@@ -419,11 +464,12 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
                 raise NonTerminationError(
                     f"possible non-termination: disorder search exceeded {step_cap} states"
                 )
-            succ = [result for _, result in one_step_reductions(node, system)]
+            succ = successors(node)
             for nxt in succ:
                 if nxt in on_path:
                     raise NonTerminationError(
-                        "reduction cycle detected", (node, nxt)
+                        "reduction cycle detected",
+                        (system.alphabet.word(node), system.alphabet.word(nxt)),
                     )
             stack.append((node, succ))
             for nxt in succ:
@@ -432,26 +478,49 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
         else:
             memo[node] = 1 + max(memo[nxt] for nxt in succ) if succ else 0
             on_path.discard(node)
-    return memo[word]
+    return memo[start]
+
+
+def _reach(
+    start: tuple[str, ...],
+    system: RewritingSystem,
+    goal: Callable[[tuple[str, ...]], bool] | None,
+    step_cap: int,
+    cap_message: str,
+) -> set[tuple[str, ...]] | None:
+    """Depth-first search of the reduction graph from ``start``, on name
+    tuples.  Returns None as soon as a reached state other than ``start``
+    passes ``goal``; otherwise the set of every state reachable from
+    ``start``.  Adding a state beyond ``step_cap`` raises
+    :class:`NonTerminationError` with ``cap_message``.  The caller has
+    validated ``start``."""
+    successors = system.matcher.successors
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in successors(frontier.pop()):
+            if nxt in seen:
+                continue
+            if goal is not None and goal(nxt):
+                return None
+            if len(seen) >= step_cap:
+                raise NonTerminationError(cap_message)
+            seen.add(nxt)
+            frontier.append(nxt)
+    return seen
 
 
 def descendants(
     word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_CAP
 ) -> set[Word]:
     """All words reachable from ``word`` by zero or more reduction steps."""
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        current = frontier.pop()
-        for _, result in one_step_reductions(current, system):
-            if result not in seen:
-                if len(seen) >= step_cap:
-                    raise NonTerminationError(
-                        f"descendant search exceeded {step_cap} states"
-                    )
-                seen.add(result)
-                frontier.append(result)
-    return seen
+    if not word:
+        raise InputError("cannot reduce the empty word")
+    start = _require_known(word, system)
+    seen = _reach(
+        start, system, None, step_cap, f"descendant search exceeded {step_cap} states"
+    )
+    return {system.alphabet.word(names) for names in seen}
 
 
 def reduces_to(
@@ -463,21 +532,19 @@ def reduces_to(
     """True iff ``word`` reduces to ``target`` in zero or more steps."""
     if word == target:
         return True
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        current = frontier.pop()
-        for _, result in one_step_reductions(current, system):
-            if result == target:
-                return True
-            if result not in seen:
-                if len(seen) >= step_cap:
-                    raise NonTerminationError(
-                        f"reachability search exceeded {step_cap} states"
-                    )
-                seen.add(result)
-                frontier.append(result)
-    return False
+    if not word:
+        raise InputError("cannot reduce the empty word")
+    start = _require_known(word, system)
+    return (
+        _reach(
+            start,
+            system,
+            target.names().__eq__,
+            step_cap,
+            f"reachability search exceeded {step_cap} states",
+        )
+        is None
+    )
 
 
 def words_over(

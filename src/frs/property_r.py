@@ -17,6 +17,7 @@ from . import completeness
 from .core import (
     DEFAULT_STEP_CAP,
     Letter,
+    LhsMatcher,
     NonTerminationError,
     PreconditionError,
     RewritingSystem,
@@ -25,6 +26,7 @@ from .core import (
     normal_form,
     one_step_reductions,
     reduces_to,
+    _reach,
     words_over,
 )
 from .parallel import pmap
@@ -114,28 +116,24 @@ def _preserving_rule_indices(tup: CandidateTuple) -> list[int]:
 
 
 def _straightening_path(
-    word: Word,
-    target: Word,
-    tup: CandidateTuple,
-    preserving: set[int],
-    step_cap: int,
+    word: Word, target: Word, preserving: LhsMatcher, step_cap: int
 ) -> bool:
-    """Greedy search: repeatedly apply the first image-preserving rule.
+    """Greedy search: repeatedly apply the first image-preserving rule, the
+    leftmost redex of ``preserving`` (the matcher of the image-preserving
+    rules, in their order in the system).
 
     Sound but incomplete; callers fall back to a full reachability search.
     """
-    current = word
+    first_redex, lhs, rhs = preserving.first_redex, preserving.lhs, preserving.rhs
+    current, goal = word.names(), target.names()
     for _ in range(step_cap):
-        if current == target:
+        if current == goal:
             return True
-        advanced = False
-        for step, result in one_step_reductions(current, tup.system):
-            if step.rule_index in preserving:
-                current = result
-                advanced = True
-                break
-        if not advanced:
+        redex = first_redex(current)
+        if redex is None:
             return False
+        idx, pos = redex
+        current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
     return False
 
 
@@ -215,20 +213,15 @@ def check_p1_to_p6(
         def ok(u_prime: Word) -> bool:
             if tup.in_at(tup.phi(normal_form(u_prime, system, step_cap))):
                 return True
-            seen = {u_prime}
-            frontier = [u_prime]
-            while frontier:
-                current = frontier.pop()
-                for _, nxt in one_step_reductions(current, system):
-                    if nxt in seen:
-                        continue
-                    if tup.in_at(tup.phi(nxt)):
-                        return True
-                    if len(seen) >= step_cap:
-                        raise NonTerminationError("P4 search exceeded its cap")
-                    seen.add(nxt)
-                    frontier.append(nxt)
-            return False
+            # normal_form has validated u_prime.
+            found = _reach(
+                u_prime.names(),
+                system,
+                lambda names: tup.in_at(tup.phi(system.alphabet.word(names))),
+                step_cap,
+                "P4 search exceeded its cap",
+            )
+            return found is None
 
         b_words = list(words_over(system.alphabet, bound_b))
         for u_prime, good in zip(b_words, pmap(ok, b_words)):
@@ -248,7 +241,9 @@ def check_p1_to_p6(
     # P6: every B-word whose image is a representative reduces to the
     # canonical form of that image.
     def p6() -> PropertyResult:
-        preserving = set(_preserving_rule_indices(tup))
+        preserving = system.with_rules(
+            system.rules[idx] for idx in _preserving_rule_indices(tup)
+        ).matcher
         b_words = [
             u_prime
             for u_prime in words_over(system.alphabet, bound_b)
@@ -257,7 +252,7 @@ def check_p1_to_p6(
 
         def ok(u_prime: Word) -> bool:
             target = tup.rho(tup.phi(u_prime))
-            if _straightening_path(u_prime, target, tup, preserving, step_cap):
+            if _straightening_path(u_prime, target, preserving, step_cap):
                 return True
             return reduces_to(u_prime, target, system, step_cap)
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from frs import (
     Alphabet,
@@ -59,6 +60,23 @@ def longest_path_by_enumeration(word, sys):
         for nxt in successors:
             stack.append((nxt, depth + 1))
     return best
+
+
+@st.composite
+def looping_systems(draw, letters=("a", "b", "c")):
+    """Random rules over ``letters`` with sides of one to three letters,
+    so many systems grow words or loop; every other system also gets the
+    two-rule cycle x -> y, y -> x on two of its letters."""
+    sides = st.lists(st.sampled_from(letters), min_size=1, max_size=3)
+    pairs = draw(st.lists(st.tuples(sides, sides), max_size=4))
+    if draw(st.booleans()):
+        x, y = draw(st.lists(st.sampled_from(letters), min_size=2, max_size=2, unique=True))
+        at = draw(st.integers(0, len(pairs)))
+        pairs[at:at] = [([x], [y]), ([y], [x])]
+    alphabet = Alphabet(letters)
+    return RewritingSystem(
+        alphabet, tuple(Rule(alphabet.word(lhs), alphabet.word(rhs)) for lhs, rhs in pairs)
+    )
 
 
 @pytest.fixture

@@ -1,16 +1,107 @@
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from frs import (
     Word,
     check_local_confluence,
     check_termination,
     critical_pairs,
     normal_form,
+    one_step_reductions,
     verify_complete,
+    words_over,
 )
 from frs import completeness
+from frs.completeness import (
+    BOUNDED_VERIFIED,
+    COUNTEREXAMPLE,
+    EMBEDDING,
+    SUFFIX_PREFIX,
+    UNKNOWN,
+    CriticalPair,
+    TerminationEvidence,
+)
 
-from conftest import system, w
+from conftest import looping_systems, system, w
+
+SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
+
+
+# Reference implementations: the Word-based loops that the name-tuple
+# versions in frs.completeness replaced.
+def reference_critical_pairs(sys):
+    pairs = []
+    rules = sys.rules
+    for i, ri in enumerate(rules):
+        for j, rj in enumerate(rules):
+            li, lj = ri.lhs, rj.lhs
+            for k in range(1, min(len(li), len(lj))):
+                if li.letters[len(li) - k:] == lj.letters[:k]:
+                    source = Word(li.letters + lj.letters[k:])
+                    left = Word(ri.rhs.letters + lj.letters[k:])
+                    right = Word(li.letters[: len(li) - k] + rj.rhs.letters)
+                    pairs.append(CriticalPair(source, left, right, SUFFIX_PREFIX, (i, j)))
+            if i == j:
+                continue
+            if li == lj:
+                if i < j:
+                    pairs.append(CriticalPair(li, ri.rhs, rj.rhs, EMBEDDING, (i, j)))
+                continue
+            if len(lj) >= len(li):
+                continue
+            for pos in li.occurrences(lj):
+                inner = Word(li.letters[:pos] + rj.rhs.letters + li.letters[pos + len(lj):])
+                pairs.append(CriticalPair(li, ri.rhs, inner, EMBEDDING, (i, j)))
+    return pairs
+
+
+def reference_bounded_cycle_search(sys, max_len, step_cap):
+    color = {}
+    explored = 0
+    for start in words_over(sys.alphabet, max_len):
+        if color.get(start) == 2:
+            continue
+        path = []
+        stack = [(start, None)]
+        while stack:
+            node, succ = stack.pop()
+            if succ is None:
+                if color.get(node) in (1, 2):
+                    continue
+                color[node] = 1
+                path.append(node)
+                explored += 1
+                if explored > step_cap:
+                    return TerminationEvidence(
+                        UNKNOWN,
+                        certificate=f"bounded search stopped: more than {step_cap} states",
+                    )
+                succ = [
+                    result
+                    for _, result in one_step_reductions(node, sys)
+                    if len(result) <= max_len
+                ]
+                for nxt in succ:
+                    if color.get(nxt) == 1:
+                        cycle = path[path.index(nxt):] + [nxt]
+                        return TerminationEvidence(COUNTEREXAMPLE, cycle=tuple(cycle))
+                stack.append((node, succ))
+                for nxt in succ:
+                    if color.get(nxt) is None:
+                        stack.append((nxt, None))
+            else:
+                color[node] = 2
+                path.pop()
+    return TerminationEvidence(BOUNDED_VERIFIED, depth=max_len)
+
+
+def assert_cycle_search_matches_reference(sys, max_len, step_cap):
+    found = completeness._bounded_cycle_search(sys, max_len, step_cap)
+    assert found == reference_bounded_cycle_search(sys, max_len, step_cap)
+    if found.cycle is not None:
+        assert all(isinstance(word, Word) for word in found.cycle)
 
 
 class TestCriticalPairs:
@@ -64,8 +155,6 @@ class TestCriticalPairs:
                 seen.add(key)
 
     def test_source_one_step_reduces_to_both_results(self, sys_moves, sys_aaa):
-        from frs import one_step_reductions
-
         for sys in (sys_moves, sys_aaa):
             for pair in critical_pairs(sys):
                 results = {word for _, word in one_step_reductions(pair.source, sys)}
@@ -172,3 +261,42 @@ class TestBoundedSearchBudget:
         grower = system("a b", ("ab", "ba"), ("ba", "aab"))
         evidence = completeness.check_termination(grower, max_len=6, step_cap=10)
         assert evidence.status == "unknown"
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_fixture_critical_pairs_agree(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        assert critical_pairs(sys) == reference_critical_pairs(sys)
+
+    def test_embedding_and_duplicate_critical_pairs_agree(self):
+        sys = system("a b", ("aba", "b"), ("b", "a"), ("ab", "a"), ("aba", "a"), ("a", "b"))
+        assert critical_pairs(sys) == reference_critical_pairs(sys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(looping_systems())
+    def test_random_critical_pairs_agree(self, sys):
+        assert critical_pairs(sys) == reference_critical_pairs(sys)
+
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    @pytest.mark.parametrize("step_cap", [1, 10, 10_000])
+    def test_fixture_cycle_search_agrees(self, fixture, step_cap, request):
+        sys = request.getfixturevalue(fixture)
+        for max_len in range(1, 6):
+            assert_cycle_search_matches_reference(sys, max_len, step_cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(looping_systems(), st.integers(1, 4), st.sampled_from([1, 5, 40, 10_000]))
+    def test_random_cycle_search_agrees(self, sys, max_len, step_cap):
+        assert_cycle_search_matches_reference(sys, max_len, step_cap)
+
+    def test_cycle_search_statuses_covered(self):
+        loop = system("a b", ("ab", "ba"), ("ba", "ab"))
+        grower = system("a b", ("ab", "ba"), ("ba", "aab"))
+        for sys, max_len, step_cap, status in (
+            (loop, 3, 10_000, COUNTEREXAMPLE),
+            (grower, 5, 10_000, BOUNDED_VERIFIED),
+            (grower, 6, 10, UNKNOWN),
+        ):
+            assert completeness._bounded_cycle_search(sys, max_len, step_cap).status == status
+            assert_cycle_search_matches_reference(sys, max_len, step_cap)

@@ -1,4 +1,6 @@
 import itertools
+from concurrent.futures import ThreadPoolExecutor
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,13 @@ from frs import (
 )
 from frs.core import DEFAULT_STEP_CAP
 
-from conftest import all_normal_forms, longest_path_by_enumeration, system, w
+from conftest import (
+    all_normal_forms,
+    longest_path_by_enumeration,
+    looping_systems,
+    system,
+    w,
+)
 
 # The conftest fixtures that are rewriting systems.
 SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
@@ -82,6 +90,85 @@ def assert_kernel_matches_reference(word, sys, step_cap=DEFAULT_STEP_CAP):
         )
     assert one_step_reductions(word, sys) == naive_one_step_reductions(word, sys)
     assert is_irreducible(word, sys) == naive_is_irreducible(word, sys)
+
+
+# Reference searches: the Word-keyed loops over one_step_reductions that
+# the name-tuple searches through LhsMatcher.successors replaced.
+def reference_disorder(word, sys, step_cap=DEFAULT_STEP_CAP):
+    memo = {}
+    on_path = set()
+    stack = [(word, None)]
+    while stack:
+        node, succ = stack.pop()
+        if succ is None:
+            if node in memo:
+                continue
+            on_path.add(node)
+            if len(on_path) > step_cap or len(memo) > step_cap:
+                raise NonTerminationError(
+                    f"possible non-termination: disorder search exceeded {step_cap} states"
+                )
+            succ = [result for _, result in one_step_reductions(node, sys)]
+            for nxt in succ:
+                if nxt in on_path:
+                    raise NonTerminationError("reduction cycle detected", (node, nxt))
+            stack.append((node, succ))
+            for nxt in succ:
+                if nxt not in memo:
+                    stack.append((nxt, None))
+        else:
+            memo[node] = 1 + max(memo[nxt] for nxt in succ) if succ else 0
+            on_path.discard(node)
+    return memo[word]
+
+
+def reference_descendants(word, sys, step_cap=DEFAULT_STEP_CAP):
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        current = frontier.pop()
+        for _, result in one_step_reductions(current, sys):
+            if result not in seen:
+                if len(seen) >= step_cap:
+                    raise NonTerminationError(f"descendant search exceeded {step_cap} states")
+                seen.add(result)
+                frontier.append(result)
+    return seen
+
+
+def reference_reduces_to(word, target, sys, step_cap=DEFAULT_STEP_CAP):
+    if word == target:
+        return True
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        current = frontier.pop()
+        for _, result in one_step_reductions(current, sys):
+            if result == target:
+                return True
+            if result not in seen:
+                if len(seen) >= step_cap:
+                    raise NonTerminationError(f"reachability search exceeded {step_cap} states")
+                seen.add(result)
+                frontier.append(result)
+    return False
+
+
+def search_outcome(search, *args):
+    """The result, or the message and trace of the step-cap hit."""
+    try:
+        return "result", search(*args)
+    except NonTerminationError as err:
+        return "step cap", str(err), err.trace
+
+
+def assert_searches_match_reference(word, target, sys, step_cap):
+    for search, reference, args in (
+        (disorder, reference_disorder, (word, sys, step_cap)),
+        (descendants, reference_descendants, (word, sys, step_cap)),
+        (reduces_to, reference_reduces_to, (word, target, sys, step_cap)),
+    ):
+        assert search_outcome(search, *args) == search_outcome(reference, *args)
 
 
 LETTERS = ("a", "b", "c")
@@ -332,3 +419,118 @@ class TestMatcherAgainstReference:
         assert right.matcher is not None
         assert left == right
         assert left != system("a s", ("aa", "s"))
+
+
+class TestSearchesAgainstReference:
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    @pytest.mark.parametrize("step_cap", [1, 3, DEFAULT_STEP_CAP])
+    def test_fixture_words_agree(self, fixture, step_cap, request):
+        sys = request.getfixturevalue(fixture)
+        targets = list(words_over(sys.alphabet, 3))
+        for word in words_over(sys.alphabet, 5):
+            for target in targets:
+                assert_searches_match_reference(word, target, sys, step_cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        looping_systems(),
+        st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4),
+        st.lists(st.sampled_from(LETTERS), min_size=1, max_size=4),
+        st.sampled_from([1, 2, 5, 30]),
+    )
+    def test_random_systems_agree(self, sys, word, target, step_cap):
+        word, target = sys.alphabet.word(word), sys.alphabet.word(target)
+        assert_searches_match_reference(word, target, sys, step_cap)
+
+    def test_reachable_targets_found(self, sys_moves):
+        # Every descendant is a target that the search must reach.
+        for word in words_over(sys_moves.alphabet, 5):
+            for target in reference_descendants(word, sys_moves):
+                assert reduces_to(word, target, sys_moves)
+
+    def test_two_cycle_agrees(self):
+        loop = system("a b", ("a", "b"), ("b", "a"))
+        for word in words_over(loop.alphabet, 3):
+            assert_searches_match_reference(word, w(loop.alphabet, "bb"), loop, 30)
+
+
+class TestSearchBoundary:
+    """Each search validates its start word once, as before it ran on name
+    tuples: same error type and message, same cases."""
+
+    def test_empty_word_rejected(self, sys_moves):
+        target = w(sys_moves.alphabet, "s")
+        with pytest.raises(InputError, match="^cannot reduce the empty word$"):
+            reduces_to(Word(), target, sys_moves)
+        with pytest.raises(InputError, match="^cannot reduce the empty word$"):
+            descendants(Word(), sys_moves)
+        with pytest.raises(InputError, match="^the empty word is not a rewriting input$"):
+            disorder(Word(), sys_moves)
+
+    def test_first_foreign_letter_named(self, sys_moves):
+        foreign = w(Alphabet(["a", "z", "y"]), "azy")
+        target = w(sys_moves.alphabet, "s")
+        message = "^letter 'z' is not in the system's alphabet$"
+        for search, args in (
+            (reduces_to, (foreign, target, sys_moves)),
+            (descendants, (foreign, sys_moves)),
+            (disorder, (foreign, sys_moves)),
+            (normal_form, (foreign, sys_moves)),
+        ):
+            with pytest.raises(InputError, match=message):
+                search(*args)
+
+    def test_reduces_to_itself_without_validation(self, sys_moves):
+        foreign = w(Alphabet(["z"]), "z")
+        assert reduces_to(foreign, foreign, sys_moves)
+        assert reduces_to(Word(), Word(), sys_moves)
+
+    def test_disorder_cycle_carries_words(self):
+        loop = system("a b", ("a", "b"), ("b", "a"))
+        with pytest.raises(NonTerminationError, match="^reduction cycle detected$") as err:
+            disorder(w(loop.alphabet, "a"), loop)
+        assert err.value.trace == (w(loop.alphabet, "b"), w(loop.alphabet, "a"))
+        assert all(isinstance(word, Word) for word in err.value.trace)
+
+    def test_descendants_are_words(self, sys_moves):
+        found = descendants(w(sys_moves.alphabet, "saa"), sys_moves)
+        assert all(isinstance(word, Word) for word in found)
+        assert found == reference_descendants(w(sys_moves.alphabet, "saa"), sys_moves)
+
+
+class TestSuccessors:
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_successors_list_one_step_reductions(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        for word in words_over(sys.alphabet, 6):
+            assert sys.matcher.successors(word.names()) == [
+                result.names() for _, result in one_step_reductions(word, sys)
+            ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems(), st.lists(st.sampled_from(LETTERS), min_size=1, max_size=8))
+    def test_random_systems_agree(self, sys, names):
+        word = sys.alphabet.word(names)
+        assert sys.matcher.successors(word.names()) == [
+            result.names() for _, result in naive_one_step_reductions(word, sys)
+        ]
+
+    def test_threads_sharing_a_cold_matcher_agree(self):
+        # P4 searches from pool threads, which may build the matcher's
+        # right-hand-side table at the same time.
+        rules = system("a b c", ("ab", "ba"), ("ba", "c"), ("c", "aa"), ("bb", "b"))
+        words = [word.names() for word in words_over(rules.alphabet, 6)]
+        expected = [rules.matcher.successors(names) for names in words]
+        cold = rules.with_rules(rules.rules)
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(lambda: [cold.matcher.successors(names) for names in words])
+                    for _ in range(4)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            setswitchinterval(interval)
+        assert results == [expected] * 4
