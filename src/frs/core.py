@@ -169,12 +169,6 @@ class Word:
     def names(self) -> tuple[str, ...]:
         return tuple(map(_NAME, self.letters))
 
-    def startswith(self, prefix: "Word") -> bool:
-        return self.letters[: len(prefix)] == prefix.letters
-
-    def endswith(self, suffix: "Word") -> bool:
-        return len(suffix) <= len(self) and self.letters[len(self) - len(suffix):] == suffix.letters
-
     def find(self, factor: "Word", start: int = 0) -> int:
         k = len(factor)
         if k == 0:
@@ -199,9 +193,6 @@ class Word:
         return f"Word({' '.join(self.names())!r})"
 
 
-EMPTY_WORD = Word()
-
-
 @dataclass(frozen=True)
 class Rule:
     """A directed rule lhs -> rhs with both sides nonempty.
@@ -224,6 +215,22 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"Rule({str(self.lhs)!r} -> {str(self.rhs)!r})"
+
+
+class RuleEmitter:
+    """Collects emitted rules in first-emission order: a repeated
+    (lhs, rhs) keeps its first position and gains the new tag through
+    :meth:`Rule.tagged`."""
+
+    def __init__(self) -> None:
+        self._rules: dict[tuple[Word, Word], Rule] = {}
+
+    def emit(self, lhs: Word, rhs: Word, tag: str) -> None:
+        rule = self._rules.get((lhs, rhs))
+        self._rules[lhs, rhs] = Rule(lhs, rhs, (tag,)) if rule is None else rule.tagged(tag)
+
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple(self._rules.values())
 
 
 @dataclass(frozen=True)

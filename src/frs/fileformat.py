@@ -53,7 +53,8 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
 def parse_presentation(text: str) -> Presentation:
     """Parse the flat format; validates letter names, alphabet closure of
     rules and complement, and arrow placement."""
-    decls: list[tuple[str, list[tuple[str, int]], int]] = []
+    # (keyword, tokens after it, line number, column one past the last token)
+    decls: list[tuple[str, list[tuple[str, int]], int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         tokens = _tokenize(line)
@@ -66,10 +67,10 @@ def parse_presentation(text: str) -> Presentation:
                 lineno,
                 column,
             )
-        decls.append((keyword, tokens[1:], lineno))
+        decls.append((keyword, tokens[1:], lineno, len(line.rstrip()) + 1))
 
     names: list[str] = []
-    for keyword, tokens, lineno in decls:
+    for keyword, tokens, lineno, _ in decls:
         if keyword != "alphabet:":
             continue
         if not tokens:
@@ -93,7 +94,7 @@ def parse_presentation(text: str) -> Presentation:
     rules: list[Rule] = []
     complement_words: list[Word] = []
     has_complement = False
-    for keyword, tokens, lineno in decls:
+    for keyword, tokens, lineno, end in decls:
         if keyword == "rule:":
             arrows = [i for i, (token, _) in enumerate(tokens) if token == "->"]
             if len(arrows) != 1:
@@ -110,7 +111,7 @@ def parse_presentation(text: str) -> Presentation:
         elif keyword == "complement:":
             has_complement = True
             group: list[tuple[str, int]] = []
-            for token, column in tokens + [(";", len(text))]:
+            for token, column in tokens + [(";", end)]:
                 if token == ";":
                     if not group:
                         raise ParseError("empty complement word", lineno, column)

@@ -28,7 +28,7 @@ from .core import (
     PreconditionError,
     RewriteError,
     RewritingSystem,
-    Rule,
+    RuleEmitter,
     Word,
     is_irreducible,
     normal_form,
@@ -439,14 +439,7 @@ def build_construction(
         n_bound,
     )
 
-    emitted: dict[tuple[Word, Word], Rule] = {}
-
-    def emit(lhs: Word, rhs: Word, tag: str) -> None:
-        key = (lhs, rhs)
-        if key in emitted:
-            emitted[key] = emitted[key].tagged(tag)
-        else:
-            emitted[key] = Rule(lhs, rhs, (tag,))
+    emitter = RuleEmitter()
 
     # D1: depth-first over B-words, pruned by the image-length cap; the
     # image only grows with the word, so overlong prefixes cut the subtree.
@@ -465,7 +458,7 @@ def build_construction(
             image = phi_t(u_prime, construction)
             if not is_irreducible(image, system):
                 reduced = normal_form(image, system, step_cap)
-                emit(u_prime, rho_t(reduced, construction, step_cap=step_cap), D1)
+                emitter.emit(u_prime, rho_t(reduced, construction, step_cap=step_cap), D1)
             extend(prefix, total)
             prefix.pop()
 
@@ -481,14 +474,15 @@ def build_construction(
                 continue
             canonical = rho_t(image, construction, check=False, step_cap=step_cap)
             if canonical != u_prime:
-                emit(u_prime, canonical, D2)
+                emitter.emit(u_prime, canonical, D2)
 
+    emitted = emitter.rules()
     d1 = sorted(
-        (rule for rule in emitted.values() if rule.tags[0] == D1),
+        (rule for rule in emitted if rule.tags[0] == D1),
         key=lambda r: (len(r.lhs), tuple(letter.index for letter in r.lhs)),
     )
     d2 = sorted(
-        (rule for rule in emitted.values() if rule.tags[0] == D2),
+        (rule for rule in emitted if rule.tags[0] == D2),
         key=lambda r: tuple(letter.index for letter in r.lhs),
     )
     r_t = RewritingSystem(b_alphabet, tuple(d1 + d2))

@@ -21,7 +21,7 @@ from .core import (
     Letter,
     PreconditionError,
     RewritingSystem,
-    Rule,
+    RuleEmitter,
     Word,
     is_irreducible,
     normal_form,
@@ -145,20 +145,13 @@ def build_letter_intro(
     def nf(word: Word) -> Word:
         return normal_form(word, system, step_cap)
 
-    emitted: dict[tuple[Word, Word], Rule] = {}
-
-    def emit(lhs: Word, rhs: Word, tag: str) -> None:
-        key = (lhs, rhs)
-        if key in emitted:
-            emitted[key] = emitted[key].tagged(tag)
-        else:
-            emitted[key] = Rule(lhs, rhs, (tag,))
+    emitter = RuleEmitter()
 
     # C1: the original rules, transported through rho.
     for rule in system.rules:
-        emit(rho(rule.lhs), rho(rule.rhs), C1)
+        emitter.emit(rho(rule.lhs), rho(rule.rhs), C1)
     # C2: the naming rule itself.
-    emit(w0, Word((s,)), C2)
+    emitter.emit(w0, Word((s,)), C2)
     # C3: w0 overlapping a lhs from the left (a nonempty prefix of the lhs
     # is a suffix of w0); the assembled word is w0's remainder + lhs.
     for rule in system.rules:
@@ -166,14 +159,14 @@ def build_letter_intro(
         for k in range(1, min(len(lhs), len(w0)) + 1):
             if w0.letters[len(w0) - k:] == lhs.letters[:k]:
                 assembled = Word(w0.letters[: len(w0) - k]) + lhs
-                emit(rho(assembled), rho(nf(assembled)), C3)
+                emitter.emit(rho(assembled), rho(nf(assembled)), C3)
     # C4: mirror image, w0 overlapping a lhs from the right.
     for rule in system.rules:
         lhs = rule.lhs
         for k in range(1, min(len(lhs), len(w0)) + 1):
             if w0.letters[:k] == lhs.letters[len(lhs) - k:]:
                 assembled = lhs + Word(w0.letters[k:])
-                emit(rho(assembled), rho(nf(assembled)), C4)
+                emitter.emit(rho(assembled), rho(nf(assembled)), C4)
     # C5: two w0 occurrences straddling both ends of one lhs.
     for rule in system.rules:
         lhs = rule.lhs
@@ -185,13 +178,13 @@ def build_letter_intro(
                     assembled = (
                         Word(w0.letters[: len(w0) - i]) + lhs + Word(w0.letters[j:])
                     )
-                    emit(rho(assembled), rho(nf(assembled)), C5)
+                    emitter.emit(rho(assembled), rho(nf(assembled)), C5)
     # C6: one commutation rule per self-overlap of w0.
     for x1, _x2, x3 in self_overlaps(w0):
-        emit(Word((s,)) + x3, x1 + Word((s,)), C6)
+        emitter.emit(Word((s,)) + x3, x1 + Word((s,)), C6)
 
     # Emission runs family by family, so insertion order is already the
     # canonical order: C1 block, C2, C3 block, C4, C5, C6; a deduplicated
     # rule keeps its first position and accumulates tags.
-    r_s = RewritingSystem(b_alphabet, tuple(emitted.values()))
+    r_s = RewritingSystem(b_alphabet, emitter.rules())
     return LetterIntroResult(s, w0, b_alphabet, r_s, system)

@@ -147,33 +147,28 @@ def letterize_complement(
 def normalize_q2_q3(
     system: RewritingSystem, step_cap: int = DEFAULT_STEP_CAP
 ) -> RewritingSystem:
-    """Interreduce: normalize every right-hand side, drop duplicates, and
-    delete rules whose left-hand side another rule already reduces, until
-    nothing changes.  Preserves the congruence and the irreducible words
-    when the input system is complete."""
-    rules = list(system.rules)
-    while True:
-        current = system.with_rules(rules)
-        normalized: list[Rule] = []
-        seen: set[tuple[Word, Word]] = set()
-        for rule in rules:
-            rhs = normal_form(rule.rhs, current, step_cap)
-            key = (rule.lhs, rhs)
-            if key in seen:
-                continue
-            seen.add(key)
+    """Interreduce in one pass, in rule order: normalize each right-hand
+    side once, drop repeated (lhs, rhs) pairs (the first keeps its tags),
+    drop each rule whose left-hand side occurs again later, then each rule
+    that another remaining rule reduces (Q3).  This equals deleting the
+    first Q3 offender and re-normalizing until nothing changes: a normal
+    form stays irreducible in every subsystem, a left-hand side containing
+    no other one always keeps a rule as the witness, and of rules sharing
+    a left-hand side the earliest offends first.  Preserves the congruence
+    and the irreducible words when ``system`` is complete."""
+    seen: set[tuple[Word, Word]] = set()
+    normalized: list[Rule] = []
+    for rule in system.rules:
+        rhs = normal_form(rule.rhs, system, step_cap)
+        if (rule.lhs, rhs) not in seen:
+            seen.add((rule.lhs, rhs))
             normalized.append(Rule(rule.lhs, rhs, rule.tags))
-
-        deleted = False
-        matcher = LhsMatcher(normalized)
-        for i, rule in enumerate(normalized):
-            if _reducible_by_other(matcher, i, rule):
-                del normalized[i]
-                deleted = True
-                break
-        if normalized == rules and not deleted:
-            return system.with_rules(normalized)
-        rules = normalized
+    last = {rule.lhs: i for i, rule in enumerate(normalized)}
+    kept = [rule for i, rule in enumerate(normalized) if last[rule.lhs] == i]
+    matcher = LhsMatcher(kept)
+    return system.with_rules(
+        rule for i, rule in enumerate(kept) if not _reducible_by_other(matcher, i, rule)
+    )
 
 
 def _reducible_by_other(matcher: LhsMatcher, idx: int, rule: Rule) -> bool:

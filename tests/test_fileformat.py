@@ -53,6 +53,18 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column == 9
 
+    def test_empty_trailing_complement_word_column(self):
+        text = "alphabet: a b\nrule: b a -> a b\ncomplement: a ;\n"
+        assert len(text) == 47
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.column) == (3, 16)
+
+    def test_bare_complement_column(self):
+        with pytest.raises(ParseError) as err:
+            parse_presentation("alphabet: a b\ncomplement:  # nothing excluded\n")
+        assert (err.value.line, err.value.column) == (2, 12)
+
     def test_duplicate_alphabet_entry_rejected(self):
         with pytest.raises(ParseError):
             parse_presentation("alphabet: a a\n")

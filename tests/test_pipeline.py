@@ -5,6 +5,7 @@ from frs import (
     Alphabet,
     ComplementSpec,
     InputError,
+    NonTerminationError,
     PreconditionError,
     Presentation,
     canonicalize_complement,
@@ -15,11 +16,13 @@ from frs import (
     prepare_presentation,
     RewritingSystem,
     Rule,
+    build_construction,
     words_over,
 )
+from frs.core import DEFAULT_STEP_CAP
 from frs.pipeline import satisfies_q1, satisfies_q2, satisfies_q3
 
-from conftest import rule_set, system, w
+from conftest import looping_systems, rule_set, system, w
 
 
 def present(sys, *complement):
@@ -128,29 +131,53 @@ def naive_satisfies_q3(sys):
     )
 
 
-def naive_normalize_q2_q3(sys):
+def naive_normalize_q2_q3(sys, step_cap=DEFAULT_STEP_CAP):
     """Reference: the pairwise deletion scan, first deleted index, restart."""
     rules = list(sys.rules)
     while True:
         current = sys.with_rules(rules)
         normalized, seen = [], set()
         for rule in rules:
-            key = (rule.lhs, normal_form(rule.rhs, current))
+            rhs = normal_form(rule.rhs, current, step_cap)
+            key = (rule.lhs.names(), rhs.names())
             if key not in seen:
                 seen.add(key)
-                normalized.append(Rule(rule.lhs, key[1], rule.tags))
+                normalized.append(Rule(rule.lhs, rhs, rule.tags))
         deleted = False
-        for i, rule in enumerate(normalized):
-            if any(
-                j != i and rule.lhs.find(other.lhs) >= 0
-                for j, other in enumerate(normalized)
-            ):
+        # Letter names hold no spaces, so a padded substring is a factor;
+        # each left-hand side counts itself once.
+        padded = [f" {rule.lhs} " for rule in normalized]
+        for i, lhs in enumerate(padded):
+            if sum(map(lhs.__contains__, padded)) > 1:
                 del normalized[i]
                 deleted = True
                 break
         if normalized == rules and not deleted:
             return sys.with_rules(normalized)
         rules = normalized
+
+
+def with_rule_tags(sys):
+    """``sys`` with each rule tagged by its index, so that a result shows
+    which of several equal rules it kept."""
+    return sys.with_rules(
+        Rule(rule.lhs, rule.rhs, (f"r{i}",)) for i, rule in enumerate(sys.rules)
+    )
+
+
+def assert_matches_reference(sys, step_cap=DEFAULT_STEP_CAP):
+    """Rules, tags and order equal the reference's, or both raise the same
+    step-cap error."""
+    try:
+        expected = naive_normalize_q2_q3(sys, step_cap)
+    except NonTerminationError as err:
+        with pytest.raises(NonTerminationError) as got:
+            normalize_q2_q3(sys, step_cap)
+        assert str(got.value) == str(err)
+        return
+    result = normalize_q2_q3(sys, step_cap)
+    assert result.rules == expected.rules
+    assert [rule.tags for rule in result.rules] == [rule.tags for rule in expected.rules]
 
 
 @st.composite
@@ -171,10 +198,30 @@ class TestQ3AgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(length_reducing_systems())
     def test_interreduction_and_q3_agree(self, sys):
+        sys = with_rule_tags(sys)
         assert satisfies_q3(sys) == naive_satisfies_q3(sys)
+        assert_matches_reference(sys)
         result = normalize_q2_q3(sys)
-        assert result.rules == naive_normalize_q2_q3(sys).rules
         assert satisfies_q3(result) and naive_satisfies_q3(result)
+
+    @settings(max_examples=300, deadline=None)
+    @given(looping_systems(), st.integers(1, 30))
+    def test_incomplete_systems_agree(self, sys, step_cap):
+        assert_matches_reference(with_rule_tags(sys), step_cap)
+
+    @pytest.mark.parametrize(
+        "letters, rules, complement, size",
+        [
+            ("a b", [("ba", "ab")], ["a"], 223),
+            ("a b", [("aaa", "a"), ("bb", "b")], ["a", "aa"], 367),
+        ],
+        ids=["comm", "two"],
+    )
+    def test_construction_outputs_agree(self, letters, rules, complement, size):
+        prepared = prepare_presentation(present(system(letters, *rules), *complement))
+        r_t = build_construction(prepared).r_t
+        assert len(r_t.rules) == size
+        assert_matches_reference(r_t)
 
 
 class TestPrepare:
