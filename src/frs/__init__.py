@@ -19,6 +19,7 @@ from .core import (
     normal_form,
     one_step_reductions,
     reduces_to,
+    substitute,
     words_over,
 )
 from .completeness import (
@@ -32,7 +33,6 @@ from .completeness import (
 from .letter_intro import (
     LetterIntroResult,
     build_letter_intro,
-    phi_s,
     rho_s,
     self_overlaps,
 )

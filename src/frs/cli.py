@@ -22,8 +22,13 @@ from .core import (
     normal_form,
 )
 from .fileformat import parse_presentation, serialize_presentation
-from .large_sub import build_construction
-from .letter_intro import build_letter_intro
+from .large_sub import (
+    LargeSubConstruction,
+    build_construction,
+    classify_letters,
+    generator_letters,
+)
+from .letter_intro import LetterIntroResult, build_letter_intro
 from .pipeline import (
     Presentation,
     normalize_q2_q3,
@@ -54,6 +59,10 @@ def _word_from(arg: str, system: RewritingSystem) -> Word:
 
 def _write(path: str, presentation: Presentation) -> None:
     Path(path).write_text(serialize_presentation(presentation), encoding="utf-8")
+
+
+def _generators(images: dict[str, Word]) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    return tuple((name, image.names()) for name, image in images.items())
 
 
 def _require_complete(system: RewritingSystem, max_len: int, step_cap: int, label: str) -> None:
@@ -106,7 +115,8 @@ def _cmd_letter_intro(args: argparse.Namespace) -> int:
     _require_complete(presentation.system, args.max_len, args.step_cap, "the input system")
     w0 = _word_from(args.w0, presentation.system)
     result = build_letter_intro(presentation.system, w0, args.name, args.step_cap)
-    _write(args.output, Presentation(result.r_s, presentation.complement))
+    generators = _generators(result.images)
+    _write(args.output, Presentation(result.r_s, presentation.complement, generators))
     print(
         f"introduced letter '{result.new_letter.name}' for '{result.w0}'; "
         f"{len(result.r_s.rules)} rules written to {args.output}"
@@ -147,7 +157,7 @@ def _cmd_large_sub(args: argparse.Namespace) -> int:
     system = construction.r_t
     if args.interreduce:
         system = normalize_q2_q3(system, args.step_cap)
-    _write(args.output, Presentation(system))
+    _write(args.output, Presentation(system, generators=_generators(construction.images)))
     d1 = sum(1 for rule in system.rules if "D1" in rule.tags)
     d2 = sum(1 for rule in system.rules if "D2" in rule.tags)
     print(
@@ -158,59 +168,51 @@ def _cmd_large_sub(args: argparse.Namespace) -> int:
     return OK
 
 
-def _reconstruct_tuple(
+def _candidate_tuple(
     s_pres: Presentation, t_pres: Presentation, step_cap: int
 ) -> CandidateTuple:
-    """Rebuild phi/rho for a generated presentation pair.
+    """The tuple (B, R_T, A(T), phi, rho) of a target written by
+    ``large-sub`` (the source declares a complement) or ``letter-intro``.
 
-    The flat format cannot carry functions, so the tuple is recovered by
-    re-running the deterministic construction from the source file and
-    matching the result (as generated, or interreduced) against the
-    target file.
+    phi comes from the target's generator lines and rho from the source
+    and those images.  B lists the usable source letters in source order,
+    then the generators in file order, as the construction does.
     """
-    target_rules = set(t_pres.system.rules)
-    target_names = set(t_pres.system.alphabet.names())
-    if s_pres.complement is not None and s_pres.complement.words:
-        prepared = _prepared(s_pres, step_cap)
-        construction = build_construction(prepared, step_cap)
-        for system in (construction.r_t, normalize_q2_q3(construction.r_t, step_cap)):
-            if set(system.rules) == target_rules and set(system.alphabet.names()) == target_names:
-                return construction.as_candidate_tuple(system)
+    if not t_pres.generators:
         raise InputError(
-            "the target file does not match the construction generated from "
-            "the source file"
+            "the target file has no 'generator:' lines; regenerate it with "
+            "'frs large-sub' or 'frs letter-intro'"
         )
-    _require_complete(s_pres.system, completeness.DEFAULT_SEARCH_LEN, step_cap, "the source system")
-    new_names = target_names - set(s_pres.system.alphabet.names())
-    if len(new_names) != 1:
+    large_sub = s_pres.complement is not None and bool(s_pres.complement.words)
+    source = _prepared(s_pres, step_cap) if large_sub else s_pres
+    images = {name: source.system.alphabet.word(image) for name, image in t_pres.generators}
+    if large_sub:
+        classification = classify_letters(source, step_cap)
+        b_alphabet, c_letters = generator_letters(classification, images)
+    else:
+        _require_complete(
+            source.system, completeness.DEFAULT_SEARCH_LEN, step_cap, "the source system"
+        )
+        if len(images) != 1:
+            raise InputError("a letter introduction target has exactly one 'generator:' line")
+        b_alphabet = source.system.alphabet.extended(images)
+    stray = sorted(set(t_pres.system.alphabet.names()) ^ set(b_alphabet.names()))
+    if stray:
         raise InputError(
-            "expected exactly one introduced letter in the target alphabet, "
-            f"found {sorted(new_names) or 'none'}"
+            f"letter {stray[0]!r}: the target alphabet must be the usable "
+            "source letters plus the generators"
         )
-    s_name = new_names.pop()
-    s_letter = t_pres.system.alphabet.get(s_name)
-    candidates = [
-        rule.lhs
-        for rule in t_pres.system.rules
-        if rule.rhs == Word((s_letter,)) and all(l.name != s_name for l in rule.lhs)
-    ]
-    for w0 in candidates:
-        try:
-            result = build_letter_intro(
-                s_pres.system, s_pres.system.alphabet.word(w0.names()), s_name, step_cap
-            )
-        except (InputError, PreconditionError):
-            continue
-        if set(result.r_s.rules) == target_rules and set(result.b_alphabet.names()) == target_names:
-            return result.as_candidate_tuple()
-    raise InputError(
-        "the target file does not match any letter introduction generated "
-        "from the source file"
-    )
+    system = RewritingSystem(b_alphabet, t_pres.system.rules)
+    if large_sub:
+        construction = LargeSubConstruction(source, classification, c_letters, b_alphabet, system)
+        return construction.as_candidate_tuple()
+    ((s_name, w0),) = images.items()
+    result = LetterIntroResult(b_alphabet.get(s_name), w0, b_alphabet, system, source.system)
+    return result.as_candidate_tuple()
 
 
 def _cmd_verify_tuple(args: argparse.Namespace) -> int:
-    tup = _reconstruct_tuple(_load(args.s_file), _load(args.t_file), args.step_cap)
+    tup = _candidate_tuple(_load(args.s_file), _load(args.t_file), args.step_cap)
     report = check_p1_to_p6(tup, args.bound_a, args.bound_b, args.step_cap)
     for res in report.results:
         line = f"{res.name}: {res.status}"
@@ -230,7 +232,7 @@ def _cmd_verify_tuple(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_iso(args: argparse.Namespace) -> int:
-    tup = _reconstruct_tuple(_load(args.s_file), _load(args.t_file), args.step_cap)
+    tup = _candidate_tuple(_load(args.s_file), _load(args.t_file), args.step_cap)
     report = check_isomorphism_slice(tup, args.bound, args.step_cap)
     print(f"slice bound: {report.slice_bound}")
     print(f"T-classes in slice: {report.t_class_count}")
@@ -307,7 +309,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    # Below 1, a sweep or search covers no word and its verdict is unearned.
+    for flag in ("max_len", "bound_a", "bound_b", "bound", "step_cap"):
+        value = getattr(args, flag, 1)
+        if value < 1:
+            parser.error(f"argument --{flag.replace('_', '-')}: must be at least 1, got {value}")
     try:
         return args.func(args)
     except NonTerminationError as exc:

@@ -25,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 LETTER_NAME = re.compile(r"[A-Za-z0-9_']+\Z")
 
@@ -169,28 +169,24 @@ class Word:
     def names(self) -> tuple[str, ...]:
         return tuple(map(_NAME, self.letters))
 
-    def find(self, factor: "Word", start: int = 0) -> int:
-        k = len(factor)
-        if k == 0:
-            return start if start <= len(self) else -1
-        for pos in range(start, len(self) - k + 1):
-            if self.letters[pos: pos + k] == factor.letters:
-                return pos
-        return -1
-
-    def occurrences(self, factor: "Word") -> list[int]:
-        out = []
-        pos = self.find(factor)
-        while pos >= 0:
-            out.append(pos)
-            pos = self.find(factor, pos + 1)
-        return out
-
     def __str__(self) -> str:
         return " ".join(self.names())
 
     def __repr__(self) -> str:
         return f"Word({' '.join(self.names())!r})"
+
+
+def substitute(word: Word, images: Mapping[str, Word]) -> Word:
+    """The homomorphism phi of a generated presentation: each letter named
+    in ``images`` becomes its image word, every other letter stays."""
+    letters: list[Letter] = []
+    for letter in word.letters:
+        image = images.get(letter.name)
+        if image is None:
+            letters.append(letter)
+        else:
+            letters.extend(image.letters)
+    return Word(tuple(letters))
 
 
 @dataclass(frozen=True)

@@ -2,22 +2,24 @@
 
     # comment (also allowed after a declaration)
     alphabet: a b c_a_b
+    generator: c_a_b = a b
     rule: a a -> s       # optional provenance tags in a trailing comment
     complement: a ; b c
 
 Letters are whitespace-separated identifier tokens ([A-Za-z0-9_']+), so
-generated names like c_a_b and s0 are first-class.  Serialization is
-canonical: alphabet sorted by name, rules in stored order, one declaration
-per line; parsing a canonical file and serializing it again reproduces it
-byte for byte.
+generated names like c_a_b and s0 are first-class.  A generator line gives
+a generated letter's image under phi, a word over the source presentation's
+alphabet (so not checked against this one's).  Serialization is canonical:
+alphabet sorted by name, then generators and rules in stored order, one
+declaration per line; parsing a canonical file and serializing it again
+reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import Alphabet, InputError, Rule, Word
-from .core import RewritingSystem
+from .core import Alphabet, InputError, RewritingSystem, Rule, Word
 from .pipeline import ComplementSpec, Presentation
 
 _TOKEN = re.compile(r"\S+")
@@ -61,12 +63,9 @@ def parse_presentation(text: str) -> Presentation:
         if not tokens:
             continue
         keyword, column = tokens[0]
-        if keyword not in ("alphabet:", "rule:", "complement:"):
-            raise ParseError(
-                f"expected 'alphabet:', 'rule:' or 'complement:', got {keyword!r}",
-                lineno,
-                column,
-            )
+        if keyword not in ("alphabet:", "generator:", "rule:", "complement:"):
+            expected = "'alphabet:', 'generator:', 'rule:' or 'complement:'"
+            raise ParseError(f"expected {expected}, got {keyword!r}", lineno, column)
         decls.append((keyword, tokens[1:], lineno, len(line.rstrip()) + 1))
 
     names: list[str] = []
@@ -94,8 +93,24 @@ def parse_presentation(text: str) -> Presentation:
     rules: list[Rule] = []
     complement_words: list[Word] = []
     has_complement = False
+    generators: dict[str, tuple[str, ...]] = {}
     for keyword, tokens, lineno, end in decls:
-        if keyword == "rule:":
+        if keyword == "generator:":
+            if len(tokens) < 2 or tokens[1][0] != "=":
+                column = tokens[1][1] if len(tokens) > 1 else end
+                raise ParseError("expected '<letter> = <image word>'", lineno, column)
+            (name, column), (_, eq_column), *image = tokens
+            if name not in alphabet:
+                raise ParseError(f"generator {name!r} is not in the alphabet", lineno, column)
+            if name in generators:
+                raise ParseError(f"repeated generator {name!r}", lineno, column)
+            if not image:
+                raise ParseError("empty generator image", lineno, eq_column)
+            for token, column in image:
+                if not _LETTER.match(token):
+                    raise ParseError(f"invalid letter name {token!r}", lineno, column)
+            generators[name] = tuple(token for token, _ in image)
+        elif keyword == "rule:":
             arrows = [i for i, (token, _) in enumerate(tokens) if token == "->"]
             if len(arrows) != 1:
                 raise ParseError(
@@ -122,12 +137,14 @@ def parse_presentation(text: str) -> Presentation:
 
     system = RewritingSystem(alphabet, tuple(rules))
     complement = ComplementSpec(tuple(complement_words)) if has_complement else None
-    return Presentation(system, complement)
+    return Presentation(system, complement, tuple(generators.items()))
 
 
 def serialize_presentation(presentation: Presentation) -> str:
     """Canonical text form; provenance tags appear as trailing comments."""
     lines = ["alphabet: " + " ".join(sorted(presentation.system.alphabet.names()))]
+    for name, image in presentation.generators:
+        lines.append(f"generator: {name} = {' '.join(image)}")
     for rule in presentation.system.rules:
         line = f"rule: {rule.lhs} -> {rule.rhs}"
         if rule.tags:

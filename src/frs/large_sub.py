@@ -24,6 +24,7 @@ from functools import cached_property
 from .core import (
     DEFAULT_STEP_CAP,
     Alphabet,
+    InputError,
     Letter,
     PreconditionError,
     RewriteError,
@@ -32,6 +33,7 @@ from .core import (
     Word,
     is_irreducible,
     normal_form,
+    substitute,
 )
 from .pipeline import (
     Presentation,
@@ -83,24 +85,27 @@ class FSets:
 class LargeSubConstruction:
     presentation: Presentation
     classification: LetterClassification
-    f_sets: FSets
     c_letters: tuple[CLetter, ...]
     b_alphabet: Alphabet
     r_t: RewritingSystem
-    n_bound: int
+
+    @property
+    def n_bound(self) -> int:
+        """The D1 image-length cap N: longest base left-hand side + 4."""
+        return self.presentation.system.max_lhs_len() + 4
 
     # The tables phi and rho read, built once per construction on first use
     # (the dataclass is frozen, so they cannot go stale).  They are keyed by
     # letter names, whose hashes Python caches.
     @cached_property
-    def _images(self) -> dict[str, Word]:
+    def images(self) -> dict[str, Word]:
         return {c.letter.name: c.image for c in self.c_letters}
 
     @cached_property
     def _by_image(self) -> dict[tuple[str, ...], Letter]:
         by_image = {c.image.names(): c.letter for c in self.c_letters}
-        for f1_word in self.f_sets.f1:
-            by_image.setdefault(f1_word.names(), f1_word.letters[0])
+        for letter in self.classification.a1:
+            by_image.setdefault((letter.name,), letter)
         return by_image
 
     @cached_property
@@ -111,16 +116,6 @@ class LargeSubConstruction:
     def _a_s(self) -> frozenset[str]:
         return frozenset(letter.name for letter in self.classification.a_s)
 
-    def letter_image(self, letter: Letter) -> Word:
-        image = self._images.get(letter.name)
-        return Word((letter,)) if image is None else image
-
-    def phi(self, word: Word) -> Word:
-        return phi_t(word, self)
-
-    def rho(self, word: Word) -> Word:
-        return rho_t(word, self)
-
     def heavy_letters(self) -> frozenset[Letter]:
         return frozenset(
             c.letter for c in self.c_letters if c.kind in RIGHT_DRIFT_KINDS
@@ -130,8 +125,8 @@ class LargeSubConstruction:
         return CandidateTuple(
             base=self.presentation.system,
             system=self.r_t if system is None else system,
-            phi=self.phi,
-            rho=self.rho,
+            phi=lambda word: phi_t(word, self),
+            rho=lambda word: rho_t(word, self),
             in_at=lambda word: in_AT(word, self.presentation),
             in_t=lambda word: in_T(word, self.presentation),
             heavy=self.heavy_letters(),
@@ -322,38 +317,39 @@ def build_b_alphabet(
         f_sets.f3 + f_sets.f2 + f_sets.f4,
         key=lambda w: (kind_order[_c_kind(w, classification)], len(w), w.names()),
     )
-    alphabet = Alphabet(letter.name for letter in classification.a1)
-    c_letters = []
+    images: dict[str, Word] = {}
+    taken = base_alphabet
     for image in boundary:
-        base_name = "c_" + "_".join(image.names())
-        name = base_name
-        counter = 0
-        while name in alphabet or name in base_alphabet:
-            name = f"{base_name}{counter}"
-            counter += 1
-        alphabet = alphabet.extended([name])
-        c_letters.append(
-            CLetter(_c_kind(image, classification), image, alphabet.get(name))
-        )
+        name = taken.fresh_name("c_" + "_".join(image.names()))
+        taken = taken.extended([name])
+        images[name] = image
+    alphabet, c_letters = generator_letters(classification, images)
     if len(alphabet) == 0:
         raise ConstructionError(
             "the subsemigroup is not expressible: no generator letters "
             "(empty a1 and no admissible boundary words)"
         )
+    return alphabet, c_letters
+
+
+def generator_letters(
+    classification: LetterClassification, images: dict[str, Word]
+) -> tuple[Alphabet, tuple[CLetter, ...]]:
+    """B in construction order: the a1 letters in base order, then one
+    generator per entry of ``images`` (name -> boundary word over the base
+    alphabet), of the kind its image's shape gives."""
+    alphabet = Alphabet([letter.name for letter in classification.a1] + list(images))
+    c_letters = []
+    for name, image in images.items():
+        if len(image) not in (2, 3):
+            raise InputError(f"generator {name!r}: a boundary word has 2 or 3 letters")
+        c_letters.append(CLetter(_c_kind(image, classification), image, alphabet.get(name)))
     return alphabet, tuple(c_letters)
 
 
 def phi_t(word: Word, construction: LargeSubConstruction) -> Word:
-    """Substitute every generator by its image word."""
-    images = construction._images
-    letters: list[Letter] = []
-    for letter in word:
-        image = images.get(letter.name)
-        if image is None:
-            letters.append(letter)
-        else:
-            letters.extend(image.letters)
-    return Word(tuple(letters))
+    """phi of a construction: :func:`substitute` over its generator images."""
+    return substitute(word, construction.images)
 
 
 def rho_t(
@@ -427,24 +423,19 @@ def build_construction(
         f_sets, classification, presentation.system.alphabet
     )
     system = presentation.system
-    n_bound = system.max_lhs_len() + 4
-
     construction = LargeSubConstruction(
-        presentation,
-        classification,
-        f_sets,
-        c_letters,
-        b_alphabet,
-        RewritingSystem(b_alphabet),
-        n_bound,
+        presentation, classification, c_letters, b_alphabet, RewritingSystem(b_alphabet)
     )
+    n_bound = construction.n_bound
 
     emitter = RuleEmitter()
 
     # D1: depth-first over B-words, pruned by the image-length cap; the
     # image only grows with the word, so overlong prefixes cut the subtree.
+    images = construction.images
     image_len = {
-        letter: len(construction.letter_image(letter)) for letter in b_alphabet
+        letter: len(images[letter.name]) if letter.name in images else 1
+        for letter in b_alphabet
     }
     letters = b_alphabet.letters()
 
@@ -486,6 +477,4 @@ def build_construction(
         key=lambda r: tuple(letter.index for letter in r.lhs),
     )
     r_t = RewritingSystem(b_alphabet, tuple(d1 + d2))
-    return LargeSubConstruction(
-        presentation, classification, f_sets, c_letters, b_alphabet, r_t, n_bound
-    )
+    return LargeSubConstruction(presentation, classification, c_letters, b_alphabet, r_t)

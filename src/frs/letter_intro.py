@@ -13,6 +13,7 @@ commutation rule per self-overlap of w0 (family C6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     DEFAULT_STEP_CAP,
@@ -25,6 +26,7 @@ from .core import (
     Word,
     is_irreducible,
     normal_form,
+    substitute,
 )
 from .property_r import CandidateTuple
 
@@ -36,16 +38,18 @@ def rho_s(word: Word, w0: Word, s: Letter) -> Word:
     suffix occurrence of ``w0`` into the single letter ``s``.
 
     Total and deterministic on words over A; the empty word maps to itself.
+    Letters are compared by name.
     """
     if len(w0) < 2:
         raise PreconditionError("the named word must have length > 1")
-    if any(letter == s for letter in word):
+    names, target = word.names(), w0.names()
+    if s.name in names:
         raise InputError(f"input to rho contains the fresh letter {s.name!r}")
     out: list[Letter] = []
-    i = len(word)
-    k = len(w0)
+    i = len(names)
+    k = len(target)
     while i > 0:
-        if i >= k and word.letters[i - k: i] == w0.letters:
+        if i >= k and names[i - k : i] == target:
             out.append(s)
             i -= k
         else:
@@ -53,17 +57,6 @@ def rho_s(word: Word, w0: Word, s: Letter) -> Word:
             i -= 1
     out.reverse()
     return Word(tuple(out))
-
-
-def phi_s(word: Word, w0: Word, s: Letter) -> Word:
-    """Homomorphism back onto A-words: substitute ``w0`` for ``s``."""
-    pieces: list[Letter] = []
-    for letter in word:
-        if letter == s:
-            pieces.extend(w0.letters)
-        else:
-            pieces.append(letter)
-    return Word(tuple(pieces))
 
 
 def self_overlaps(w0: Word) -> list[tuple[Word, Word, Word]]:
@@ -95,11 +88,16 @@ class LetterIntroResult:
     r_s: RewritingSystem
     base: RewritingSystem
 
+    @cached_property
+    def images(self) -> dict[str, Word]:
+        """The generator table phi substitutes: the fresh letter names w0."""
+        return {self.new_letter.name: self.w0}
+
     def rho(self, word: Word) -> Word:
         return rho_s(word, self.w0, self.new_letter)
 
     def phi(self, word: Word) -> Word:
-        return phi_s(word, self.w0, self.new_letter)
+        return substitute(word, self.images)
 
     def as_candidate_tuple(self) -> CandidateTuple:
         # Every A-word represents an element of the target semigroup here,
@@ -142,10 +140,11 @@ def build_letter_intro(
     def rho(word: Word) -> Word:
         return rho_s(word, w0, s)
 
-    def nf(word: Word) -> Word:
-        return normal_form(word, system, step_cap)
-
     emitter = RuleEmitter()
+
+    def close(assembled: Word, family: str) -> None:
+        """Emit the rule taking ``assembled`` to its normal form, through rho."""
+        emitter.emit(rho(assembled), rho(normal_form(assembled, system, step_cap)), family)
 
     # C1: the original rules, transported through rho.
     for rule in system.rules:
@@ -158,15 +157,13 @@ def build_letter_intro(
         lhs = rule.lhs
         for k in range(1, min(len(lhs), len(w0)) + 1):
             if w0.letters[len(w0) - k:] == lhs.letters[:k]:
-                assembled = Word(w0.letters[: len(w0) - k]) + lhs
-                emitter.emit(rho(assembled), rho(nf(assembled)), C3)
+                close(Word(w0.letters[: len(w0) - k]) + lhs, C3)
     # C4: mirror image, w0 overlapping a lhs from the right.
     for rule in system.rules:
         lhs = rule.lhs
         for k in range(1, min(len(lhs), len(w0)) + 1):
             if w0.letters[:k] == lhs.letters[len(lhs) - k:]:
-                assembled = lhs + Word(w0.letters[k:])
-                emitter.emit(rho(assembled), rho(nf(assembled)), C4)
+                close(lhs + Word(w0.letters[k:]), C4)
     # C5: two w0 occurrences straddling both ends of one lhs.
     for rule in system.rules:
         lhs = rule.lhs
@@ -175,10 +172,7 @@ def build_letter_intro(
                 continue
             for j in range(1, min(len(lhs) - i, len(w0)) + 1):
                 if w0.letters[:j] == lhs.letters[len(lhs) - j:]:
-                    assembled = (
-                        Word(w0.letters[: len(w0) - i]) + lhs + Word(w0.letters[j:])
-                    )
-                    emitter.emit(rho(assembled), rho(nf(assembled)), C5)
+                    close(Word(w0.letters[: len(w0) - i]) + lhs + Word(w0.letters[j:]), C5)
     # C6: one commutation rule per self-overlap of w0.
     for x1, _x2, x3 in self_overlaps(w0):
         emitter.emit(Word((s,)) + x3, x1 + Word((s,)), C6)

@@ -46,10 +46,12 @@ class ComplementSpec:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A rewriting system, optionally with a complement declaration."""
+    """A rewriting system, optionally with a complement declaration and, if
+    generated, its generators' images under phi as source letter names."""
 
     system: RewritingSystem
     complement: ComplementSpec | None = None
+    generators: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self) -> None:
         if self.complement is not None:

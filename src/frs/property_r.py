@@ -107,14 +107,6 @@ def _check_sandwich(tup: CandidateTuple, bound: int) -> None:
             )
 
 
-def _preserving_rule_indices(tup: CandidateTuple) -> list[int]:
-    return [
-        idx
-        for idx, rule in enumerate(tup.system.rules)
-        if tup.phi(rule.lhs) == tup.phi(rule.rhs)
-    ]
-
-
 def _straightening_path(
     word: Word, target: Word, preserving: LhsMatcher, step_cap: int
 ) -> bool:
@@ -153,6 +145,8 @@ def check_p1_to_p6(
     results: list[PropertyResult] = []
 
     a_members = [w for w in words_over(base.alphabet, bound_a) if tup.in_at(w)]
+    # The image-preserving rules, in system order (P3, P6).
+    preserved = system.with_rules(r for r in system.rules if tup.phi(r.lhs) == tup.phi(r.rhs))
 
     # P1: each reduction out of a representative is mirrored by one step of
     # the candidate system, landing phi-above a descendant.
@@ -184,9 +178,6 @@ def check_p1_to_p6(
     # P3: no infinite chain of image-preserving steps; checked as
     # termination of the image-preserving rule subset.
     def p3() -> PropertyResult:
-        preserved = system.with_rules(
-            system.rules[idx] for idx in _preserving_rule_indices(tup)
-        )
         evidence = completeness.check_termination(
             preserved, max_len=bound_b, step_cap=step_cap, heavy=tup.heavy or None
         )
@@ -241,9 +232,7 @@ def check_p1_to_p6(
     # P6: every B-word whose image is a representative reduces to the
     # canonical form of that image.
     def p6() -> PropertyResult:
-        preserving = system.with_rules(
-            system.rules[idx] for idx in _preserving_rule_indices(tup)
-        ).matcher
+        preserving = preserved.matcher
         b_words = [
             u_prime
             for u_prime in words_over(system.alphabet, bound_b)

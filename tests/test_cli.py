@@ -8,6 +8,12 @@ AAA = "alphabet: a\nrule: a a a -> a\ncomplement: a\n"
 FREE_AB_COMP = "alphabet: a b\ncomplement: a\n"
 NONCONFLUENT = "alphabet: a b\nrule: a b -> a\nrule: a b -> b\n"
 CYCLE = "alphabet: a b\nrule: a b -> b a\nrule: b a -> a b\n"
+COMM = "alphabet: a b\nrule: b a -> a b\ncomplement: a\n"
+TWO = "alphabet: a b\nrule: a a a -> a\nrule: b b -> b\ncomplement: a ; a a\n"
+REGENERATE = (
+    "input error: the target file has no 'generator:' lines; regenerate it "
+    "with 'frs large-sub' or 'frs letter-intro'\n"
+)
 
 
 @pytest.fixture
@@ -77,6 +83,7 @@ class TestLetterIntro:
         text = (tmp / "out.frs").read_text()
         assert text == (
             "alphabet: a s\n"
+            "generator: s = a a\n"
             "rule: a a -> s  # C2\n"
             "rule: s a -> a s  # C6\n"
         )
@@ -120,6 +127,7 @@ class TestPrepareAndLargeSub:
         text = (tmp_path / "rt.frs").read_text()
         assert text == (
             "alphabet: c_a_a\n"
+            "generator: c_a_a = a a\n"
             "rule: c_a_a c_a_a -> c_a_a  # D1\n"
             "rule: c_a_a c_a_a c_a_a -> c_a_a  # D1\n"
         )
@@ -158,6 +166,91 @@ class TestVerifyCommands:
         )  # commutation rule dropped: not a generated file
         assert main(["verify-tuple", src, sabotaged]) == 2
 
+    def test_target_without_generators_exits_two(self, files, capsys):
+        write, _ = files
+        src = write("c.frs", COMM)
+        target = write("t.frs", "alphabet: b c_a_a\nrule: b c_a_a -> c_a_a b\n")
+        for command in ("verify-tuple", "verify-iso"):
+            assert main([command, src, target]) == 2
+            assert capsys.readouterr().err == REGENERATE
+
+    def test_sabotage_with_generator_is_a_property_failure(self, files, capsys):
+        write, _ = files
+        src = write("f.frs", FREE_A)
+        # The C6 rule s a -> a s is dropped, so s a and a s stay apart.
+        sabotaged = write(
+            "sab.frs", "alphabet: a s\nrule: a a -> s\ngenerator: s = a a\n"
+        )
+        assert main(["verify-tuple", src, sabotaged]) == 1
+        assert "P6: counterexample at 's a' / 'a s'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "target, letter",
+        [
+            ("alphabet: a s t\nrule: a a -> s\ngenerator: s = a a\n", "t"),
+            ("alphabet: s\ngenerator: s = a a\n", "a"),
+        ],
+    )
+    def test_alphabet_must_be_source_plus_generators(self, files, capsys, target, letter):
+        write, _ = files
+        assert main(["verify-tuple", write("f.frs", FREE_A), write("t.frs", target)]) == 2
+        assert f"letter {letter!r}" in capsys.readouterr().err
+
+    def test_letter_intro_target_needs_one_generator(self, files, capsys):
+        write, _ = files
+        target = write(
+            "t.frs", "alphabet: a s t\ngenerator: s = a a\ngenerator: t = a a a\n"
+        )
+        assert main(["verify-tuple", write("f.frs", FREE_A), target]) == 2
+        assert "exactly one 'generator:' line" in capsys.readouterr().err
+
+    def test_boundary_image_length_checked(self, files, capsys):
+        write, _ = files
+        target = write("t.frs", "alphabet: b c_a\ngenerator: c_a = a\n")
+        assert main(["verify-tuple", write("c.frs", COMM), target]) == 2
+        assert "generator 'c_a': a boundary word has 2 or 3 letters" in capsys.readouterr().err
+
+    def test_interreduced_target_keeps_the_construction_order(self, files, tmp_path, capsys):
+        # B is rebuilt in construction order (a1, then the generator lines),
+        # not in the file's name-sorted alphabet order; the order decides
+        # which counterexample comes first and which certificate is printed.
+        write, _ = files
+        src = write("comm.frs", COMM)
+        out = str(tmp_path / "comm-i.frs")
+        assert main(["large-sub", src, "-o", out, "--interreduce"]) == 0
+        capsys.readouterr()
+        assert main(["verify-tuple", src, out, "--bound-a", "5", "--bound-b", "3"]) == 1
+        assert capsys.readouterr().out == (
+            "P1: counterexample at 'b a b a' / 'a b b a'\n"
+            "P2: verified (bound 0, 12 witnesses)\n"
+            "P3: verified (bound 3, 4 witnesses) [letters {c_a_a_a, c_a_b_a, "
+            "c_b_a} are eliminated, or keep their count and move right at "
+            "constant length]\n"
+            "P4: verified (bound 3, 258 witnesses)\n"
+            "P5: verified (bound 5, 61 witnesses)\n"
+            "P6: counterexample at 'c_b_a b' / 'b c_a_b'\n"
+            "overall: not verified\n"
+        )
+
+    def test_source_that_needs_prepare(self, files, tmp_path, capsys):
+        write, _ = files
+        src = write("two.frs", TWO)
+        out = str(tmp_path / "two.frs.t")
+        assert main(["large-sub", src, "-o", out]) == 0
+        capsys.readouterr()
+        assert main(["verify-tuple", src, out, "--bound-a", "5", "--bound-b", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "P1: verified (bound 5, 78 witnesses)\n"
+            "P2: verified (bound 0, 367 witnesses)\n"
+            "P3: verified (bound 3, 18 witnesses) [length-nonincreasing; on "
+            "length ties the letters {c_a_b_a, c_a_b_s, c_b_a, c_b_s, c_s_b_a, "
+            "c_s_b_s} are eliminated or move right]\n"
+            "P4: verified (bound 3, 819 witnesses)\n"
+            "P5: verified (bound 5, 81 witnesses)\n"
+            "P6: verified (bound 3, 279 witnesses)\n"
+            "overall: verified\n"
+        )
+
     def test_verify_tuple_large_sub(self, files, tmp_path, capsys):
         write, _ = files
         src = write("a.frs", AAA)
@@ -177,6 +270,40 @@ class TestVerifyCommands:
         stdout = capsys.readouterr().out
         assert "T-classes in slice: 29" in stdout
         assert "mismatches: 0" in stdout
+
+
+class TestBoundsBelowOne:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("check", "--max-len", "0"),
+            ("check", "--max-len", "-1"),
+            ("nf", "--step-cap", "0"),
+            ("letter-intro", "--max-len", "0"),
+            ("prepare", "--step-cap", "0"),
+            ("large-sub", "--step-cap", "-3"),
+            ("verify-tuple", "--bound-a", "0"),
+            ("verify-tuple", "--bound-b", "0"),
+            ("verify-iso", "--bound", "0"),
+        ],
+    )
+    def test_rejected_naming_the_flag(self, files, capsys, command, flag, value):
+        # CYCLE does not terminate; a bound of 0 would search no word at all.
+        write, _ = files
+        src = write("c.frs", CYCLE)
+        args = {
+            "check": [src],
+            "nf": [src, "--word", "a"],
+            "letter-intro": [src, "--w0", "a b", "-o", "o.frs"],
+            "prepare": [src, "-o", "o.frs"],
+            "large-sub": [src, "-o", "o.frs"],
+            "verify-tuple": [src, src],
+            "verify-iso": [src, src],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -51,9 +51,10 @@ def reference_critical_pairs(sys):
                 continue
             if len(lj) >= len(li):
                 continue
-            for pos in li.occurrences(lj):
-                inner = Word(li.letters[:pos] + rj.rhs.letters + li.letters[pos + len(lj):])
-                pairs.append(CriticalPair(li, ri.rhs, inner, EMBEDDING, (i, j)))
+            for pos in range(len(li) - len(lj) + 1):
+                if li.letters[pos:pos + len(lj)] == lj.letters:
+                    inner = Word(li.letters[:pos] + rj.rhs.letters + li.letters[pos + len(lj):])
+                    pairs.append(CriticalPair(li, ri.rhs, inner, EMBEDDING, (i, j)))
     return pairs
 
 

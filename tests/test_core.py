@@ -72,7 +72,7 @@ def naive_one_step_reductions(word, sys):
 
 
 def naive_is_irreducible(word, sys):
-    return all(word.find(rule.lhs) < 0 for rule in sys.rules)
+    return all(f" {rule.lhs} " not in f" {word} " for rule in sys.rules)
 
 
 def outcome(reduce, *args, **kwargs):

@@ -102,6 +102,44 @@ class TestSerialize:
         assert serialize_presentation(pres).endswith("complement: a\n")
 
 
+class TestGenerators:
+    def test_parsed_in_line_order(self):
+        pres = parse_presentation(
+            "alphabet: b c_a_b c_a_a\ngenerator: c_a_b = a b\n"
+            "generator: c_a_a = a a\n"
+        )
+        assert pres.generators == (("c_a_b", ("a", "b")), ("c_a_a", ("a", "a")))
+
+    def test_image_letters_need_not_be_in_the_alphabet(self):
+        pres = parse_presentation("alphabet: s\ngenerator: s = x y'\n")
+        assert pres.generators == (("s", ("x", "y'")),)
+
+    @pytest.mark.parametrize(
+        "line, message, column",
+        [
+            ("generator: s a a", "expected '<letter> = <image word>'", 14),
+            ("generator: s", "expected '<letter> = <image word>'", 13),
+            ("generator: s =", "empty generator image", 14),
+            ("generator: t = a a", "generator 't' is not in the alphabet", 12),
+            ("generator: s = a ; a", "invalid letter name ';'", 18),
+            ("generator: s = a = a", "invalid letter name '='", 18),
+        ],
+    )
+    def test_malformed_line_rejected_with_position(self, line, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(f"alphabet: a s\nrule: a a -> s\n{line}  # tag\n")
+        assert (err.value.line, err.value.column) == (3, column)
+        assert str(err.value) == f"line 3, column {column}: {message}"
+
+    def test_repeated_generator_rejected_with_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(
+                "alphabet: a s\ngenerator: s = a a\n\n  generator: s = a a\n"
+            )
+        assert (err.value.line, err.value.column) == (4, 14)
+        assert "repeated generator 's'" in str(err.value)
+
+
 class TestRoundTrip:
     def test_parse_of_serialize_is_identity(self, sys_moves, sys_aaa):
         for sys in (sys_moves, sys_aaa):
@@ -111,6 +149,20 @@ class TestRoundTrip:
     def test_serialize_of_parse_fixes_canonical_files(self):
         canonical = "alphabet: a s\nrule: a a -> s\nrule: s a -> a s\ncomplement: s\n"
         assert serialize_presentation(parse_presentation(canonical)) == canonical
+
+    @pytest.mark.parametrize(
+        "canonical",
+        [
+            "alphabet: a s\ngenerator: s = a a\nrule: a a -> s\nrule: s a -> a s\n",
+            "alphabet: b c_a_a c_a_b\ngenerator: c_a_b = a b\n"
+            "generator: c_a_a = a a\nrule: b c_a_a -> c_a_a b\n",
+            "alphabet: a b s\ngenerator: s = a b\nrule: a b -> s\ncomplement: a ; b\n",
+        ],
+    )
+    def test_generator_lines_round_trip(self, canonical):
+        pres = parse_presentation(canonical)
+        assert serialize_presentation(pres) == canonical
+        assert parse_presentation(serialize_presentation(pres)) == pres
 
     def test_tags_survive_one_direction_only(self):
         sys = system("a", ("aa", "a"))

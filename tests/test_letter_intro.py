@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from frs import (
@@ -8,10 +10,10 @@ from frs import (
     Word,
     build_letter_intro,
     is_irreducible,
-    phi_s,
     reduces_to,
     rho_s,
     self_overlaps,
+    substitute,
     verify_complete,
     words_over,
 )
@@ -19,6 +21,33 @@ from frs import (
 from conftest import rule_set, system, w
 
 S = Letter("s", 99)
+
+
+def reference_rho_s(word, w0, s):
+    """rho_s as it was when it compared Letter objects one by one."""
+    if len(w0) < 2:
+        raise PreconditionError("the named word must have length > 1")
+    if any(letter == s for letter in word):
+        raise InputError(f"input to rho contains the fresh letter {s.name!r}")
+    out = []
+    i = len(word)
+    k = len(w0)
+    while i > 0:
+        if i >= k and word.letters[i - k: i] == w0.letters:
+            out.append(s)
+            i -= k
+        else:
+            out.append(word.letters[i - 1])
+            i -= 1
+    out.reverse()
+    return Word(tuple(out))
+
+
+def outcome(rho, word, w0):
+    try:
+        return rho(word, w0, S).names()
+    except (InputError, PreconditionError) as exc:
+        return type(exc), str(exc)
 
 
 class TestRho:
@@ -39,17 +68,31 @@ class TestRho:
         assert rho_s(Word(), w(free_a.alphabet, "aa"), S) == Word()
 
 
+class TestRhoAgainstReference:
+    @pytest.mark.parametrize(
+        "fixture", ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
+    )
+    def test_same_results_and_errors(self, fixture, request):
+        # sys_moves has a letter named s, so its words exercise the error
+        # for the fresh letter; w0 of length 1 exercises the length error.
+        alphabet = request.getfixturevalue(fixture).alphabet
+        words = list(itertools.chain([Word()], words_over(alphabet, 7)))
+        for w0 in words_over(alphabet, 3):
+            for word in words:
+                assert outcome(rho_s, word, w0) == outcome(reference_rho_s, word, w0)
+
+
 class TestPhi:
     def test_substitutes_the_named_word(self, free_ab):
-        assert str(phi_s(Word((S, S)), w(free_ab.alphabet, "ab"), S)) == "a b a b"
+        assert str(substitute(Word((S, S)), {"s": w(free_ab.alphabet, "ab")})) == "a b a b"
 
     def test_identity_on_base_letters(self, free_ab):
         word = w(free_ab.alphabet, "a")
-        assert phi_s(word, w(free_ab.alphabet, "ab"), S) == word
+        assert substitute(word, {"s": w(free_ab.alphabet, "ab")}) == word
 
     def test_concatenates_images(self, free_ab):
         a, b = free_ab.alphabet.get("a"), free_ab.alphabet.get("b")
-        assert str(phi_s(Word((a, S, b)), w(free_ab.alphabet, "aa"), S)) == "a a a b"
+        assert str(substitute(Word((a, S, b)), {"s": w(free_ab.alphabet, "aa")})) == "a a a b"
 
 
 class TestSelfOverlaps:

@@ -125,7 +125,7 @@ class TestNormalizeQ2Q3:
 def naive_satisfies_q3(sys):
     """Reference: no left-hand side occurs in another rule's left-hand side."""
     return not any(
-        i != j and rule.lhs.find(other.lhs) >= 0
+        i != j and f" {other.lhs} " in f" {rule.lhs} "
         for i, rule in enumerate(sys.rules)
         for j, other in enumerate(sys.rules)
     )
