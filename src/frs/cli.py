@@ -218,6 +218,8 @@ def _cmd_verify_tuple(args: argparse.Namespace) -> int:
         line = f"{res.name}: {res.status}"
         if res.status == "verified":
             line += f" (bound {res.bound}, {res.witness_count} witnesses)"
+        elif res.status == "inconclusive":
+            line += f" (bound {res.bound})"
         elif res.counterexample:
             line += " at " + " / ".join(f"'{w}'" for w in res.counterexample)
         if res.note:

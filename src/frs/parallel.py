@@ -1,35 +1,13 @@
-"""Sweep parallelism, capped by the FRS_THREADS environment variable."""
+"""The map that the P4 and P6 sweeps run their chunks through."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-_SERIAL_CUTOFF = 64
-
-
-def worker_count() -> int:
-    """Number of sweep workers: FRS_THREADS if set, else all cores."""
-    raw = os.environ.get("FRS_THREADS")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"FRS_THREADS must be an integer, got {raw!r}") from None
-        if value >= 1:
-            return value
-    return os.cpu_count() or 1
-
 
 def pmap(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Order-preserving map over items; uses a worker pool for large sweeps."""
-    work = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(work) < _SERIAL_CUTOFF:
-        return [fn(item) for item in work]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, work))
+    """Order-preserving map over items, run serially."""
+    return [fn(item) for item in items]

@@ -11,7 +11,8 @@ counterexample, or inconclusive when a step cap was hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from . import completeness
 from .core import (
@@ -36,6 +37,9 @@ COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE = "inconclusive"
 
 PROPERTY_NAMES = ("P1", "P2", "P3", "P4", "P5", "P6")
+
+# B-words drawn per ``pmap`` call in the P4 and P6 sweeps.
+SWEEP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,22 @@ def _check_sandwich(tup: CandidateTuple, bound: int) -> None:
             raise PreconditionError(
                 f"representative set misses the irreducible T-word '{word}'"
             )
+
+
+def _sweep(words: Iterator[Word], ok: Callable[[Word], bool]) -> tuple[int, Word | None]:
+    """Map ``ok`` over ``words`` one chunk of ``SWEEP_CHUNK`` at a time.
+
+    Returns how many words were swept and the first word that fails, if
+    any; the sweep stops after the chunk that holds it, so a step cap hit
+    in a later chunk is never reached.
+    """
+    swept = 0
+    while chunk := list(islice(words, SWEEP_CHUNK)):
+        for word, good in zip(chunk, pmap(ok, chunk)):
+            if not good:
+                return swept, word
+        swept += len(chunk)
+    return swept, None
 
 
 def _straightening_path(
@@ -210,15 +230,14 @@ def check_p1_to_p6(
                 system,
                 lambda names: tup.in_at(tup.phi(system.alphabet.word(names))),
                 step_cap,
-                "P4 search exceeded its cap",
+                f"P4 search from '{u_prime}' exceeded {step_cap} states",
             )
             return found is None
 
-        b_words = list(words_over(system.alphabet, bound_b))
-        for u_prime, good in zip(b_words, pmap(ok, b_words)):
-            if not good:
-                return PropertyResult("P4", COUNTEREXAMPLE, bound_b, 0, (u_prime,))
-        return PropertyResult("P4", VERIFIED, bound_b, len(b_words))
+        swept, bad = _sweep(words_over(system.alphabet, bound_b), ok)
+        if bad is not None:
+            return PropertyResult("P4", COUNTEREXAMPLE, bound_b, 0, (bad,))
+        return PropertyResult("P4", VERIFIED, bound_b, swept)
 
     # P5: rho is a section of phi on the representative set.
     def p5() -> PropertyResult:
@@ -233,11 +252,6 @@ def check_p1_to_p6(
     # canonical form of that image.
     def p6() -> PropertyResult:
         preserving = preserved.matcher
-        b_words = [
-            u_prime
-            for u_prime in words_over(system.alphabet, bound_b)
-            if tup.in_at(tup.phi(u_prime))
-        ]
 
         def ok(u_prime: Word) -> bool:
             target = tup.rho(tup.phi(u_prime))
@@ -245,13 +259,17 @@ def check_p1_to_p6(
                 return True
             return reduces_to(u_prime, target, system, step_cap)
 
-        for u_prime, good in zip(b_words, pmap(ok, b_words)):
-            if not good:
-                return PropertyResult(
-                    "P6", COUNTEREXAMPLE, bound_b, 0,
-                    (u_prime, tup.rho(tup.phi(u_prime))),
-                )
-        return PropertyResult("P6", VERIFIED, bound_b, len(b_words))
+        b_words = (
+            u_prime
+            for u_prime in words_over(system.alphabet, bound_b)
+            if tup.in_at(tup.phi(u_prime))
+        )
+        swept, bad = _sweep(b_words, ok)
+        if bad is not None:
+            return PropertyResult(
+                "P6", COUNTEREXAMPLE, bound_b, 0, (bad, tup.rho(tup.phi(bad)))
+            )
+        return PropertyResult("P6", VERIFIED, bound_b, swept)
 
     # The bound each property is swept to, also when a step cap stops it.
     bounds = (bound_a, 0, bound_b, bound_b, bound_a, bound_b)

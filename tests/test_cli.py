@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import frs
 from frs.cli import main
 
 FREE_A = "alphabet: a\n"
@@ -251,6 +257,27 @@ class TestVerifyCommands:
             "overall: verified\n"
         )
 
+    def test_inconclusive_lines_carry_their_bound(self, files, tmp_path, capsys):
+        write, _ = files
+        src = write("comm.frs", COMM)
+        out = str(tmp_path / "comm.frs.t")
+        assert main(["large-sub", src, "-o", out]) == 0
+        capsys.readouterr()
+        args = ["--bound-a", "4", "--bound-b", "3", "--step-cap", "2"]
+        assert main(["verify-tuple", src, out, *args]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "P1: inconclusive (bound 4) [reachability search exceeded 2 states]",
+            "P2: inconclusive (bound 0) [reachability search exceeded 2 states]",
+            "P3: verified (bound 3, 18 witnesses) [letters {c_a_a_a, c_a_b_a, "
+            "c_b_a} are eliminated, or keep their count and move right at "
+            "constant length]",
+            "P4: inconclusive (bound 3) [possible non-termination: 2 reduction "
+            "steps exceeded]",
+            "P5: verified (bound 4, 29 witnesses)",
+            "P6: inconclusive (bound 3) [reachability search exceeded 2 states]",
+            "overall: not verified",
+        ]
+
     def test_verify_tuple_large_sub(self, files, tmp_path, capsys):
         write, _ = files
         src = write("a.frs", AAA)
@@ -323,3 +350,14 @@ class TestDeterminism:
         assert main([args[0], src, "-o", first] + args[1:]) == 0
         assert main([args[0], src, "-o", second] + args[1:]) == 0
         assert (tmp_path / "one.frs").read_bytes() == (tmp_path / "two.frs").read_bytes()
+
+
+def test_start_up_does_not_import_a_thread_pool():
+    # The sweeps run serially, so a CLI process never needs
+    # concurrent.futures and should not pay for importing it.
+    env = dict(os.environ, PYTHONPATH=str(Path(frs.__file__).parent.parent))
+    probe = "import sys, frs.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

@@ -516,7 +516,8 @@ class TestSuccessors:
         ]
 
     def test_threads_sharing_a_cold_matcher_agree(self):
-        # P4 searches from pool threads, which may build the matcher's
+        # The sweeps run serially, but a library caller may share one
+        # system across threads, which may then build the matcher's
         # right-hand-side table at the same time.
         rules = system("a b c", ("ab", "ba"), ("ba", "c"), ("c", "aa"), ("bb", "b"))
         words = [word.names() for word in words_over(rules.alphabet, 6)]

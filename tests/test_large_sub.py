@@ -225,8 +225,9 @@ class TestMembershipCache:
             in_T(foreign, pres_free_ab)
 
     def test_threads_sharing_a_cold_table_agree_with_reference(self):
-        # The sweeps of check_p1_to_p6 call in_AT from pool threads, which
-        # then fill one table at the same time.
+        # The sweeps run serially, but a library caller may share one
+        # presentation across threads, which then fill one table at the
+        # same time.
         pres = ladder_presentation("two")
         words = list(words_over(pres.system.alphabet, 6))
         expected = [reference_in_AT(word, pres) for word in words]

@@ -1,20 +1,27 @@
+from dataclasses import replace
+
 import pytest
 
 from frs import (
     CandidateTuple,
     ComplementSpec,
+    NonTerminationError,
     Presentation,
     PreconditionError,
     build_construction,
     build_letter_intro,
     check_isomorphism_slice,
     check_p1_to_p6,
+    descendants,
     normal_form,
     oracle_classes,
     prepare_presentation,
+    reduces_to,
     verify_complete,
     words_over,
 )
+from frs import property_r
+from frs.property_r import SWEEP_CHUNK
 
 from conftest import system, w
 
@@ -32,6 +39,32 @@ def tuple_free(pres_free_ab):
 @pytest.fixture
 def tuple_aaa(pres_aaa):
     return build_construction(prepare_presentation(pres_aaa)).as_candidate_tuple()
+
+
+def reference_p4(tup, bound):
+    """P4 over a plain list of every B-word: (number of words, first failure)."""
+    words = list(words_over(tup.system.alphabet, bound))
+    for u in words:
+        if tup.in_at(tup.phi(normal_form(u, tup.system))):
+            continue
+        if not any(tup.in_at(tup.phi(v)) for v in descendants(u, tup.system) - {u}):
+            return len(words), u
+    return len(words), None
+
+
+def reference_p6(tup, bound):
+    """P6 over a plain list of the B-words whose image is a representative."""
+    words = [u for u in words_over(tup.system.alphabet, bound) if tup.in_at(tup.phi(u))]
+    for u in words:
+        if not reduces_to(u, tup.rho(tup.phi(u)), tup.system):
+            return len(words), u
+    return len(words), None
+
+
+def wrong_rho_at(tup, word, wrong):
+    """``tup`` with rho sending the image of ``word`` to ``wrong``."""
+    image = tup.phi(word)
+    return replace(tup, rho=lambda u: wrong if u == image else tup.rho(u))
 
 
 def drop_rules(tup, predicate):
@@ -105,6 +138,28 @@ class TestProperties:
             assert res.status == "inconclusive"
             assert res.bound == bound
         assert not report.overall
+
+    def test_p4_search_cap_names_the_word_and_the_cap(self, tuple_free):
+        # Leaving the image of u out of the representative set sends P4 on
+        # a search of u's four descendants, which all share that image.
+        u = tuple_free.system.alphabet.word("c_b_a c_b_a b")
+        assert len(descendants(u, tuple_free.system)) == 4
+        image = tuple_free.phi(u)
+        sabotaged = replace(tuple_free, in_at=lambda word: word != image and tuple_free.in_at(word))
+        res = check_p1_to_p6(sabotaged, 2, 3, step_cap=3).result("P4")
+        assert res.status == "inconclusive"
+        assert res.bound == 3
+        assert res.note == "P4 search from 'c_b_a c_b_a b' exceeded 3 states"
+
+    def test_two_is_verified_with_witnesses_at_default_bounds(self):
+        base = system("a b", ("aaa", "a"), ("bb", "b"))
+        complement = (w(base.alphabet, "a"), w(base.alphabet, "aa"))
+        pres = Presentation(base, ComplementSpec(complement))
+        tup = build_construction(prepare_presentation(pres)).as_candidate_tuple()
+        report = check_p1_to_p6(tup)
+        assert report.overall
+        counts = {res.name: res.witness_count for res in report.results}
+        assert counts == {"P1": 1292, "P2": 367, "P3": 18, "P4": 66429, "P5": 678, "P6": 7029}
 
     def test_p1_has_witnesses_on_the_commutation_construction(self):
         base = system("a b", ("ba", "ab"))
@@ -188,22 +243,55 @@ class TestOracleClasses:
         assert set(oracle_classes(sys, 5)) == expected
 
 
-class TestSweepParallelism:
-    def test_worker_count_reads_environment(self, monkeypatch):
-        from frs.parallel import worker_count
+class TestSweepChunks:
+    # The free tuple has 9330 B-words up to length 5, more than two chunks.
+    BOUND_B = 5
 
-        monkeypatch.setenv("FRS_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("FRS_THREADS", "zero")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.delenv("FRS_THREADS")
-        assert worker_count() >= 1
-
-    def test_reports_identical_across_worker_counts(self, tuple_aa, monkeypatch):
+    def test_reports_identical_across_chunk_sizes(self, tuple_aa, monkeypatch):
         baseline = check_p1_to_p6(tuple_aa, 6, 4)
-        monkeypatch.setenv("FRS_THREADS", "1")
-        serial = check_p1_to_p6(tuple_aa, 6, 4)
-        monkeypatch.setenv("FRS_THREADS", "4")
-        threaded = check_p1_to_p6(tuple_aa, 6, 4)
-        assert baseline == serial == threaded
+        for size in (1, 7):
+            monkeypatch.setattr(property_r, "SWEEP_CHUNK", size)
+            assert check_p1_to_p6(tuple_aa, 6, 4) == baseline
+
+    def test_counts_across_chunks_match_a_plain_loop(self, tuple_free):
+        report = check_p1_to_p6(tuple_free, 2, self.BOUND_B)
+        p4, p6 = reference_p4(tuple_free, self.BOUND_B), reference_p6(tuple_free, self.BOUND_B)
+        assert p4 == (9330, None) and p6 == (9330, None)
+        assert p4[0] > 2 * SWEEP_CHUNK
+        assert report.result("P4").witness_count == p4[0]
+        assert report.result("P6").witness_count == p6[0]
+        assert report.overall
+
+    def test_failure_past_the_first_chunk_is_reported(self, tuple_free):
+        words = list(words_over(tuple_free.system.alphabet, self.BOUND_B))
+        wrong = tuple_free.system.alphabet.word("b")
+        sabotaged = wrong_rho_at(tuple_free, words[SWEEP_CHUNK + 100], wrong)
+        _, first = reference_p6(sabotaged, self.BOUND_B)
+        assert words.index(first) >= SWEEP_CHUNK
+        res = check_p1_to_p6(sabotaged, 2, self.BOUND_B).result("P6")
+        assert res.status == "counterexample"
+        assert res.counterexample == (first, wrong)
+
+    @pytest.mark.parametrize(
+        "cap_at, status", [(SWEEP_CHUNK + 100, "counterexample"), (100, "inconclusive")]
+    )
+    def test_cap_hit_after_a_counterexample(self, tuple_free, cap_at, status):
+        # A counterexample in an earlier chunk than a cap hit is reported;
+        # a cap hit in the same chunk still makes the property inconclusive.
+        words = list(words_over(tuple_free.system.alphabet, self.BOUND_B))
+        wrong = tuple_free.system.alphabet.word("b")
+        sabotaged = wrong_rho_at(tuple_free, words[40], wrong)
+        _, first = reference_p6(sabotaged, self.BOUND_B)
+        capped = tuple_free.phi(words[cap_at])
+
+        def in_at(word):
+            if word == capped:
+                raise NonTerminationError(f"step cap hit at '{word}'")
+            return tuple_free.in_at(word)
+
+        res = check_p1_to_p6(replace(sabotaged, in_at=in_at), 2, self.BOUND_B).result("P6")
+        assert res.status == status
+        if status == "counterexample":
+            assert res.counterexample == (first, wrong)
+        else:
+            assert res.note == f"step cap hit at '{capped}'"
