@@ -559,3 +559,28 @@ def words_over(
     for length in range(min_len, max_len + 1):
         for combo in itertools.product(pool, repeat=length):
             yield Word(combo)
+
+
+def irreducible_words(system: RewritingSystem, max_len: int) -> Iterator[Word]:
+    """The irreducible words over the system's alphabet with
+    1 <= length <= max_len, in the order of :func:`words_over`.
+
+    Every factor of an irreducible word is irreducible, so the walk extends
+    only irreducible words, one letter at a time, level by level.  A
+    candidate is dropped when some left-hand side ends at its last letter:
+    one probe of the matcher's table per left-hand-side length.
+    """
+    table, lengths = system.matcher.table, system.matcher.lengths
+    letters = [(letter, letter.name) for letter in system.alphabet]
+    level: list[tuple[tuple[Letter, ...], tuple[str, ...]]] = [((), ())]
+    for length in range(1, max_len + 1):
+        fits = [k for k in lengths if k <= length]
+        nxt = []
+        for prefix, names in level:
+            for letter, name in letters:
+                word_names = names + (name,)
+                if not any(word_names[-k:] in table for k in fits):
+                    word = prefix + (letter,)
+                    nxt.append((word, word_names))
+                    yield Word(word)
+        level = nxt

@@ -23,6 +23,7 @@ from .core import (
     PreconditionError,
     RewritingSystem,
     Word,
+    irreducible_words,
     is_irreducible,
     normal_form,
     one_step_reductions,
@@ -169,20 +170,28 @@ def check_p1_to_p6(
     preserved = system.with_rules(r for r in system.rules if tup.phi(r.lhs) == tup.phi(r.rhs))
 
     # P1: each reduction out of a representative is mirrored by one step of
-    # the candidate system, landing phi-above a descendant.
+    # the candidate system, landing phi-above a descendant.  One search from
+    # each base reduct v1 looks for the images of all of the candidate's
+    # reducts at once; with no candidate reduct there is nothing to search.
     def p1() -> PropertyResult:
         witnesses = 0
+        successors = base.matcher.successors
         for u in a_members:
-            succ_b = one_step_reductions(tup.rho(u), system)
-            for _, v1 in one_step_reductions(u, base):
+            targets = {
+                tup.phi(u_prime).names()
+                for _, u_prime in one_step_reductions(tup.rho(u), system)
+            }
+            # u was drawn over the base alphabet, so its reducts need no check.
+            for v1 in successors(u.names()):
                 witnesses += 1
-                if not any(
-                    reduces_to(v1, tup.phi(u_prime), base, step_cap)
-                    for _, u_prime in succ_b
-                ):
-                    return PropertyResult(
-                        "P1", COUNTEREXAMPLE, bound_a, witnesses, (u, v1)
-                    )
+                if v1 in targets:
+                    continue
+                cap = f"P1 search from '{' '.join(v1)}' exceeded {step_cap} states"
+                if targets and _reach(v1, base, targets.__contains__, step_cap, cap) is None:
+                    continue
+                return PropertyResult(
+                    "P1", COUNTEREXAMPLE, bound_a, witnesses, (u, base.alphabet.word(v1))
+                )
         return PropertyResult("P1", VERIFIED, bound_a, witnesses)
 
     # P2: every rule's image reduces in the base system (context closure
@@ -297,11 +306,7 @@ def check_isomorphism_slice(
     base, system = tup.base, tup.system
     mismatches: list[tuple] = []
 
-    slice_words = [
-        w
-        for w in words_over(base.alphabet, bound)
-        if tup.in_t(w) and is_irreducible(w, base)
-    ]
+    slice_words = [w for w in irreducible_words(base, bound) if tup.in_t(w)]
     images: dict[Word, Word] = {}
     for w in slice_words:
         u_prime = normal_form(tup.rho(w), system, step_cap)
@@ -316,9 +321,7 @@ def check_isomorphism_slice(
     slice_surjective = not any(m[0].startswith("slice") for m in mismatches)
 
     forward_injective = True
-    for u_prime in words_over(system.alphabet, bound):
-        if not is_irreducible(u_prime, system):
-            continue
+    for u_prime in irreducible_words(system, bound):
         w = normal_form(tup.phi(u_prime), base, step_cap)
         try:
             recovered = normal_form(tup.rho(w), system, step_cap)

@@ -266,7 +266,7 @@ class TestVerifyCommands:
         args = ["--bound-a", "4", "--bound-b", "3", "--step-cap", "2"]
         assert main(["verify-tuple", src, out, *args]) == 3
         assert capsys.readouterr().out.splitlines() == [
-            "P1: inconclusive (bound 4) [reachability search exceeded 2 states]",
+            "P1: verified (bound 4, 17 witnesses)",
             "P2: inconclusive (bound 0) [reachability search exceeded 2 states]",
             "P3: verified (bound 3, 18 witnesses) [letters {c_a_a_a, c_a_b_a, "
             "c_b_a} are eliminated, or keep their count and move right at "
@@ -286,6 +286,22 @@ class TestVerifyCommands:
         capsys.readouterr()
         assert main(["verify-tuple", src, out, "--bound-a", "6", "--bound-b", "4"]) == 0
         assert "overall: verified" in capsys.readouterr().out
+
+    def test_verify_iso_output_at_the_default_bound(self, files, tmp_path, capsys):
+        write, _ = files
+        src = write("free.frs", FREE_AB_COMP)
+        out = str(tmp_path / "free.frs.t")
+        assert main(["large-sub", src, "-o", out]) == 0
+        capsys.readouterr()
+        assert main(["verify-iso", src, out]) == 0
+        assert capsys.readouterr().out == (
+            "slice bound: 6\n"
+            "T-classes in slice: 125\n"
+            "distinct images: 125\n"
+            "forward injective: yes\n"
+            "slice surjective: yes\n"
+            "mismatches: 0\n"
+        )
 
     def test_verify_iso(self, files, tmp_path, capsys):
         write, _ = files

@@ -21,7 +21,7 @@ from frs import (
     reduces_to,
     words_over,
 )
-from frs.core import DEFAULT_STEP_CAP
+from frs.core import DEFAULT_STEP_CAP, irreducible_words
 
 from conftest import (
     all_normal_forms,
@@ -288,6 +288,36 @@ class TestIrreducibility:
             assert is_irreducible(word, sys_moves) == (
                 one_step_reductions(word, sys_moves) == []
             )
+
+
+def reference_irreducible_words(sys, max_len):
+    """Every word up to ``max_len``, filtered by the matcher's redex test."""
+    return [word for word in words_over(sys.alphabet, max_len) if is_irreducible(word, sys)]
+
+
+class TestIrreducibleWords:
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_fixture_systems_agree(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        assert list(irreducible_words(sys, 6)) == reference_irreducible_words(sys, 6)
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            system("c a b"),
+            system("c a b", ("b", "a a"), ("c c", "a")),
+            system("b a", ("ab", "a"), ("ab", "b"), ("ba", "b"), ("ba", "a")),
+        ],
+        ids=["no-rules", "length-one-lhs", "duplicate-lhs"],
+    )
+    def test_edge_systems_agree(self, sys):
+        # The alphabets are not in name order: words follow the alphabet.
+        assert list(irreducible_words(sys, 5)) == reference_irreducible_words(sys, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_systems(), st.integers(0, 5))
+    def test_random_systems_agree(self, sys, max_len):
+        assert list(irreducible_words(sys, max_len)) == reference_irreducible_words(sys, max_len)
 
 
 class TestNormalForm:

@@ -13,7 +13,9 @@ from frs import (
     check_isomorphism_slice,
     check_p1_to_p6,
     descendants,
+    is_irreducible,
     normal_form,
+    one_step_reductions,
     oracle_classes,
     prepare_presentation,
     reduces_to,
@@ -39,6 +41,44 @@ def tuple_free(pres_free_ab):
 @pytest.fixture
 def tuple_aaa(pres_aaa):
     return build_construction(prepare_presentation(pres_aaa)).as_candidate_tuple()
+
+
+def construction(letters, *rules, complement):
+    base = system(letters, *rules)
+    words = tuple(w(base.alphabet, word) for word in complement)
+    pres = Presentation(base, ComplementSpec(words))
+    return build_construction(prepare_presentation(pres)).as_candidate_tuple()
+
+
+@pytest.fixture
+def tuple_comm():
+    return construction("a b", ("ba", "ab"), complement=("a",))
+
+
+@pytest.fixture
+def tuple_threebase():
+    base = system("a b c", ("ca", "ac"), ("cb", "bc"))
+    return build_letter_intro(base, w(base.alphabet, "ab")).as_candidate_tuple()
+
+
+@pytest.fixture
+def tuple_two():
+    return construction("a b", ("aaa", "a"), ("bb", "b"), complement=("a", "aa"))
+
+
+def reference_p1(tup, bound_a):
+    """P1 as one search per candidate reduct, in order, until one reaches
+    the image: (status, witnesses, counterexample)."""
+    witnesses = 0
+    for u in words_over(tup.base.alphabet, bound_a):
+        if not tup.in_at(u):
+            continue
+        succ_b = one_step_reductions(tup.rho(u), tup.system)
+        for _, v1 in one_step_reductions(u, tup.base):
+            witnesses += 1
+            if not any(reduces_to(v1, tup.phi(u_prime), tup.base) for _, u_prime in succ_b):
+                return "counterexample", witnesses, (u, v1)
+    return "verified", witnesses, None
 
 
 def reference_p4(tup, bound):
@@ -124,14 +164,11 @@ class TestProperties:
             check_p1_to_p6(broken, 6, 4)
 
 
-    def test_inconclusive_results_name_their_own_bound(self):
+    def test_inconclusive_results_name_their_own_bound(self, tuple_comm):
         # b a -> a b gives P1 witnesses; step cap 1 stops every
         # reachability search that needs a second state.
-        base = system("a b", ("ba", "ab"))
-        pres = Presentation(base, ComplementSpec((w(base.alphabet, "a"),)))
-        tup = build_construction(prepare_presentation(pres)).as_candidate_tuple()
-        assert check_p1_to_p6(tup, 4, 2).result("P1").witness_count > 0
-        report = check_p1_to_p6(tup, 4, 2, step_cap=1)
+        assert check_p1_to_p6(tuple_comm, 4, 2).result("P1").witness_count > 0
+        report = check_p1_to_p6(tuple_comm, 4, 2, step_cap=1)
         expected = {"P1": 4, "P2": 0, "P4": 2}
         for name, bound in expected.items():
             res = report.result(name)
@@ -151,23 +188,65 @@ class TestProperties:
         assert res.bound == 3
         assert res.note == "P4 search from 'c_b_a c_b_a b' exceeded 3 states"
 
-    def test_two_is_verified_with_witnesses_at_default_bounds(self):
-        base = system("a b", ("aaa", "a"), ("bb", "b"))
-        complement = (w(base.alphabet, "a"), w(base.alphabet, "aa"))
-        pres = Presentation(base, ComplementSpec(complement))
-        tup = build_construction(prepare_presentation(pres)).as_candidate_tuple()
-        report = check_p1_to_p6(tup)
+    def test_p1_search_cap_names_the_word_and_the_cap(self, tuple_comm):
+        # Without the rule b c_a_b_a -> c_a_a b b, the reduct a b b a of
+        # b a b a must reach b a a b, the image of the candidate's only
+        # reduct; its three descendants never do.
+        tup = drop_rules(tuple_comm, lambda rule: str(rule.lhs) == "b c_a_b_a")
+        res = check_p1_to_p6(tup, 4, 1, step_cap=2).result("P1")
+        assert res.status == "inconclusive"
+        assert res.bound == 4
+        assert res.note == "P1 search from 'a b b a' exceeded 2 states"
+        res = check_p1_to_p6(tup, 4, 1, step_cap=3).result("P1")
+        assert res.status == "counterexample"
+        assert [str(word) for word in res.counterexample] == ["b a b a", "a b b a"]
+
+    def test_letter_intro_threebase_witnesses_at_default_bounds(self, tuple_threebase):
+        report = check_p1_to_p6(tuple_threebase)
+        assert report.overall
+        counts = {res.name: res.witness_count for res in report.results}
+        assert counts == {"P1": 14216, "P2": 4, "P3": 1, "P4": 1364, "P5": 9840, "P6": 1364}
+
+    def test_two_is_verified_with_witnesses_at_default_bounds(self, tuple_two):
+        report = check_p1_to_p6(tuple_two)
         assert report.overall
         counts = {res.name: res.witness_count for res in report.results}
         assert counts == {"P1": 1292, "P2": 367, "P3": 18, "P4": 66429, "P5": 678, "P6": 7029}
 
-    def test_p1_has_witnesses_on_the_commutation_construction(self):
-        base = system("a b", ("ba", "ab"))
-        pres = Presentation(base, ComplementSpec((w(base.alphabet, "a"),)))
-        tup = build_construction(prepare_presentation(pres)).as_candidate_tuple()
-        res = check_p1_to_p6(tup, 6, 3).result("P1")
+    def test_p1_has_witnesses_on_the_commutation_construction(self, tuple_comm):
+        res = check_p1_to_p6(tuple_comm, 6, 3).result("P1")
         assert res.status == "verified"
         assert res.witness_count > 0
+
+
+class TestP1AgainstReference:
+    @pytest.mark.parametrize(
+        "fixture", ["tuple_threebase", "tuple_free", "tuple_comm", "tuple_two"]
+    )
+    def test_verified_tuples_agree(self, fixture, request):
+        tup = request.getfixturevalue(fixture)
+        res = check_p1_to_p6(tup, 6, 1).result("P1")
+        assert (res.status, res.witness_count, res.counterexample) == reference_p1(tup, 6)
+        assert res.status == "verified"
+
+    def test_sabotaged_tuple_agrees(self, tuple_comm):
+        tup = drop_rules(tuple_comm, lambda rule: str(rule.lhs) == "b c_a_b_a")
+        res = check_p1_to_p6(tup, 6, 1).result("P1")
+        assert (res.status, res.witness_count, res.counterexample) == reference_p1(tup, 6)
+        u, _ = res.counterexample
+        assert res.status == "counterexample"
+        assert one_step_reductions(tup.rho(u), tup.system)
+
+    def test_empty_target_set_agrees(self, tuple_comm):
+        # Without c_b_a -> c_a_b, rho(b a) = c_b_a is irreducible while
+        # b a is not: there is no image to search for.
+        tup = drop_rules(tuple_comm, lambda rule: str(rule.lhs) == "c_b_a")
+        res = check_p1_to_p6(tup, 6, 1).result("P1")
+        assert (res.status, res.witness_count, res.counterexample) == reference_p1(tup, 6)
+        u, _ = res.counterexample
+        assert str(u) == "b a"
+        assert is_irreducible(tup.rho(u), tup.system)
+        assert not is_irreducible(u, tup.base)
 
 
 class TestIsomorphismSlice:
