@@ -5,7 +5,9 @@ checker is tiered: it first looks for a reduction-order certificate (strict
 length decrease, or a lexicographic measure that lets a designated set of
 "heavy" letters only disappear or drift to the right), and otherwise falls
 back to an exhaustive cycle search over all words up to a length bound.
-Local confluence is decided exactly, by joining every critical pair.
+Local confluence is decided exactly, by joining every critical pair; each
+distinct result word is normalized once per check, and a step-cap hit is
+not cached (it ends the check as inconclusive).
 Completeness = termination + local confluence (Newman's lemma); the report
 records which evidence tier supported the termination half, so bounded
 verdicts are visibly weaker than certified ones.
@@ -90,14 +92,33 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     occurring as a factor of a different rule's lhs.  Each unordered
     overlap appears exactly once; the order is (first rule, second rule,
     offset).
+
+    Only the rules that overlap rule i are visited as its partner j: those
+    whose lhs has a proper prefix equal to a proper suffix of lhs i (an
+    index of proper prefixes), and those whose lhs is a factor of lhs i
+    (the matcher's table).
     """
     pairs: list[CriticalPair] = []
     rules = system.rules
-    lhs = system.matcher.lhs
+    matcher = system.matcher
+    lhs, table, lengths = matcher.lhs, matcher.table, matcher.lengths
+    by_prefix: dict[tuple[str, ...], list[int]] = {}
+    for j, nj in enumerate(lhs):
+        for k in range(1, len(nj)):
+            by_prefix.setdefault(nj[:k], []).append(j)
     for i, ni in enumerate(lhs):
         ri, len_i = rules[i], len(ni)
         li = ri.lhs.letters
-        for j, nj in enumerate(lhs):
+        partners: set[int] = set()
+        for k in range(1, len_i):
+            partners.update(by_prefix.get(ni[len_i - k:], ()))
+        for k in lengths:
+            if k > len_i:
+                break
+            for pos in range(len_i - k + 1):
+                partners.update(table.get(ni[pos: pos + k], ()))
+        for j in sorted(partners):
+            nj = lhs[j]
             len_j = len(nj)
             for k in range(1, min(len_i, len_j)):
                 if ni[len_i - k:] == nj[:k]:
@@ -273,14 +294,26 @@ def check_local_confluence(
 ) -> ConfluenceEvidence:
     """Join every critical pair via normal forms.
 
-    Decisive only when termination is already established; a step-cap hit
-    is reported as inconclusive rather than as a counterexample.
+    Each distinct result word is normalized once: the normal forms are
+    kept, by name tuple, for the rest of the call.  A step-cap hit is not
+    kept; it ends the call on the pair that reached it, reported as
+    inconclusive rather than as a counterexample.  Decisive only when
+    termination is already established.
     """
+    normal: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def normal_names(result: Word) -> tuple[str, ...]:
+        key = result.names()
+        found = normal.get(key)
+        if found is None:
+            found = normal[key] = normal_form(result, system, step_cap).names()
+        return found
+
     joined = 0
     for pair in critical_pairs(system):
         try:
-            left_nf = normal_form(pair.left_result, system, step_cap)
-            right_nf = normal_form(pair.right_result, system, step_cap)
+            left_nf = normal_names(pair.left_result)
+            right_nf = normal_names(pair.right_result)
         except NonTerminationError:
             return ConfluenceEvidence(INCONCLUSIVE, joined_count=joined, counterexample=pair)
         if left_nf != right_nf:
@@ -288,8 +321,8 @@ def check_local_confluence(
                 COUNTEREXAMPLE,
                 joined_count=joined,
                 counterexample=pair,
-                left_nf=left_nf,
-                right_nf=right_nf,
+                left_nf=system.alphabet.word(left_nf),
+                right_nf=system.alphabet.word(right_nf),
             )
         joined += 1
     return ConfluenceEvidence(ALL_JOINED, joined_count=joined)

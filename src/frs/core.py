@@ -318,12 +318,14 @@ class LhsMatcher:
         return self._rhs
 
     def first_redex(
-        self, names: tuple[str, ...], rightmost: bool = False
+        self, names: tuple[str, ...], rightmost: bool = False, start: int = 0
     ) -> tuple[int, int] | None:
         """(rule index, position) of the first redex: leftmost position
-        (rightmost with ``rightmost=True``), then lowest rule index."""
+        (rightmost with ``rightmost=True``), then lowest rule index.  A
+        leftmost scan begins at ``start``; the caller knows that no redex
+        starts before it.  A rightmost scan ignores ``start``."""
         get, lengths, n = self.table.get, self.lengths, len(names)
-        positions = range(n - 1, -1, -1) if rightmost else range(n)
+        positions = range(n - 1, -1, -1) if rightmost else range(start, n)
         for pos in positions:
             best = None
             for k in lengths:
@@ -423,20 +425,33 @@ def normal_form(
     lowest rule index (``rightmost=True`` flips the position order; it
     exists so tests can cross-check strategy independence).  For a complete
     system the result does not depend on the strategy.
+
+    The reduction runs on name tuples and builds one :class:`Word` at the
+    end.  After a leftmost rewrite at ``pos`` the scan resumes at
+    ``pos - maxlen + 1`` (``maxlen`` the longest left-hand side): no redex
+    started before ``pos``, so a redex of the new word that starts earlier
+    would have to reach into the rewritten part.  When ``step_cap`` steps
+    do not reach a normal form, the steps are replayed on words to give
+    the :class:`NonTerminationError` its trace.
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
     names = _require_known(word, system)
-    first_redex = system.matcher.first_redex
-    trace = [word]
-    current = word
+    matcher = system.matcher
+    first_redex, lhs, rhs = matcher.first_redex, matcher.lhs, matcher.rhs
+    back = max(matcher.lengths, default=1) - 1
+    current, start = names, 0
     for _ in range(step_cap):
-        redex = first_redex(names, rightmost)
+        redex = first_redex(current, rightmost, start)
         if redex is None:
-            return current
-        current = _apply(current, system, *redex)
-        trace.append(current)
-        names = current.names()
+            return word if current is names else system.alphabet.word(current)
+        idx, pos = redex
+        current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
+        start = max(0, pos - back)
+    trace = [word]
+    for _ in range(step_cap):
+        idx, pos = first_redex(trace[-1].names(), rightmost)
+        trace.append(_apply(trace[-1], system, idx, pos))
     raise NonTerminationError(
         f"possible non-termination: {step_cap} reduction steps exceeded", tuple(trace)
     )

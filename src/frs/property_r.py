@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from . import completeness
 from .core import (
@@ -41,6 +41,8 @@ PROPERTY_NAMES = ("P1", "P2", "P3", "P4", "P5", "P6")
 
 # B-words drawn per ``pmap`` call in the P4 and P6 sweeps.
 SWEEP_CHUNK = 4096
+
+Item = TypeVar("Item")
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,9 @@ def _check_sandwich(tup: CandidateTuple, bound: int) -> None:
             )
 
 
-def _sweep(words: Iterator[Word], ok: Callable[[Word], bool]) -> tuple[int, Word | None]:
-    """Map ``ok`` over ``words`` one chunk of ``SWEEP_CHUNK`` at a time.
+def _sweep(words: Iterator[Item], ok: Callable[[Item], bool]) -> tuple[int, Item | None]:
+    """Map ``ok`` over ``words`` (B-words, or B-words paired with their
+    images) one chunk of ``SWEEP_CHUNK`` at a time.
 
     Returns how many words were swept and the first word that fails, if
     any; the sweep stops after the chunk that holds it, so a step cap hit
@@ -166,6 +169,14 @@ def check_p1_to_p6(
     results: list[PropertyResult] = []
 
     a_members = [w for w in words_over(base.alphabet, bound_a) if tup.in_at(w)]
+    # rho of a_members[:len(rhos)], filled in order by P1 and then by P5.
+    rhos: list[Word] = []
+
+    def rho_of(i: int) -> Word:
+        if i == len(rhos):
+            rhos.append(tup.rho(a_members[i]))
+        return rhos[i]
+
     # The image-preserving rules, in system order (P3, P6).
     preserved = system.with_rules(r for r in system.rules if tup.phi(r.lhs) == tup.phi(r.rhs))
 
@@ -176,10 +187,10 @@ def check_p1_to_p6(
     def p1() -> PropertyResult:
         witnesses = 0
         successors = base.matcher.successors
-        for u in a_members:
+        for i, u in enumerate(a_members):
             targets = {
                 tup.phi(u_prime).names()
-                for _, u_prime in one_step_reductions(tup.rho(u), system)
+                for _, u_prime in one_step_reductions(rho_of(i), system)
             }
             # u was drawn over the base alphabet, so its reducts need no check.
             for v1 in successors(u.names()):
@@ -250,11 +261,10 @@ def check_p1_to_p6(
 
     # P5: rho is a section of phi on the representative set.
     def p5() -> PropertyResult:
-        for u in a_members:
-            if tup.phi(tup.rho(u)) != u:
-                return PropertyResult(
-                    "P5", COUNTEREXAMPLE, bound_a, 0, (u, tup.phi(tup.rho(u)))
-                )
+        for i, u in enumerate(a_members):
+            image = tup.phi(rho_of(i))
+            if image != u:
+                return PropertyResult("P5", COUNTEREXAMPLE, bound_a, 0, (u, image))
         return PropertyResult("P5", VERIFIED, bound_a, len(a_members))
 
     # P6: every B-word whose image is a representative reduces to the
@@ -262,21 +272,24 @@ def check_p1_to_p6(
     def p6() -> PropertyResult:
         preserving = preserved.matcher
 
-        def ok(u_prime: Word) -> bool:
-            target = tup.rho(tup.phi(u_prime))
+        def ok(word_and_image: tuple[Word, Word]) -> bool:
+            u_prime, image = word_and_image
+            target = tup.rho(image)
             if _straightening_path(u_prime, target, preserving, step_cap):
                 return True
             return reduces_to(u_prime, target, system, step_cap)
 
+        # Each B-word with the image that the filter computed, for ``ok``.
         b_words = (
-            u_prime
+            (u_prime, image)
             for u_prime in words_over(system.alphabet, bound_b)
-            if tup.in_at(tup.phi(u_prime))
+            if tup.in_at(image := tup.phi(u_prime))
         )
         swept, bad = _sweep(b_words, ok)
         if bad is not None:
+            bad_word, bad_image = bad
             return PropertyResult(
-                "P6", COUNTEREXAMPLE, bound_b, 0, (bad, tup.rho(tup.phi(bad)))
+                "P6", COUNTEREXAMPLE, bound_b, 0, (bad_word, tup.rho(bad_image))
             )
         return PropertyResult("P6", VERIFIED, bound_b, swept)
 

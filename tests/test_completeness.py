@@ -4,29 +4,58 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frs import (
+    ComplementSpec,
+    NonTerminationError,
+    Presentation,
     Word,
+    build_construction,
     check_local_confluence,
     check_termination,
     critical_pairs,
     normal_form,
     one_step_reductions,
+    prepare_presentation,
     verify_complete,
     words_over,
 )
 from frs import completeness
 from frs.completeness import (
+    ALL_JOINED,
     BOUNDED_VERIFIED,
     COUNTEREXAMPLE,
     EMBEDDING,
+    INCONCLUSIVE,
     SUFFIX_PREFIX,
     UNKNOWN,
+    ConfluenceEvidence,
     CriticalPair,
     TerminationEvidence,
 )
+from frs.core import DEFAULT_STEP_CAP
 
 from conftest import looping_systems, system, w
 
 SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
+
+# Ladder inputs whose large-sub outputs (223 and 367 rules) are joined
+# against the reference loops: (alphabet, rules, complement).
+CONSTRUCTIONS = {
+    "comm": ("a b", [("ba", "ab")], ["a"]),
+    "two": ("a b", [("aaa", "a"), ("bb", "b")], ["a", "aa"]),
+}
+
+
+def large_sub_output(name):
+    letters, rules, complement = CONSTRUCTIONS[name]
+    base = system(letters, *rules)
+    words = tuple(w(base.alphabet, text) for text in complement)
+    prepared = prepare_presentation(Presentation(base, ComplementSpec(words)))
+    return build_construction(prepared).r_t
+
+
+@pytest.fixture(scope="module", params=sorted(CONSTRUCTIONS))
+def construction_output(request):
+    return large_sub_output(request.param)
 
 
 # Reference implementations: the Word-based loops that the name-tuple
@@ -56,6 +85,28 @@ def reference_critical_pairs(sys):
                     inner = Word(li.letters[:pos] + rj.rhs.letters + li.letters[pos + len(lj):])
                     pairs.append(CriticalPair(li, ri.rhs, inner, EMBEDDING, (i, j)))
     return pairs
+
+
+def reference_local_confluence(sys, step_cap=DEFAULT_STEP_CAP):
+    """The per-pair join that the memoized one replaced: both results of
+    every pair are normalized afresh."""
+    joined = 0
+    for pair in reference_critical_pairs(sys):
+        try:
+            left_nf = normal_form(pair.left_result, sys, step_cap)
+            right_nf = normal_form(pair.right_result, sys, step_cap)
+        except NonTerminationError:
+            return ConfluenceEvidence(INCONCLUSIVE, joined_count=joined, counterexample=pair)
+        if left_nf != right_nf:
+            return ConfluenceEvidence(
+                COUNTEREXAMPLE,
+                joined_count=joined,
+                counterexample=pair,
+                left_nf=left_nf,
+                right_nf=right_nf,
+            )
+        joined += 1
+    return ConfluenceEvidence(ALL_JOINED, joined_count=joined)
 
 
 def reference_bounded_cycle_search(sys, max_len, step_cap):
@@ -301,3 +352,59 @@ class TestAgainstReference:
         ):
             assert completeness._bounded_cycle_search(sys, max_len, step_cap).status == status
             assert_cycle_search_matches_reference(sys, max_len, step_cap)
+
+    def test_construction_output_critical_pairs_agree(self, construction_output):
+        assert critical_pairs(construction_output) == reference_critical_pairs(
+            construction_output
+        )
+
+
+class TestConfluenceAgainstReference:
+    """The memoized join gives the same evidence as the per-pair loop:
+    status, joined count, counterexample pair and both normal forms."""
+
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_fixtures_agree(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        assert check_local_confluence(sys) == reference_local_confluence(sys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(looping_systems(), st.integers(1, 30))
+    def test_random_systems_agree(self, sys, step_cap):
+        assert check_local_confluence(sys, step_cap) == reference_local_confluence(
+            sys, step_cap
+        )
+
+    def test_construction_outputs_agree(self, construction_output):
+        evidence = check_local_confluence(construction_output)
+        assert evidence.status == ALL_JOINED
+        assert evidence == reference_local_confluence(construction_output)
+
+    def test_early_stops_after_joined_pairs_agree(self):
+        # Both verdicts that end the join early, each after pairs that
+        # joined and whose normal forms were kept.
+        loop = system("a b", ("aaa", "a"), ("ab", "ba"), ("ba", "ab"))
+        split = system("a s b", ("aa", "s"), ("sa", "as"), ("ab", "a"), ("ab", "b"))
+        for sys, status, joined in ((loop, INCONCLUSIVE, 2), (split, COUNTEREXAMPLE, 1)):
+            evidence = check_local_confluence(sys, 30)
+            assert (evidence.status, evidence.joined_count) == (status, joined)
+            assert evidence == reference_local_confluence(sys, 30)
+
+
+def test_each_distinct_result_is_normalized_once(monkeypatch):
+    comm = large_sub_output("comm")
+    calls = []
+
+    def counted(word, *args):
+        calls.append(word.names())
+        return normal_form(word, *args)
+
+    monkeypatch.setattr(completeness, "normal_form", counted)
+    assert check_local_confluence(comm).status == ALL_JOINED
+    results = [
+        result.names()
+        for pair in critical_pairs(comm)
+        for result in (pair.left_result, pair.right_result)
+    ]
+    assert (len(results), len(set(results))) == (28_372, 2_617)
+    assert sorted(calls) == sorted(set(results))

@@ -218,6 +218,20 @@ class TestProperties:
         assert res.status == "verified"
         assert res.witness_count > 0
 
+    def test_rho_once_per_representative_and_swept_b_word(self, tuple_comm):
+        calls = []
+
+        def rho(word):
+            calls.append(word)
+            return tuple_comm.rho(word)
+
+        report = check_p1_to_p6(replace(tuple_comm, rho=rho), 6, 3)
+        assert report.overall
+        # P1 and P5 share rho(u) for each representative u; P6 takes one
+        # rho(phi(u')) per B-word it sweeps.
+        swept = report.result("P5").witness_count + report.result("P6").witness_count
+        assert len(calls) == swept
+
 
 class TestP1AgainstReference:
     @pytest.mark.parametrize(
