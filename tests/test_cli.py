@@ -377,3 +377,49 @@ def test_start_up_does_not_import_a_thread_pool():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "False\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    """Whole CLI outputs on comm and two, pinned byte for byte: the stdout,
+    stderr and exit code of each command in ``transcript.txt``, and each
+    written target file under its own name."""
+
+    COMMANDS = [
+        ["large-sub", "comm.frs", "-o", "comm.t"],
+        ["large-sub", "comm.frs", "-o", "comm.ti", "--interreduce"],
+        ["large-sub", "two.frs", "-o", "two.t"],
+        ["large-sub", "two.frs", "-o", "two.ti", "--interreduce"],
+        ["check", "comm.ti"],
+        ["check", "two.ti"],
+        ["verify-tuple", "comm.frs", "comm.t", "--bound-a", "5", "--bound-b", "3"],
+        ["verify-iso", "comm.frs", "comm.t", "--bound", "4"],
+    ]
+    TARGETS = ["comm.t", "comm.ti", "two.t", "two.ti"]
+
+    @staticmethod
+    def run(directory, capsys, monkeypatch):
+        """The transcript and the target files that ``COMMANDS`` give when
+        run in ``directory``, as {file name: text}."""
+        monkeypatch.chdir(directory)
+        Path("comm.frs").write_text(COMM)
+        Path("two.frs").write_text(TWO)
+        capsys.readouterr()
+        transcript = []
+        for args in TestGolden.COMMANDS:
+            code = main(args)
+            captured = capsys.readouterr()
+            transcript.append(f"$ frs {' '.join(args)}\n{captured.out}")
+            transcript.extend(f"stderr: {line}\n" for line in captured.err.splitlines())
+            transcript.append(f"exit {code}\n")
+        outputs = {name: Path(name).read_text() for name in TestGolden.TARGETS}
+        outputs["transcript.txt"] = "".join(transcript)
+        return outputs
+
+    def test_outputs_match_the_pinned_files(self, tmp_path, capsys, monkeypatch):
+        outputs = self.run(tmp_path, capsys, monkeypatch)
+        assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(outputs)
+        for name, text in outputs.items():
+            assert text == (GOLDEN / name).read_text(), name
