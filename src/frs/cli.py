@@ -61,10 +61,6 @@ def _write(path: str, presentation: Presentation) -> None:
     Path(path).write_text(serialize_presentation(presentation), encoding="utf-8")
 
 
-def _generators(images: dict[str, Word]) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    return tuple((name, image.names()) for name, image in images.items())
-
-
 def _require_complete(system: RewritingSystem, max_len: int, step_cap: int, label: str) -> None:
     report = completeness.verify_complete(system, max_len, step_cap)
     if report.verdict != completeness.COMPLETE:
@@ -115,7 +111,7 @@ def _cmd_letter_intro(args: argparse.Namespace) -> int:
     _require_complete(presentation.system, args.max_len, args.step_cap, "the input system")
     w0 = _word_from(args.w0, presentation.system)
     result = build_letter_intro(presentation.system, w0, args.name, args.step_cap)
-    generators = _generators(result.images)
+    generators = tuple(result.images.items())
     _write(args.output, Presentation(result.r_s, presentation.complement, generators))
     print(
         f"introduced letter '{result.new_letter.name}' for '{result.w0}'; "
@@ -157,7 +153,7 @@ def _cmd_large_sub(args: argparse.Namespace) -> int:
     system = construction.r_t
     if args.interreduce:
         system = normalize_q2_q3(system, args.step_cap)
-    _write(args.output, Presentation(system, generators=_generators(construction.images)))
+    _write(args.output, Presentation(system, generators=tuple(construction.images.items())))
     d1 = sum(1 for rule in system.rules if "D1" in rule.tags)
     d2 = sum(1 for rule in system.rules if "D2" in rule.tags)
     print(

@@ -101,89 +101,71 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     pairs: list[CriticalPair] = []
     rules = system.rules
     matcher = system.matcher
-    lhs, table, lengths = matcher.lhs, matcher.table, matcher.lengths
-    by_prefix: dict[tuple[str, ...], list[int]] = {}
-    for j, nj in enumerate(lhs):
-        for k in range(1, len(nj)):
-            by_prefix.setdefault(nj[:k], []).append(j)
-    for i, ni in enumerate(lhs):
-        ri, len_i = rules[i], len(ni)
-        li = ri.lhs.letters
+    lhs, rhs, table, lengths = matcher.lhs, matcher.rhs, matcher.table, matcher.lengths
+    by_prefix: dict[tuple[Letter, ...], list[int]] = {}
+    for j, lj in enumerate(lhs):
+        for k in range(1, len(lj)):
+            by_prefix.setdefault(lj[:k], []).append(j)
+    for i, li in enumerate(lhs):
+        ri, len_i = rules[i], len(li)
         partners: set[int] = set()
         for k in range(1, len_i):
-            partners.update(by_prefix.get(ni[len_i - k:], ()))
+            partners.update(by_prefix.get(li[len_i - k:], ()))
         for k in lengths:
             if k > len_i:
                 break
             for pos in range(len_i - k + 1):
-                partners.update(table.get(ni[pos: pos + k], ()))
+                partners.update(table.get(li[pos: pos + k], ()))
         for j in sorted(partners):
-            nj = lhs[j]
-            len_j = len(nj)
+            lj = lhs[j]
+            len_j = len(lj)
             for k in range(1, min(len_i, len_j)):
-                if ni[len_i - k:] == nj[:k]:
-                    rj = rules[j]
-                    tail = rj.lhs.letters[k:]
+                if li[len_i - k:] == lj[:k]:
+                    tail = lj[k:]
                     pairs.append(
                         CriticalPair(
                             Word(li + tail),
-                            Word(ri.rhs.letters + tail),
-                            Word(li[: len_i - k] + rj.rhs.letters),
+                            Word(rhs[i] + tail),
+                            Word(li[: len_i - k] + rhs[j]),
                             SUFFIX_PREFIX,
                             (i, j),
                         )
                     )
             if i == j or len_j > len_i:
                 continue
-            if ni == nj:
+            if li == lj:
                 if i < j:
                     pairs.append(
                         CriticalPair(ri.lhs, ri.rhs, rules[j].rhs, EMBEDDING, (i, j))
                     )
                 continue
             for pos in range(len_i - len_j + 1):
-                if ni[pos: pos + len_j] == nj:
-                    inner = Word(li[:pos] + rules[j].rhs.letters + li[pos + len_j:])
+                if li[pos: pos + len_j] == lj:
+                    inner = Word(li[:pos] + rhs[j] + li[pos + len_j:])
                     pairs.append(CriticalPair(ri.lhs, ri.rhs, inner, EMBEDDING, (i, j)))
     return pairs
 
 
-def _heavy_count(word: Word, heavy: frozenset[Letter]) -> int:
-    return sum(1 for letter in word if letter in heavy)
-
-
-def _right_weight(word: Word, heavy: frozenset[Letter]) -> int:
+def _measure(word: Word, heavy: frozenset[Letter]) -> tuple[int, int, int]:
+    """(length, heavy count, heavy right-distance sum) of ``word``."""
     n = len(word)
-    return sum(n - 1 - pos for pos, letter in enumerate(word) if letter in heavy)
+    distances = [n - 1 - pos for pos, letter in enumerate(word) if letter in heavy]
+    return n, len(distances), sum(distances)
 
 
 def _drops_length_first(rule: Rule, heavy: frozenset[Letter]) -> bool:
-    # (length, heavy count, heavy right-distance sum), lexicographic.
-    # Stable under contexts: length-equal replacements leave every other
-    # letter's distance to the right end unchanged.
-    if len(rule.rhs) < len(rule.lhs):
-        return True
-    if len(rule.rhs) > len(rule.lhs):
-        return False
-    cl, cr = _heavy_count(rule.lhs, heavy), _heavy_count(rule.rhs, heavy)
-    if cr < cl:
-        return True
-    if cr > cl:
-        return False
-    return _right_weight(rule.rhs, heavy) < _right_weight(rule.lhs, heavy)
+    # The measure, lexicographic.  Stable under contexts: length-equal
+    # replacements leave every other letter's distance to the right end
+    # unchanged.
+    return _measure(rule.rhs, heavy) < _measure(rule.lhs, heavy)
 
 
 def _drops_count_first(rule: Rule, heavy: frozenset[Letter]) -> bool:
     # (heavy count, heavy right-distance sum), lexicographic; the tie case
     # additionally needs equal lengths so the context weights cancel.
-    cl, cr = _heavy_count(rule.lhs, heavy), _heavy_count(rule.rhs, heavy)
-    if cr < cl:
-        return True
-    if cr > cl:
-        return False
-    if len(rule.lhs) != len(rule.rhs):
-        return False
-    return _right_weight(rule.rhs, heavy) < _right_weight(rule.lhs, heavy)
+    nl, cl, wl = _measure(rule.lhs, heavy)
+    nr, cr, wr = _measure(rule.rhs, heavy)
+    return cr < cl or (cr == cl and nr == nl and wr < wl)
 
 
 def _measure_candidates(system: RewritingSystem) -> list[frozenset[Letter]]:
@@ -208,7 +190,7 @@ def find_measure_certificate(
         [frozenset(heavy)] if heavy is not None else _measure_candidates(system)
     )
     for cand in candidates:
-        names = ", ".join(sorted(letter.name for letter in cand))
+        names = ", ".join(sorted(cand))
         if all(_drops_length_first(rule, cand) for rule in system.rules):
             if not cand:
                 return "all rules strictly length-reducing"
@@ -228,16 +210,16 @@ def _bounded_cycle_search(
     system: RewritingSystem, max_len: int, step_cap: int
 ) -> TerminationEvidence:
     """Exhaustive cycle search over the reduction graph restricted to words
-    of length <= max_len, on tuples of letter names."""
+    of length <= max_len, on plain tuples."""
     successors = system.matcher.successors
-    color: dict[tuple[str, ...], int] = {}  # 1 = on current path, 2 = done
+    color: dict[tuple[Letter, ...], int] = {}  # 1 = on current path, 2 = done
     explored = 0
     for word in words_over(system.alphabet, max_len):
-        start = word.names()
+        start = tuple(word)
         if color.get(start) == 2:
             continue
-        path: list[tuple[str, ...]] = []
-        stack: list[tuple[tuple[str, ...], list[tuple[str, ...]] | None]] = [(start, None)]
+        path: list[tuple[Letter, ...]] = []
+        stack: list[tuple[tuple[Letter, ...], list[tuple[Letter, ...]] | None]] = [(start, None)]
         while stack:
             node, succ = stack.pop()
             if succ is None:
@@ -257,7 +239,7 @@ def _bounded_cycle_search(
                         cycle = path[path.index(nxt):] + [nxt]
                         return TerminationEvidence(
                             COUNTEREXAMPLE,
-                            cycle=tuple(system.alphabet.word(names) for names in cycle),
+                            cycle=tuple(Word(node) for node in cycle),
                         )
                 stack.append((node, succ))
                 for nxt in succ:
@@ -295,25 +277,24 @@ def check_local_confluence(
     """Join every critical pair via normal forms.
 
     Each distinct result word is normalized once: the normal forms are
-    kept, by name tuple, for the rest of the call.  A step-cap hit is not
+    kept, by result word, for the rest of the call.  A step-cap hit is not
     kept; it ends the call on the pair that reached it, reported as
     inconclusive rather than as a counterexample.  Decisive only when
     termination is already established.
     """
-    normal: dict[tuple[str, ...], tuple[str, ...]] = {}
+    normal: dict[Word, Word] = {}
 
-    def normal_names(result: Word) -> tuple[str, ...]:
-        key = result.names()
-        found = normal.get(key)
+    def normal_of(result: Word) -> Word:
+        found = normal.get(result)
         if found is None:
-            found = normal[key] = normal_form(result, system, step_cap).names()
+            found = normal[result] = normal_form(result, system, step_cap)
         return found
 
     joined = 0
     for pair in critical_pairs(system):
         try:
-            left_nf = normal_names(pair.left_result)
-            right_nf = normal_names(pair.right_result)
+            left_nf = normal_of(pair.left_result)
+            right_nf = normal_of(pair.right_result)
         except NonTerminationError:
             return ConfluenceEvidence(INCONCLUSIVE, joined_count=joined, counterexample=pair)
         if left_nf != right_nf:
@@ -321,8 +302,8 @@ def check_local_confluence(
                 COUNTEREXAMPLE,
                 joined_count=joined,
                 counterexample=pair,
-                left_nf=system.alphabet.word(left_nf),
-                right_nf=system.alphabet.word(right_nf),
+                left_nf=left_nf,
+                right_nf=right_nf,
             )
         joined += 1
     return ConfluenceEvidence(ALL_JOINED, joined_count=joined)

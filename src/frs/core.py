@@ -1,8 +1,11 @@
 """Words, rules and reduction for string rewriting (semi-Thue) systems.
 
-Everything in this module is a pure value: letters are interned per
-alphabet, words compare by their letter sequence, and all reduction
-functions are deterministic functions of their inputs.
+Everything in this module is a pure value, and all reduction functions
+are deterministic functions of their inputs.  A letter is its name: a
+:class:`Letter` is a ``str``, interned per alphabet, that also records its
+index there.  A word is a tuple of letters: a :class:`Word` is a ``tuple``.
+So a word, the plain tuple of its letters and the tuple of their names
+are equal and hash alike, and there is nothing to convert between them.
 
 Reduction contract: a reduction step rewrites the leftmost position at
 which some left-hand side occurs, and among the rules whose left-hand side
@@ -11,25 +14,23 @@ position order only).  ``one_step_reductions`` lists every step ordered by
 (position, rule index).  Every redex and factor search goes through the
 system's :class:`LhsMatcher`, which is built once per system on first use.
 
-Graph searches (``reduces_to``, ``descendants``, ``disorder``, and the
-cycle and property searches of ``completeness`` and ``property_r``) run on
-tuples of letter names through :meth:`LhsMatcher.successors`.  They check
-their start word once, at entry, and build :class:`Word` objects only for
-what they hand back: returned words, cycle traces and error traces.
+Hot loops (``normal_form`` and the graph searches: ``reduces_to``,
+``descendants``, ``disorder``, and the cycle and property searches of
+``completeness`` and ``property_r``) take ``tuple(word)`` once, at entry,
+and slice that plain tuple: a :class:`Word` slice goes through Python to
+return a word.  They check their start word once and wrap in :class:`Word`
+only what they hand back: returned words, cycle traces and error traces.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 LETTER_NAME = re.compile(r"[A-Za-z0-9_']+\Z")
-
-_NAME = operator.attrgetter("name")
 
 DEFAULT_STEP_CAP = 10_000
 
@@ -58,13 +59,20 @@ class NonTerminationError(RewriteError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A single alphabet symbol.  Equality and hashing use the name only;
-    the index records the interning order inside the owning alphabet."""
+class Letter(str):
+    """A single alphabet symbol: a ``str`` that equals and hashes as its
+    name; ``index`` records the interning order inside the owning
+    alphabet and takes no part in equality."""
 
-    name: str
-    index: int = field(compare=False)
+    def __new__(cls, name: str, index: int) -> "Letter":
+        letter = super().__new__(cls, name)
+        letter.index = index
+        return letter
+
+    @property
+    def name(self) -> str:
+        """The name as a plain ``str``."""
+        return str(self)
 
     def __repr__(self) -> str:
         return f"Letter({self.name!r})"
@@ -84,11 +92,11 @@ class Alphabet:
 
     def _intern(self, name: str) -> Letter:
         if not LETTER_NAME.match(name):
-            raise InputError(f"invalid letter name {name!r}")
+            raise InputError(f"invalid letter name {str(name)!r}")
         if name in self._by_name:
-            raise InputError(f"duplicate letter {name!r}")
+            raise InputError(f"duplicate letter {str(name)!r}")
         letter = Letter(name, len(self._by_name))
-        self._by_name[name] = letter
+        self._by_name[letter.name] = letter
         return letter
 
     def extended(self, names: Iterable[str]) -> "Alphabet":
@@ -111,11 +119,10 @@ class Alphabet:
         try:
             return self._by_name[name]
         except KeyError:
-            raise InputError(f"unknown letter {name!r}") from None
+            raise InputError(f"unknown letter {str(name)!r}") from None
 
-    def __contains__(self, item: "Letter | str") -> bool:
-        name = item if isinstance(item, str) else item.name
-        return name in self._by_name
+    def __contains__(self, item: str) -> bool:
+        return item in self._by_name
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self._by_name.values())
@@ -133,60 +140,57 @@ class Alphabet:
         """Build a word from whitespace-separated letter names (or any
         iterable of names)."""
         names = source.split() if isinstance(source, str) else list(source)
-        return Word(tuple(self.get(name) for name in names))
+        return Word(self.get(name) for name in names)
 
     def __repr__(self) -> str:
         return f"Alphabet({list(self._by_name)})"
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite (possibly empty) sequence of letters.
+class Word(tuple):
+    """A finite (possibly empty) sequence of letters: a ``tuple`` of
+    :class:`Letter` that equals and hashes as that tuple.  Slices and
+    ``+`` return words.
 
     The empty word is representable because it occurs as a context factor,
     but it is rejected as a rule side and as a reduction input.
     """
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(self)
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word(tuple.__add__(self, other))
 
     def __getitem__(self, item: "int | slice") -> "Letter | Word":
         if isinstance(item, slice):
-            return Word(self.letters[item])
-        return self.letters[item]
+            return Word(tuple.__getitem__(self, item))
+        return tuple.__getitem__(self, item)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(map(_NAME, self.letters))
+        return tuple(map(str, self))
 
     def __str__(self) -> str:
-        return " ".join(self.names())
+        return " ".join(self)
 
     def __repr__(self) -> str:
-        return f"Word({' '.join(self.names())!r})"
+        return f"Word({str(self)!r})"
 
 
 def substitute(word: Word, images: Mapping[str, Word]) -> Word:
-    """The homomorphism phi of a generated presentation: each letter named
-    in ``images`` becomes its image word, every other letter stays."""
+    """The homomorphism phi of a generated presentation: each letter that
+    is a key of ``images`` becomes its image word, every other letter
+    stays."""
     letters: list[Letter] = []
-    for letter in word.letters:
-        image = images.get(letter.name)
+    for letter in word:
+        image = images.get(letter)
         if image is None:
             letters.append(letter)
         else:
-            letters.extend(image.letters)
-    return Word(tuple(letters))
+            letters.extend(image)
+    return Word(letters)
 
 
 @dataclass(frozen=True)
@@ -284,47 +288,37 @@ class RewritingSystem:
 
 
 class LhsMatcher:
-    """The left-hand sides of a rule list, hashed by their letter names.
+    """The left-hand sides of a rule list, hashed.
 
-    ``lhs`` holds each rule's left-hand side as a tuple of letter names, by
-    rule index; ``table`` maps each distinct one to the ascending indexes of
-    the rules that have it (duplicates keep every index); ``lengths`` holds
-    the distinct left-hand-side lengths in ascending order.  A position of
-    a word is tested with one dict lookup per length instead of one slice
-    comparison per rule.  Searches take the word as its tuple of letter
-    names: a tuple hashes by hashing its items, and CPython caches the hash
-    of each ``str``, so no Python-level ``__hash__`` runs.
+    ``lhs`` and ``rhs`` hold each rule's sides as plain tuples of letters,
+    by rule index; ``table`` maps each distinct left-hand side to the
+    ascending indexes of the rules that have it (duplicates keep every
+    index); ``lengths`` holds the distinct left-hand-side lengths in
+    ascending order.  A position of a word is tested with one dict lookup
+    per length instead of one slice comparison per rule.  Searches take the
+    word as a plain tuple, whose slices CPython builds and hashes in C.
     """
 
-    __slots__ = ("table", "lengths", "lhs", "_rules", "_rhs")
+    __slots__ = ("table", "lengths", "lhs", "rhs")
 
     def __init__(self, rules: Iterable[Rule]):
-        self._rules = tuple(rules)
-        self._rhs: tuple[tuple[str, ...], ...] | None = None
-        self.lhs = tuple(rule.lhs.names() for rule in self._rules)
-        table: dict[tuple[str, ...], list[int]] = {}
-        for idx, names in enumerate(self.lhs):
-            table.setdefault(names, []).append(idx)
+        rules = tuple(rules)
+        self.lhs = tuple(tuple(rule.lhs) for rule in rules)
+        self.rhs = tuple(tuple(rule.rhs) for rule in rules)
+        table: dict[tuple[Letter, ...], list[int]] = {}
+        for idx, side in enumerate(self.lhs):
+            table.setdefault(side, []).append(idx)
         self.table = {key: tuple(idxs) for key, idxs in table.items()}
         self.lengths = tuple(sorted({len(key) for key in table}))
 
-    @property
-    def rhs(self) -> tuple[tuple[str, ...], ...]:
-        """The right-hand sides as name tuples, by rule index (``lhs``
-        holds the left-hand sides).  Built on the first search, so that a
-        matcher used only for redex tests (the Q3 scans) never pays for it."""
-        if self._rhs is None:
-            self._rhs = tuple(rule.rhs.names() for rule in self._rules)
-        return self._rhs
-
     def first_redex(
-        self, names: tuple[str, ...], rightmost: bool = False, start: int = 0
+        self, letters: tuple[Letter, ...], rightmost: bool = False, start: int = 0
     ) -> tuple[int, int] | None:
         """(rule index, position) of the first redex: leftmost position
         (rightmost with ``rightmost=True``), then lowest rule index.  A
         leftmost scan begins at ``start``; the caller knows that no redex
         starts before it.  A rightmost scan ignores ``start``."""
-        get, lengths, n = self.table.get, self.lengths, len(names)
+        get, lengths, n = self.table.get, self.lengths, len(letters)
         positions = range(n - 1, -1, -1) if rightmost else range(start, n)
         for pos in positions:
             best = None
@@ -332,24 +326,24 @@ class LhsMatcher:
                 end = pos + k
                 if end > n:
                     break
-                idxs = get(names[pos:end])
+                idxs = get(letters[pos:end])
                 if idxs is not None and (best is None or idxs[0] < best):
                     best = idxs[0]
             if best is not None:
                 return best, pos
         return None
 
-    def _matches(self, names: tuple[str, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    def _matches(self, letters: tuple[Letter, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(position, ascending rule indexes) for every position at which
         some left-hand side occurs, left to right."""
-        get, lengths, n = self.table.get, self.lengths, len(names)
+        get, lengths, n = self.table.get, self.lengths, len(letters)
         for pos in range(n):
             found = None
             for k in lengths:
                 end = pos + k
                 if end > n:
                     break
-                idxs = get(names[pos:end])
+                idxs = get(letters[pos:end])
                 if idxs is not None:
                     # Two lengths matching at one position is rare; only
                     # then do their index lists need merging.
@@ -357,32 +351,32 @@ class LhsMatcher:
             if found is not None:
                 yield pos, found
 
-    def redexes(self, names: tuple[str, ...]) -> list[tuple[int, int]]:
+    def redexes(self, letters: tuple[Letter, ...]) -> list[tuple[int, int]]:
         """Every (position, rule index) occurrence, in that order."""
-        return [(pos, idx) for pos, idxs in self._matches(names) for idx in idxs]
+        return [(pos, idx) for pos, idxs in self._matches(letters) for idx in idxs]
 
-    def successors(self, names: tuple[str, ...]) -> list[tuple[str, ...]]:
-        """Every one-step reduct of ``names``, as name tuples, in the
+    def successors(self, letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
+        """Every one-step reduct of ``letters``, as plain tuples, in the
         (position, rule index) order of :func:`one_step_reductions`.  The
         word is not validated; callers check it once before a search."""
         lhs, rhs = self.lhs, self.rhs
         out = []
-        for pos, idxs in self._matches(names):
-            head = names[:pos]
+        for pos, idxs in self._matches(letters):
+            head = letters[:pos]
             for idx in idxs:
-                out.append(head + rhs[idx] + names[pos + len(lhs[idx]):])
+                out.append(head + rhs[idx] + letters[pos + len(lhs[idx]):])
         return out
 
 
-def _require_known(word: Word, system: RewritingSystem) -> tuple[str, ...]:
-    """The letter names of ``word``, after checking that each is in the
-    system's alphabet."""
-    names = word.names()
+def _require_known(word: Word, system: RewritingSystem) -> tuple[Letter, ...]:
+    """The letters of ``word`` as a plain tuple, after checking that each
+    is in the system's alphabet."""
+    letters = tuple(word)
     known = system.alphabet._by_name
-    if not all(map(known.__contains__, names)):
-        foreign = next(name for name in names if name not in known)
-        raise InputError(f"letter {foreign!r} is not in the system's alphabet")
-    return names
+    if not all(map(known.__contains__, letters)):
+        foreign = next(letter for letter in letters if letter not in known)
+        raise InputError(f"letter {str(foreign)!r} is not in the system's alphabet")
+    return letters
 
 
 def one_step_reductions(
@@ -394,10 +388,14 @@ def one_step_reductions(
     """
     if not word:
         raise InputError("cannot reduce the empty word")
-    names = _require_known(word, system)
+    letters = _require_known(word, system)
+    matcher = system.matcher
     return [
-        (ReductionStep(idx, pos), _apply(word, system, idx, pos))
-        for pos, idx in system.matcher.redexes(names)
+        (
+            ReductionStep(idx, pos),
+            Word(letters[:pos] + matcher.rhs[idx] + letters[pos + len(matcher.lhs[idx]):]),
+        )
+        for pos, idx in matcher.redexes(letters)
     ]
 
 
@@ -406,11 +404,6 @@ def is_irreducible(word: Word, system: RewritingSystem) -> bool:
     if not word:
         raise InputError("the empty word is not a rewriting input")
     return system.matcher.first_redex(_require_known(word, system)) is None
-
-
-def _apply(word: Word, system: RewritingSystem, idx: int, pos: int) -> Word:
-    rule = system.rules[idx]
-    return Word(word.letters[:pos] + rule.rhs.letters + word.letters[pos + len(rule.lhs):])
 
 
 def normal_form(
@@ -426,32 +419,33 @@ def normal_form(
     exists so tests can cross-check strategy independence).  For a complete
     system the result does not depend on the strategy.
 
-    The reduction runs on name tuples and builds one :class:`Word` at the
+    The reduction runs on a plain tuple and builds one :class:`Word` at the
     end.  After a leftmost rewrite at ``pos`` the scan resumes at
     ``pos - maxlen + 1`` (``maxlen`` the longest left-hand side): no redex
     started before ``pos``, so a redex of the new word that starts earlier
     would have to reach into the rewritten part.  When ``step_cap`` steps
-    do not reach a normal form, the steps are replayed on words to give
-    the :class:`NonTerminationError` its trace.
+    do not reach a normal form, the steps are replayed from the start to
+    give the :class:`NonTerminationError` its trace.
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
-    names = _require_known(word, system)
+    letters = _require_known(word, system)
     matcher = system.matcher
     first_redex, lhs, rhs = matcher.first_redex, matcher.lhs, matcher.rhs
     back = max(matcher.lengths, default=1) - 1
-    current, start = names, 0
+    current, start = letters, 0
     for _ in range(step_cap):
         redex = first_redex(current, rightmost, start)
         if redex is None:
-            return word if current is names else system.alphabet.word(current)
+            return word if current is letters else Word(current)
         idx, pos = redex
         current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
         start = max(0, pos - back)
-    trace = [word]
+    trace, current = [word], letters
     for _ in range(step_cap):
-        idx, pos = first_redex(trace[-1].names(), rightmost)
-        trace.append(_apply(trace[-1], system, idx, pos))
+        idx, pos = first_redex(current, rightmost)
+        current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
+        trace.append(Word(current))
     raise NonTerminationError(
         f"possible non-termination: {step_cap} reduction steps exceeded", tuple(trace)
     )
@@ -469,9 +463,9 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
         raise InputError("the empty word is not a rewriting input")
     start = _require_known(word, system)
     successors = system.matcher.successors
-    memo: dict[tuple[str, ...], int] = {}
-    on_path: set[tuple[str, ...]] = set()
-    stack: list[tuple[tuple[str, ...], list[tuple[str, ...]] | None]] = [(start, None)]
+    memo: dict[tuple[Letter, ...], int] = {}
+    on_path: set[tuple[Letter, ...]] = set()
+    stack: list[tuple[tuple[Letter, ...], list[tuple[Letter, ...]] | None]] = [(start, None)]
     while stack:
         node, succ = stack.pop()
         if succ is None:
@@ -485,10 +479,7 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
             succ = successors(node)
             for nxt in succ:
                 if nxt in on_path:
-                    raise NonTerminationError(
-                        "reduction cycle detected",
-                        (system.alphabet.word(node), system.alphabet.word(nxt)),
-                    )
+                    raise NonTerminationError("reduction cycle detected", (Word(node), Word(nxt)))
             stack.append((node, succ))
             for nxt in succ:
                 if nxt not in memo:
@@ -500,13 +491,13 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
 
 
 def _reach(
-    start: tuple[str, ...],
+    start: tuple[Letter, ...],
     system: RewritingSystem,
-    goal: Callable[[tuple[str, ...]], bool] | None,
+    goal: Callable[[tuple[Letter, ...]], bool] | None,
     step_cap: int,
     cap_message: str,
-) -> set[tuple[str, ...]] | None:
-    """Depth-first search of the reduction graph from ``start``, on name
+) -> set[tuple[Letter, ...]] | None:
+    """Depth-first search of the reduction graph from ``start``, on plain
     tuples.  Returns None as soon as a reached state other than ``start``
     passes ``goal``; otherwise the set of every state reachable from
     ``start``.  Adding a state beyond ``step_cap`` raises
@@ -538,7 +529,7 @@ def descendants(
     seen = _reach(
         start, system, None, step_cap, f"descendant search exceeded {step_cap} states"
     )
-    return {system.alphabet.word(names) for names in seen}
+    return {Word(letters) for letters in seen}
 
 
 def reduces_to(
@@ -557,7 +548,7 @@ def reduces_to(
         _reach(
             start,
             system,
-            target.names().__eq__,
+            target.__eq__,
             step_cap,
             f"reachability search exceeded {step_cap} states",
         )
@@ -586,16 +577,15 @@ def irreducible_words(system: RewritingSystem, max_len: int) -> Iterator[Word]:
     one probe of the matcher's table per left-hand-side length.
     """
     table, lengths = system.matcher.table, system.matcher.lengths
-    letters = [(letter, letter.name) for letter in system.alphabet]
-    level: list[tuple[tuple[Letter, ...], tuple[str, ...]]] = [((), ())]
+    letters = system.alphabet.letters()
+    level: list[tuple[Letter, ...]] = [()]
     for length in range(1, max_len + 1):
         fits = [k for k in lengths if k <= length]
         nxt = []
-        for prefix, names in level:
-            for letter, name in letters:
-                word_names = names + (name,)
-                if not any(word_names[-k:] in table for k in fits):
-                    word = prefix + (letter,)
-                    nxt.append((word, word_names))
+        for prefix in level:
+            for letter in letters:
+                word = prefix + (letter,)
+                if not any(word[-k:] in table for k in fits):
+                    nxt.append(word)
                     yield Word(word)
         level = nxt

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 
-from .core import Alphabet, InputError, RewritingSystem, Rule, Word
+from .core import LETTER_NAME, Alphabet, InputError, RewritingSystem, Rule, Word
 from .pipeline import ComplementSpec, Presentation
 
 _TOKEN = re.compile(r"\S+")
-_LETTER = re.compile(r"[A-Za-z0-9_']+\Z")
 
 
 class ParseError(InputError):
@@ -75,7 +74,7 @@ def parse_presentation(text: str) -> Presentation:
         if not tokens:
             raise ParseError("empty alphabet declaration", lineno, 1)
         for token, column in tokens:
-            if not _LETTER.match(token):
+            if not LETTER_NAME.match(token):
                 raise ParseError(f"invalid letter name {token!r}", lineno, column)
             if token in names:
                 raise ParseError(f"duplicate alphabet entry {token!r}", lineno, column)
@@ -88,7 +87,7 @@ def parse_presentation(text: str) -> Presentation:
             if token not in alphabet:
                 raise ParseError(f"unknown letter token {token!r}", lineno, column)
             letters.append(alphabet.get(token))
-        return Word(tuple(letters))
+        return Word(letters)
 
     rules: list[Rule] = []
     complement_words: list[Word] = []
@@ -107,7 +106,7 @@ def parse_presentation(text: str) -> Presentation:
             if not image:
                 raise ParseError("empty generator image", lineno, eq_column)
             for token, column in image:
-                if not _LETTER.match(token):
+                if not LETTER_NAME.match(token):
                     raise ParseError(f"invalid letter name {token!r}", lineno, column)
             generators[name] = tuple(token for token, _ in image)
         elif keyword == "rule:":

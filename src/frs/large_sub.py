@@ -95,26 +95,25 @@ class LargeSubConstruction:
         return self.presentation.system.max_lhs_len() + 4
 
     # The tables phi and rho read, built once per construction on first use
-    # (the dataclass is frozen, so they cannot go stale).  They are keyed by
-    # letter names, whose hashes Python caches.
+    # (the dataclass is frozen, so they cannot go stale).
     @cached_property
-    def images(self) -> dict[str, Word]:
-        return {c.letter.name: c.image for c in self.c_letters}
+    def images(self) -> dict[Letter, Word]:
+        return {c.letter: c.image for c in self.c_letters}
 
     @cached_property
-    def _by_image(self) -> dict[tuple[str, ...], Letter]:
-        by_image = {c.image.names(): c.letter for c in self.c_letters}
+    def _by_image(self) -> dict[Word, Letter]:
+        by_image = {c.image: c.letter for c in self.c_letters}
         for letter in self.classification.a1:
-            by_image.setdefault((letter.name,), letter)
+            by_image.setdefault(Word((letter,)), letter)
         return by_image
 
     @cached_property
-    def _a1(self) -> frozenset[str]:
-        return frozenset(letter.name for letter in self.classification.a1)
+    def _a1(self) -> frozenset[Letter]:
+        return frozenset(self.classification.a1)
 
     @cached_property
-    def _a_s(self) -> frozenset[str]:
-        return frozenset(letter.name for letter in self.classification.a_s)
+    def _a_s(self) -> frozenset[Letter]:
+        return frozenset(self.classification.a_s)
 
     def heavy_letters(self) -> frozenset[Letter]:
         return frozenset(
@@ -154,7 +153,7 @@ def classify_letters(
     complement = presentation.membership.complement_letters
     a1, a_s, excluded = [], [], []
     for letter in presentation.system.alphabet:
-        if letter.name in complement:
+        if letter in complement:
             a_s.append(letter)
         elif _class_in_t(Word((letter,)), presentation, step_cap):
             a1.append(letter)
@@ -175,10 +174,7 @@ def in_T(
 def _class_in_t(word: Word, presentation: Presentation, step_cap: int) -> bool:
     """True iff the word's normal form is not a complement letter."""
     form = normal_form(word, presentation.system, step_cap)
-    return not (
-        len(form) == 1
-        and form.letters[0].name in presentation.membership.complement_letters
-    )
+    return not (len(form) == 1 and form[0] in presentation.membership.complement_letters)
 
 
 def in_AT(
@@ -206,21 +202,19 @@ def in_AT(
     if not word:
         return False
     membership = presentation.membership
-    names = word.names()
     table = membership.factor_ok.setdefault(step_cap, {})
-    ok = table.get(names)
+    ok = table.get(word)
     if ok is None:
-        ok = _factors_ok(word, names, presentation, table, step_cap)
-    if len(names) == 1 and names[0] in membership.complement_letters:
+        ok = _factors_ok(tuple(word), presentation, table, step_cap)
+    if len(word) == 1 and word[0] in membership.complement_letters:
         return ok and _class_in_t(word, presentation, step_cap)
     return ok
 
 
 def _factors_ok(
-    word: Word,
-    names: tuple[str, ...],
+    letters: tuple[Letter, ...],
     presentation: Presentation,
-    table: dict[tuple[str, ...], bool],
+    table: dict[tuple[Letter, ...], bool],
     step_cap: int,
 ) -> bool:
     """ok(word) by the recursion in :func:`in_AT`, filling ``table``.
@@ -232,32 +226,33 @@ def _factors_ok(
     recursion limit.
     """
     complement = presentation.membership.complement_letters
-    for i, name in enumerate(names):
-        ok = table.get((name,))
+    for letter in letters:
+        key = (letter,)
+        ok = table.get(key)
         if ok is None:
-            ok = name in complement or _class_in_t(word[i : i + 1], presentation, step_cap)
-            table[(name,)] = ok
+            ok = letter in complement or _class_in_t(Word(key), presentation, step_cap)
+            table[key] = ok
         if not ok:
             return False
-    if len(names) == 1:
+    if len(letters) == 1:
         return True
-    stack = [(0, len(names))]
+    stack = [(0, len(letters))]
     while stack:
         i, j = stack[-1]
-        ok = table.get(names[i : j - 1])
+        ok = table.get(letters[i : j - 1])
         if ok is None:
             stack.append((i, j - 1))
             continue
         if ok:
-            ok = table.get(names[i + 1 : j])
+            ok = table.get(letters[i + 1 : j])
             if ok is None:
                 stack.append((i + 1, j))
                 continue
         if ok:
-            ok = _class_in_t(word[i:j], presentation, step_cap)
-        table[names[i:j]] = ok
+            ok = _class_in_t(Word(letters[i:j]), presentation, step_cap)
+        table[letters[i:j]] = ok
         stack.pop()
-    return table[names]
+    return table[letters]
 
 
 def build_f_sets(
@@ -289,7 +284,7 @@ def build_f_sets(
         and member(Word((s, b, s2)))
     )
     def ordered(words: tuple[Word, ...]) -> tuple[Word, ...]:
-        return tuple(sorted(words, key=lambda w: (len(w), w.names())))
+        return tuple(sorted(words, key=lambda w: (len(w), w)))
 
     return FSets(ordered(f1), ordered(f2), ordered(f3), ordered(f4))
 
@@ -297,11 +292,11 @@ def build_f_sets(
 def _c_kind(word: Word, classification: LetterClassification) -> str:
     a1 = set(classification.a1)
     if len(word) == 2:
-        first, second = word.letters
+        first, second = word
         if first in a1:
             return C_R
         return C_L1 if second in a1 else C_L2
-    middle = word.letters[1]
+    middle = word[1]
     return C_M1 if middle in a1 else C_M2
 
 
@@ -315,12 +310,12 @@ def build_b_alphabet(
     kind_order = {C_R: 0, C_L1: 1, C_L2: 2, C_M1: 3, C_M2: 4}
     boundary = sorted(
         f_sets.f3 + f_sets.f2 + f_sets.f4,
-        key=lambda w: (kind_order[_c_kind(w, classification)], len(w), w.names()),
+        key=lambda w: (kind_order[_c_kind(w, classification)], len(w), w),
     )
     images: dict[str, Word] = {}
     taken = base_alphabet
     for image in boundary:
-        name = taken.fresh_name("c_" + "_".join(image.names()))
+        name = taken.fresh_name("c_" + "_".join(image))
         taken = taken.extended([name])
         images[name] = image
     alphabet, c_letters = generator_letters(classification, images)
@@ -338,7 +333,7 @@ def generator_letters(
     """B in construction order: the a1 letters in base order, then one
     generator per entry of ``images`` (name -> boundary word over the base
     alphabet), of the kind its image's shape gives."""
-    alphabet = Alphabet([letter.name for letter in classification.a1] + list(images))
+    alphabet = Alphabet([*classification.a1, *images])
     c_letters = []
     for name, image in images.items():
         if len(image) not in (2, 3):
@@ -369,20 +364,20 @@ def rho_t(
             f"'{word}' is not in the representative set; rho is undefined on it"
         )
     a1, a_s, by_image = construction._a1, construction._a_s, construction._by_image
-    names = word.names()
+    letters = tuple(word)
     out: list[Letter] = []
     start = 0  # the part of the word left to factor is word[start:]
     while True:
-        hit = by_image.get(names[start:])
+        hit = by_image.get(letters[start:])
         if hit is not None:
             out.append(hit)
-            return Word(tuple(out))
-        first = names[start]
+            return Word(out)
+        first = letters[start]
         if first in a1:
-            out.append(word.letters[start])
+            out.append(first)
             start += 1
-        elif first in a_s and len(names) - start >= 3:
-            head = by_image.get(names[start : start + 2])
+        elif first in a_s and len(letters) - start >= 3:
+            head = by_image.get(letters[start : start + 2])
             if head is None:
                 raise PreconditionError(
                     f"'{word}' is not in the representative set "
@@ -434,7 +429,7 @@ def build_construction(
     # image only grows with the word, so overlong prefixes cut the subtree.
     images = construction.images
     image_len = {
-        letter: len(images[letter.name]) if letter.name in images else 1
+        letter: len(images[letter]) if letter in images else 1
         for letter in b_alphabet
     }
     letters = b_alphabet.letters()
@@ -445,7 +440,7 @@ def build_construction(
             if total > n_bound:
                 continue
             prefix.append(letter)
-            u_prime = Word(tuple(prefix))
+            u_prime = Word(prefix)
             image = phi_t(u_prime, construction)
             if not is_irreducible(image, system):
                 reduced = normal_form(image, system, step_cap)

@@ -42,21 +42,21 @@ def rho_s(word: Word, w0: Word, s: Letter) -> Word:
     """
     if len(w0) < 2:
         raise PreconditionError("the named word must have length > 1")
-    names, target = word.names(), w0.names()
-    if s.name in names:
+    letters = tuple(word)
+    if s in letters:
         raise InputError(f"input to rho contains the fresh letter {s.name!r}")
     out: list[Letter] = []
-    i = len(names)
-    k = len(target)
+    i = len(letters)
+    k = len(w0)
     while i > 0:
-        if i >= k and names[i - k : i] == target:
+        if i >= k and letters[i - k : i] == w0:
             out.append(s)
             i -= k
         else:
-            out.append(word.letters[i - 1])
+            out.append(letters[i - 1])
             i -= 1
     out.reverse()
-    return Word(tuple(out))
+    return Word(out)
 
 
 def self_overlaps(w0: Word) -> list[tuple[Word, Word, Word]]:
@@ -70,11 +70,8 @@ def self_overlaps(w0: Word) -> list[tuple[Word, Word, Word]]:
     out = []
     n = len(w0)
     for k in range(1, n):
-        if w0.letters[:k] == w0.letters[n - k:]:
-            x2 = Word(w0.letters[:k])
-            x1 = Word(w0.letters[: n - k])
-            x3 = Word(w0.letters[k:])
-            out.append((x1, x2, x3))
+        if w0[:k] == w0[n - k:]:
+            out.append((w0[: n - k], w0[:k], w0[k:]))
     return out
 
 
@@ -89,9 +86,9 @@ class LetterIntroResult:
     base: RewritingSystem
 
     @cached_property
-    def images(self) -> dict[str, Word]:
+    def images(self) -> dict[Letter, Word]:
         """The generator table phi substitutes: the fresh letter names w0."""
-        return {self.new_letter.name: self.w0}
+        return {self.new_letter: self.w0}
 
     def rho(self, word: Word) -> Word:
         return rho_s(word, self.w0, self.new_letter)
@@ -156,23 +153,23 @@ def build_letter_intro(
     for rule in system.rules:
         lhs = rule.lhs
         for k in range(1, min(len(lhs), len(w0)) + 1):
-            if w0.letters[len(w0) - k:] == lhs.letters[:k]:
-                close(Word(w0.letters[: len(w0) - k]) + lhs, C3)
+            if w0[len(w0) - k:] == lhs[:k]:
+                close(w0[: len(w0) - k] + lhs, C3)
     # C4: mirror image, w0 overlapping a lhs from the right.
     for rule in system.rules:
         lhs = rule.lhs
         for k in range(1, min(len(lhs), len(w0)) + 1):
-            if w0.letters[:k] == lhs.letters[len(lhs) - k:]:
-                close(lhs + Word(w0.letters[k:]), C4)
+            if w0[:k] == lhs[len(lhs) - k:]:
+                close(lhs + w0[k:], C4)
     # C5: two w0 occurrences straddling both ends of one lhs.
     for rule in system.rules:
         lhs = rule.lhs
         for i in range(1, min(len(lhs), len(w0)) + 1):
-            if w0.letters[len(w0) - i:] != lhs.letters[:i]:
+            if w0[len(w0) - i:] != lhs[:i]:
                 continue
             for j in range(1, min(len(lhs) - i, len(w0)) + 1):
-                if w0.letters[:j] == lhs.letters[len(lhs) - j:]:
-                    close(Word(w0.letters[: len(w0) - i]) + lhs + Word(w0.letters[j:]), C5)
+                if w0[:j] == lhs[len(lhs) - j:]:
+                    close(w0[: len(w0) - i] + lhs + w0[j:], C5)
     # C6: one commutation rule per self-overlap of w0.
     for x1, _x2, x3 in self_overlaps(w0):
         emitter.emit(Word((s,)) + x3, x1 + Word((s,)), C6)

@@ -18,6 +18,7 @@ from .core import (
     DEFAULT_STEP_CAP,
     InputError,
     InternalError,
+    Letter,
     LhsMatcher,
     PreconditionError,
     RewritingSystem,
@@ -82,21 +83,18 @@ class Membership:
     """What membership tests read from one presentation's complement.
 
     ``complement_words`` is the set of complement words and
-    ``complement_letters`` the names of their first letters (the complement
+    ``complement_letters`` the set of their first letters (the complement
     letters, under Q1).  ``factor_ok`` maps a step cap to the table of
-    ``large_sub.in_AT``'s factor test, keyed by tuples of letter names;
-    entries are only ever added, and only for tests that finished within
-    that cap.
+    ``large_sub.in_AT``'s factor test, keyed by tuples of letters; entries
+    are only ever added, and only for tests that finished within that cap.
     """
 
     __slots__ = ("complement_words", "complement_letters", "factor_ok")
 
     def __init__(self, complement: ComplementSpec):
         self.complement_words = frozenset(complement.words)
-        self.complement_letters = frozenset(
-            word.letters[0].name for word in complement.words if word
-        )
-        self.factor_ok: dict[int, dict[tuple[str, ...], bool]] = {}
+        self.complement_letters = frozenset(word[0] for word in complement.words if word)
+        self.factor_ok: dict[int, dict[tuple[Letter, ...], bool]] = {}
 
 
 def canonicalize_complement(
@@ -113,7 +111,7 @@ def canonicalize_complement(
         normal_form(word, presentation.system, step_cap)
         for word in presentation.complement
     }
-    ordered = sorted(forms, key=lambda w: (len(w), w.names()))
+    ordered = sorted(forms, key=lambda w: (len(w), w))
     return ComplementSpec(tuple(ordered))
 
 
@@ -169,14 +167,14 @@ def normalize_q2_q3(
     kept = [rule for i, rule in enumerate(normalized) if last[rule.lhs] == i]
     matcher = LhsMatcher(kept)
     return system.with_rules(
-        rule for i, rule in enumerate(kept) if not _reducible_by_other(matcher, i, rule)
+        rule for i, rule in enumerate(kept) if not _reducible_by_other(matcher, i)
     )
 
 
-def _reducible_by_other(matcher: LhsMatcher, idx: int, rule: Rule) -> bool:
+def _reducible_by_other(matcher: LhsMatcher, idx: int) -> bool:
     """True iff the left-hand side of a rule other than ``idx`` occurs in
-    ``rule.lhs`` (Q3 fails for it)."""
-    return any(j != idx for _, j in matcher.redexes(rule.lhs.names()))
+    the left-hand side of rule ``idx`` (Q3 fails for it)."""
+    return any(j != idx for _, j in matcher.redexes(matcher.lhs[idx]))
 
 
 def satisfies_q1(presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP) -> bool:
@@ -195,8 +193,7 @@ def satisfies_q2(system: RewritingSystem) -> bool:
 
 def satisfies_q3(system: RewritingSystem) -> bool:
     return not any(
-        _reducible_by_other(system.matcher, i, rule)
-        for i, rule in enumerate(system.rules)
+        _reducible_by_other(system.matcher, i) for i in range(len(system.rules))
     )
 
 

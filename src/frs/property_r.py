@@ -141,9 +141,9 @@ def _straightening_path(
     Sound but incomplete; callers fall back to a full reachability search.
     """
     first_redex, lhs, rhs = preserving.first_redex, preserving.lhs, preserving.rhs
-    current, goal = word.names(), target.names()
+    current = tuple(word)
     for _ in range(step_cap):
-        if current == goal:
+        if current == target:
             return True
         redex = first_redex(current)
         if redex is None:
@@ -188,12 +188,10 @@ def check_p1_to_p6(
         witnesses = 0
         successors = base.matcher.successors
         for i, u in enumerate(a_members):
-            targets = {
-                tup.phi(u_prime).names()
-                for _, u_prime in one_step_reductions(rho_of(i), system)
-            }
+            reducts = one_step_reductions(rho_of(i), system)
+            targets = {tup.phi(u_prime) for _, u_prime in reducts}
             # u was drawn over the base alphabet, so its reducts need no check.
-            for v1 in successors(u.names()):
+            for v1 in successors(tuple(u)):
                 witnesses += 1
                 if v1 in targets:
                     continue
@@ -201,7 +199,7 @@ def check_p1_to_p6(
                 if targets and _reach(v1, base, targets.__contains__, step_cap, cap) is None:
                     continue
                 return PropertyResult(
-                    "P1", COUNTEREXAMPLE, bound_a, witnesses, (u, base.alphabet.word(v1))
+                    "P1", COUNTEREXAMPLE, bound_a, witnesses, (u, Word(v1))
                 )
         return PropertyResult("P1", VERIFIED, bound_a, witnesses)
 
@@ -246,9 +244,9 @@ def check_p1_to_p6(
                 return True
             # normal_form has validated u_prime.
             found = _reach(
-                u_prime.names(),
+                tuple(u_prime),
                 system,
-                lambda names: tup.in_at(tup.phi(system.alphabet.word(names))),
+                lambda letters: tup.in_at(tup.phi(Word(letters))),
                 step_cap,
                 f"P4 search from '{u_prime}' exceeded {step_cap} states",
             )
@@ -390,5 +388,5 @@ def oracle_classes(
     for word, i in index.items():
         groups.setdefault(find(i), []).append(word)
     classes = [frozenset(members) for members in groups.values()]
-    classes.sort(key=lambda cls: min((len(w), w.names()) for w in cls))
+    classes.sort(key=lambda cls: min((len(w), w) for w in cls))
     return tuple(classes)

@@ -34,6 +34,7 @@ from frs.completeness import (
 from frs.core import DEFAULT_STEP_CAP
 
 from conftest import looping_systems, system, w
+from test_core import small_systems
 
 SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
 
@@ -389,6 +390,63 @@ class TestConfluenceAgainstReference:
             evidence = check_local_confluence(sys, 30)
             assert (evidence.status, evidence.joined_count) == (status, joined)
             assert evidence == reference_local_confluence(sys, 30)
+
+
+# Reference termination predicates: the two hand-written comparisons that
+# the single (length, heavy count, heavy right-distance sum) measure replaced.
+def reference_heavy_count(word, heavy):
+    return sum(1 for letter in word if letter in heavy)
+
+
+def reference_right_weight(word, heavy):
+    n = len(word)
+    return sum(n - 1 - pos for pos, letter in enumerate(word) if letter in heavy)
+
+
+def reference_drops_length_first(rule, heavy):
+    if len(rule.rhs) < len(rule.lhs):
+        return True
+    if len(rule.rhs) > len(rule.lhs):
+        return False
+    cl, cr = reference_heavy_count(rule.lhs, heavy), reference_heavy_count(rule.rhs, heavy)
+    if cr < cl:
+        return True
+    if cr > cl:
+        return False
+    return reference_right_weight(rule.rhs, heavy) < reference_right_weight(rule.lhs, heavy)
+
+
+def reference_drops_count_first(rule, heavy):
+    cl, cr = reference_heavy_count(rule.lhs, heavy), reference_heavy_count(rule.rhs, heavy)
+    if cr < cl:
+        return True
+    if cr > cl:
+        return False
+    if len(rule.lhs) != len(rule.rhs):
+        return False
+    return reference_right_weight(rule.rhs, heavy) < reference_right_weight(rule.lhs, heavy)
+
+
+def assert_measure_matches_reference(sys):
+    for heavy in completeness._measure_candidates(sys):
+        for rule in sys.rules:
+            assert completeness._drops_length_first(rule, heavy) == (
+                reference_drops_length_first(rule, heavy)
+            ), (rule, heavy)
+            assert completeness._drops_count_first(rule, heavy) == (
+                reference_drops_count_first(rule, heavy)
+            ), (rule, heavy)
+
+
+class TestMeasureAgainstReference:
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_fixture_systems_agree(self, fixture, request):
+        assert_measure_matches_reference(request.getfixturevalue(fixture))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_systems())
+    def test_random_systems_agree(self, sys):
+        assert_measure_matches_reference(sys)
 
 
 def test_each_distinct_result_is_normalized_once(monkeypatch):

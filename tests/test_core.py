@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from frs import (
     Alphabet,
     InputError,
+    Letter,
     NonTerminationError,
     ReductionStep,
     Rule,
@@ -93,7 +94,7 @@ def assert_kernel_matches_reference(word, sys, step_cap=DEFAULT_STEP_CAP):
 
 
 # Reference searches: the Word-keyed loops over one_step_reductions that
-# the name-tuple searches through LhsMatcher.successors replaced.
+# the plain-tuple searches through LhsMatcher.successors replaced.
 def reference_disorder(word, sys, step_cap=DEFAULT_STEP_CAP):
     memo = {}
     on_path = set()
@@ -238,6 +239,56 @@ class TestLettersAndWords:
         b = Alphabet(["b"])
         with pytest.raises(InputError):
             RewritingSystem(a, (Rule(w(b, "b"), w(b, "b")),))
+
+
+class TestRepresentation:
+    """A letter is its name and a word is the tuple of its letters."""
+
+    def test_word_is_its_tuple_of_letters_and_of_names(self):
+        word = w(Alphabet(["a", "b"]), "abb")
+        assert word == tuple(word) == word.letters == ("a", "b", "b")
+        assert hash(word) == hash(tuple(word)) == hash(word.names())
+        assert type(word.letters) is tuple
+        assert {word: 1}[("a", "b", "b")] == 1
+
+    def test_slices_and_concatenation_are_words(self):
+        word = w(Alphabet(["a", "b"]), "abb")
+        for part in (word[1:], word[:0], word[::-1], word + word, word[:1] + Word()):
+            assert type(part) is Word
+        assert word[1:] == ("b", "b")
+        assert word[0] == "a" and word[0].index == 0
+
+    def test_words_have_no_instance_dict(self):
+        word = w(Alphabet(["a"]), "a")
+        with pytest.raises(AttributeError):
+            word.extra = 1
+
+    def test_letter_is_its_name_and_keeps_its_index(self):
+        letter = Letter("a", 0)
+        assert letter == "a" and hash(letter) == hash("a")
+        assert letter.index == 0 and Letter("a", 5) == letter
+        assert letter.name == "a" and type(letter.name) is str
+        assert Alphabet(["x", "y"]).get("y").index == 1
+
+    def test_reprs(self):
+        alphabet = Alphabet(["a", "b"])
+        assert repr(w(alphabet, "ab")) == "Word('a b')"
+        assert repr(Word()) == "Word('')"
+        assert repr(alphabet.get("a")) == "Letter('a')"
+        assert str(w(alphabet, "ab")) == "a b" and type(str(w(alphabet, "ab"))) is str
+
+    def test_a_letter_of_another_alphabet_is_named_plainly(self):
+        letters = Alphabet(["a", "b"]).letters()
+        assert Alphabet([*letters, "c"]).names() == ("a", "b", "c")
+        with pytest.raises(InputError, match=r"^duplicate letter 'a'$"):
+            Alphabet([*letters, letters[0]])
+        with pytest.raises(InputError, match=r"^unknown letter 'b'$"):
+            Alphabet(["a"]).get(letters[1])
+
+    def test_require_known_names_the_letter_plainly(self, sys_moves):
+        foreign = w(Alphabet(["a", "z"]), "az")
+        with pytest.raises(InputError, match=r"^letter 'z' is not in the system's alphabet$"):
+            is_irreducible(foreign, sys_moves)
 
 
 class TestOneStepReductions:
