@@ -5,9 +5,11 @@ checker is tiered: it first looks for a reduction-order certificate (strict
 length decrease, or a lexicographic measure that lets a designated set of
 "heavy" letters only disappear or drift to the right), and otherwise falls
 back to an exhaustive cycle search over all words up to a length bound.
-Local confluence is decided exactly, by joining every critical pair; each
-distinct result word is normalized once per check, and a step-cap hit is
-not cached (it ends the check as inconclusive).
+Local confluence is decided exactly, by joining every critical pair; the
+pairs are joined as they are found, one at a time, while
+:func:`critical_pairs` still returns the whole list.  Each distinct result
+word is normalized once per check, and a step-cap hit is not cached (it
+ends the check as inconclusive).
 Completeness = termination + local confluence (Newman's lemma); the report
 records which evidence tier supported the termination half, so bounded
 verdicts are visibly weaker than certified ones.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .core import (
     DEFAULT_STEP_CAP,
@@ -30,6 +33,8 @@ from .core import (
 )
 
 DEFAULT_SEARCH_LEN = 6
+
+Letters = tuple[Letter, ...]
 
 SUFFIX_PREFIX = "suffix-prefix"
 EMBEDDING = "embedding"
@@ -84,30 +89,20 @@ class CompletenessReport:
     verdict: str
 
 
-def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
-    """Enumerate all superpositions of the system's left-hand sides.
-
-    Two shapes: a proper nonempty suffix of one lhs equal to a proper
-    nonempty prefix of another (self-overlaps included), and one lhs
-    occurring as a factor of a different rule's lhs.  Each unordered
-    overlap appears exactly once; the order is (first rule, second rule,
-    offset).
-
-    Only the rules that overlap rule i are visited as its partner j: those
-    whose lhs has a proper prefix equal to a proper suffix of lhs i (an
-    index of proper prefixes), and those whose lhs is a factor of lhs i
-    (the matcher's table).
-    """
-    pairs: list[CriticalPair] = []
-    rules = system.rules
+def _overlaps(
+    system: RewritingSystem,
+) -> Iterator[tuple[Letters, Letters, Letters, str, tuple[int, int]]]:
+    """Every critical pair, as it is found, in the order of
+    :func:`critical_pairs`: (source, left result, right result, overlap
+    kind, rule indices), the words as plain tuples."""
     matcher = system.matcher
     lhs, rhs, table, lengths = matcher.lhs, matcher.rhs, matcher.table, matcher.lengths
-    by_prefix: dict[tuple[Letter, ...], list[int]] = {}
+    by_prefix: dict[Letters, list[int]] = {}
     for j, lj in enumerate(lhs):
         for k in range(1, len(lj)):
             by_prefix.setdefault(lj[:k], []).append(j)
     for i, li in enumerate(lhs):
-        ri, len_i = rules[i], len(li)
+        len_i = len(li)
         partners: set[int] = set()
         for k in range(1, len_i):
             partners.update(by_prefix.get(li[len_i - k:], ()))
@@ -122,28 +117,39 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
             for k in range(1, min(len_i, len_j)):
                 if li[len_i - k:] == lj[:k]:
                     tail = lj[k:]
-                    pairs.append(
-                        CriticalPair(
-                            Word(li + tail),
-                            Word(rhs[i] + tail),
-                            Word(li[: len_i - k] + rhs[j]),
-                            SUFFIX_PREFIX,
-                            (i, j),
-                        )
-                    )
+                    yield li + tail, rhs[i] + tail, li[: len_i - k] + rhs[j], SUFFIX_PREFIX, (i, j)
             if i == j or len_j > len_i:
                 continue
             if li == lj:
                 if i < j:
-                    pairs.append(
-                        CriticalPair(ri.lhs, ri.rhs, rules[j].rhs, EMBEDDING, (i, j))
-                    )
+                    yield li, rhs[i], rhs[j], EMBEDDING, (i, j)
                 continue
             for pos in range(len_i - len_j + 1):
                 if li[pos: pos + len_j] == lj:
-                    inner = Word(li[:pos] + rhs[j] + li[pos + len_j:])
-                    pairs.append(CriticalPair(ri.lhs, ri.rhs, inner, EMBEDDING, (i, j)))
-    return pairs
+                    yield li, rhs[i], li[:pos] + rhs[j] + li[pos + len_j:], EMBEDDING, (i, j)
+
+
+def _pair(
+    source: Letters, left: Letters, right: Letters, kind: str, rules: tuple[int, int]
+) -> CriticalPair:
+    return CriticalPair(Word(source), Word(left), Word(right), kind, rules)
+
+
+def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
+    """Enumerate all superpositions of the system's left-hand sides.
+
+    Two shapes: a proper nonempty suffix of one lhs equal to a proper
+    nonempty prefix of another (self-overlaps included), and one lhs
+    occurring as a factor of a different rule's lhs.  Each unordered
+    overlap appears exactly once; the order is (first rule, second rule,
+    offset).
+
+    Only the rules that overlap rule i are visited as its partner j: those
+    whose lhs has a proper prefix equal to a proper suffix of lhs i (an
+    index of proper prefixes), and those whose lhs is a factor of lhs i
+    (the matcher's table).
+    """
+    return [_pair(*overlap) for overlap in _overlaps(system)]
 
 
 def _measure(word: Word, heavy: frozenset[Letter]) -> tuple[int, int, int]:
@@ -180,6 +186,20 @@ def _measure_candidates(system: RewritingSystem) -> list[frozenset[Letter]]:
     return candidates
 
 
+def _all_drop(
+    rules: list[Rule],
+    drops: Callable[[Rule, frozenset[Letter]], bool],
+    heavy: frozenset[Letter],
+) -> bool:
+    """True iff every rule drops under ``heavy``; otherwise the first rule
+    that does not is moved to the front of ``rules``."""
+    for pos, rule in enumerate(rules):
+        if not drops(rule, heavy):
+            rules.insert(0, rules.pop(pos))
+            return False
+    return True
+
+
 def find_measure_certificate(
     system: RewritingSystem, heavy: frozenset[Letter] | None = None
 ) -> str | None:
@@ -189,16 +209,19 @@ def find_measure_certificate(
     candidates = (
         [frozenset(heavy)] if heavy is not None else _measure_candidates(system)
     )
+    # A rule that fails one candidate tends to fail the next: it is moved
+    # to the front of ``rules``, so the next test of every rule starts there.
+    rules = list(system.rules)
     for cand in candidates:
         names = ", ".join(sorted(cand))
-        if all(_drops_length_first(rule, cand) for rule in system.rules):
+        if _all_drop(rules, _drops_length_first, cand):
             if not cand:
                 return "all rules strictly length-reducing"
             return (
                 "length-nonincreasing; on length ties the letters "
                 f"{{{names}}} are eliminated or move right"
             )
-        if cand and all(_drops_count_first(rule, cand) for rule in system.rules):
+        if cand and _all_drop(rules, _drops_count_first, cand):
             return (
                 f"letters {{{names}}} are eliminated, or keep their count "
                 "and move right at constant length"
@@ -274,7 +297,8 @@ def check_termination(
 def check_local_confluence(
     system: RewritingSystem, step_cap: int = DEFAULT_STEP_CAP
 ) -> ConfluenceEvidence:
-    """Join every critical pair via normal forms.
+    """Join every critical pair via normal forms, as the pairs are found:
+    the list of :func:`critical_pairs` is never built.
 
     Each distinct result word is normalized once: the normal forms are
     kept, by result word, for the rest of the call.  A step-cap hit is not
@@ -282,26 +306,28 @@ def check_local_confluence(
     inconclusive rather than as a counterexample.  Decisive only when
     termination is already established.
     """
-    normal: dict[Word, Word] = {}
+    normal: dict[Letters, Word] = {}
 
-    def normal_of(result: Word) -> Word:
+    def normal_of(result: Letters) -> Word:
         found = normal.get(result)
         if found is None:
-            found = normal[result] = normal_form(result, system, step_cap)
+            found = normal[result] = normal_form(Word(result), system, step_cap)
         return found
 
     joined = 0
-    for pair in critical_pairs(system):
+    for overlap in _overlaps(system):
         try:
-            left_nf = normal_of(pair.left_result)
-            right_nf = normal_of(pair.right_result)
+            left_nf = normal_of(overlap[1])
+            right_nf = normal_of(overlap[2])
         except NonTerminationError:
-            return ConfluenceEvidence(INCONCLUSIVE, joined_count=joined, counterexample=pair)
+            return ConfluenceEvidence(
+                INCONCLUSIVE, joined_count=joined, counterexample=_pair(*overlap)
+            )
         if left_nf != right_nf:
             return ConfluenceEvidence(
                 COUNTEREXAMPLE,
                 joined_count=joined,
-                counterexample=pair,
+                counterexample=_pair(*overlap),
                 left_nf=left_nf,
                 right_nf=right_nf,
             )

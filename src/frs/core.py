@@ -52,11 +52,26 @@ class InternalError(RewriteError):
 
 
 class NonTerminationError(RewriteError):
-    """A step cap was exceeded; the system may be non-terminating."""
+    """A step cap was exceeded; the system may be non-terminating.
 
-    def __init__(self, message: str, trace: tuple["Word", ...] = ()):
+    ``trace`` is the tuple of words that led to the error, or a function
+    that builds it; the function runs on the first read of :attr:`trace`,
+    so a caller that discards the error does not pay for the trace.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        trace: "tuple[Word, ...] | Callable[[], tuple[Word, ...]]" = (),
+    ):
         super().__init__(message)
-        self.trace = trace
+        self._trace = trace
+
+    @property
+    def trace(self) -> tuple["Word", ...]:
+        if callable(self._trace):
+            self._trace = self._trace()
+        return self._trace
 
 
 class Letter(str):
@@ -288,18 +303,21 @@ class RewritingSystem:
 
 
 class LhsMatcher:
-    """The left-hand sides of a rule list, hashed.
+    """The left-hand sides of a rule list, in a trie.
 
     ``lhs`` and ``rhs`` hold each rule's sides as plain tuples of letters,
     by rule index; ``table`` maps each distinct left-hand side to the
     ascending indexes of the rules that have it (duplicates keep every
     index); ``lengths`` holds the distinct left-hand-side lengths in
-    ascending order.  A position of a word is tested with one dict lookup
-    per length instead of one slice comparison per rule.  Searches take the
-    word as a plain tuple, whose slices CPython builds and hashes in C.
+    ascending order.  ``trie`` holds the same left-hand sides: a node maps
+    each letter to its child node, and its key ``None`` holds the indexes
+    of the left-hand sides that end there.  A position of a word is tested
+    by walking the trie from that position's letter, one dict lookup per
+    letter, until the walk falls off; at most positions it stops at the
+    first letter.  Searches take the word as a plain tuple.
     """
 
-    __slots__ = ("table", "lengths", "lhs", "rhs")
+    __slots__ = ("table", "lengths", "trie", "lhs", "rhs")
 
     def __init__(self, rules: Iterable[Rule]):
         rules = tuple(rules)
@@ -310,6 +328,12 @@ class LhsMatcher:
             table.setdefault(side, []).append(idx)
         self.table = {key: tuple(idxs) for key, idxs in table.items()}
         self.lengths = tuple(sorted({len(key) for key in table}))
+        self.trie: dict = {}
+        for side, idxs in self.table.items():
+            node = self.trie
+            for letter in side:
+                node = node.setdefault(letter, {})
+            node[None] = idxs
 
     def first_redex(
         self, letters: tuple[Letter, ...], rightmost: bool = False, start: int = 0
@@ -318,17 +342,20 @@ class LhsMatcher:
         (rightmost with ``rightmost=True``), then lowest rule index.  A
         leftmost scan begins at ``start``; the caller knows that no redex
         starts before it.  A rightmost scan ignores ``start``."""
-        get, lengths, n = self.table.get, self.lengths, len(letters)
+        root, n = self.trie, len(letters)
         positions = range(n - 1, -1, -1) if rightmost else range(start, n)
         for pos in positions:
+            node = root.get(letters[pos])
             best = None
-            for k in lengths:
-                end = pos + k
-                if end > n:
-                    break
-                idxs = get(letters[pos:end])
+            end = pos + 1
+            while node is not None:
+                idxs = node.get(None)
                 if idxs is not None and (best is None or idxs[0] < best):
                     best = idxs[0]
+                if end == n:
+                    break
+                node = node.get(letters[end])
+                end += 1
             if best is not None:
                 return best, pos
         return None
@@ -336,18 +363,21 @@ class LhsMatcher:
     def _matches(self, letters: tuple[Letter, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(position, ascending rule indexes) for every position at which
         some left-hand side occurs, left to right."""
-        get, lengths, n = self.table.get, self.lengths, len(letters)
+        root, n = self.trie, len(letters)
         for pos in range(n):
+            node = root.get(letters[pos])
             found = None
-            for k in lengths:
-                end = pos + k
-                if end > n:
-                    break
-                idxs = get(letters[pos:end])
+            end = pos + 1
+            while node is not None:
+                idxs = node.get(None)
                 if idxs is not None:
                     # Two lengths matching at one position is rare; only
                     # then do their index lists need merging.
                     found = idxs if found is None else tuple(sorted(found + idxs))
+                if end == n:
+                    break
+                node = node.get(letters[end])
+                end += 1
             if found is not None:
                 yield pos, found
 
@@ -424,8 +454,8 @@ def normal_form(
     ``pos - maxlen + 1`` (``maxlen`` the longest left-hand side): no redex
     started before ``pos``, so a redex of the new word that starts earlier
     would have to reach into the rewritten part.  When ``step_cap`` steps
-    do not reach a normal form, the steps are replayed from the start to
-    give the :class:`NonTerminationError` its trace.
+    do not reach a normal form, the :class:`NonTerminationError` replays
+    the steps from the start when its trace is first read.
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
@@ -441,13 +471,17 @@ def normal_form(
         idx, pos = redex
         current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
         start = max(0, pos - back)
-    trace, current = [word], letters
-    for _ in range(step_cap):
-        idx, pos = first_redex(current, rightmost)
-        current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
-        trace.append(Word(current))
+
+    def replay() -> tuple[Word, ...]:
+        trace, current = [word], letters
+        for _ in range(step_cap):
+            idx, pos = first_redex(current, rightmost)
+            current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
+            trace.append(Word(current))
+        return tuple(trace)
+
     raise NonTerminationError(
-        f"possible non-termination: {step_cap} reduction steps exceeded", tuple(trace)
+        f"possible non-termination: {step_cap} reduction steps exceeded", replay
     )
 
 

@@ -29,6 +29,7 @@ from .core import (
     one_step_reductions,
     reduces_to,
     _reach,
+    _require_known,
     words_over,
 )
 from .parallel import pmap
@@ -188,8 +189,8 @@ def check_p1_to_p6(
         witnesses = 0
         successors = base.matcher.successors
         for i, u in enumerate(a_members):
-            reducts = one_step_reductions(rho_of(i), system)
-            targets = {tup.phi(u_prime) for _, u_prime in reducts}
+            reducts = system.matcher.successors(_require_known(rho_of(i), system))
+            targets = {tup.phi(u_prime) for u_prime in reducts}
             # u was drawn over the base alphabet, so its reducts need no check.
             for v1 in successors(tuple(u)):
                 witnesses += 1

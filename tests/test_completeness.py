@@ -31,19 +31,30 @@ from frs.completeness import (
     CriticalPair,
     TerminationEvidence,
 )
-from frs.core import DEFAULT_STEP_CAP
+from frs.core import DEFAULT_STEP_CAP, LhsMatcher
 
 from conftest import looping_systems, system, w
 from test_core import small_systems
 
 SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
 
-# Ladder inputs whose large-sub outputs (223 and 367 rules) are joined
+# Ladder inputs whose large-sub outputs (223, 367 and 278 rules) are joined
 # against the reference loops: (alphabet, rules, complement).
 CONSTRUCTIONS = {
     "comm": ("a b", [("ba", "ab")], ["a"]),
     "two": ("a b", [("aaa", "a"), ("bb", "b")], ["a", "aa"]),
+    "comm_ab": ("a b", [("ba", "ab")], ["a", "b"]),
 }
+
+# Known-incomplete systems: one left-hand side with two irreducible
+# right-hand sides, a two-rule reduction cycle, and the two systems whose
+# join ends early after pairs that joined.
+KNOWN_INCOMPLETE = [
+    system("a b", ("ab", "a"), ("ab", "b")),
+    system("a b", ("ab", "ba"), ("ba", "ab")),
+    system("a b", ("aaa", "a"), ("ab", "ba"), ("ba", "ab")),
+    system("a s b", ("aa", "s"), ("sa", "as"), ("ab", "a"), ("ab", "b")),
+]
 
 
 def large_sub_output(name):
@@ -88,11 +99,63 @@ def reference_critical_pairs(sys):
     return pairs
 
 
-def reference_local_confluence(sys, step_cap=DEFAULT_STEP_CAP):
+# The overlap-indexed list builder that the streamed pairs of
+# completeness._overlaps replaced.
+def reference_indexed_critical_pairs(sys):
+    pairs = []
+    rules = sys.rules
+    matcher = sys.matcher
+    lhs, rhs, table, lengths = matcher.lhs, matcher.rhs, matcher.table, matcher.lengths
+    by_prefix = {}
+    for j, lj in enumerate(lhs):
+        for k in range(1, len(lj)):
+            by_prefix.setdefault(lj[:k], []).append(j)
+    for i, li in enumerate(lhs):
+        ri, len_i = rules[i], len(li)
+        partners = set()
+        for k in range(1, len_i):
+            partners.update(by_prefix.get(li[len_i - k:], ()))
+        for k in lengths:
+            if k > len_i:
+                break
+            for pos in range(len_i - k + 1):
+                partners.update(table.get(li[pos: pos + k], ()))
+        for j in sorted(partners):
+            lj = lhs[j]
+            len_j = len(lj)
+            for k in range(1, min(len_i, len_j)):
+                if li[len_i - k:] == lj[:k]:
+                    tail = lj[k:]
+                    pairs.append(
+                        CriticalPair(
+                            Word(li + tail),
+                            Word(rhs[i] + tail),
+                            Word(li[: len_i - k] + rhs[j]),
+                            SUFFIX_PREFIX,
+                            (i, j),
+                        )
+                    )
+            if i == j or len_j > len_i:
+                continue
+            if li == lj:
+                if i < j:
+                    pairs.append(
+                        CriticalPair(ri.lhs, ri.rhs, rules[j].rhs, EMBEDDING, (i, j))
+                    )
+                continue
+            for pos in range(len_i - len_j + 1):
+                if li[pos: pos + len_j] == lj:
+                    inner = Word(li[:pos] + rhs[j] + li[pos + len_j:])
+                    pairs.append(CriticalPair(ri.lhs, ri.rhs, inner, EMBEDDING, (i, j)))
+    return pairs
+
+
+def reference_local_confluence(sys, step_cap=DEFAULT_STEP_CAP, pairs=None):
     """The per-pair join that the memoized one replaced: both results of
-    every pair are normalized afresh."""
+    every pair of ``pairs`` (the all-pairs reference list by default) are
+    normalized afresh."""
     joined = 0
-    for pair in reference_critical_pairs(sys):
+    for pair in reference_critical_pairs(sys) if pairs is None else pairs:
         try:
             left_nf = normal_form(pair.left_result, sys, step_cap)
             right_nf = normal_form(pair.right_result, sys, step_cap)
@@ -447,6 +510,93 @@ class TestMeasureAgainstReference:
     @given(small_systems())
     def test_random_systems_agree(self, sys):
         assert_measure_matches_reference(sys)
+
+
+def reference_measure_certificate(sys):
+    """The in-order certificate search over the reference predicates."""
+    if not sys.rules:
+        return "no rules"
+    for cand in completeness._measure_candidates(sys):
+        names = ", ".join(sorted(cand))
+        if all(reference_drops_length_first(rule, cand) for rule in sys.rules):
+            if not cand:
+                return "all rules strictly length-reducing"
+            return (
+                "length-nonincreasing; on length ties the letters "
+                f"{{{names}}} are eliminated or move right"
+            )
+        if cand and all(reference_drops_count_first(rule, cand) for rule in sys.rules):
+            return (
+                f"letters {{{names}}} are eliminated, or keep their count "
+                "and move right at constant length"
+            )
+    return None
+
+
+def assert_join_matches_reference(sys, step_cap=DEFAULT_STEP_CAP):
+    pairs = reference_indexed_critical_pairs(sys)
+    assert critical_pairs(sys) == pairs
+    assert check_local_confluence(sys, step_cap) == reference_local_confluence(
+        sys, step_cap, pairs
+    )
+
+
+class TestStreamedJoinAgainstReference:
+    """The pairs streamed into the join, and the list critical_pairs
+    builds from them, agree with the overlap-indexed list builder; the
+    certificate search that tests the last failing rule first returns what
+    the in-order search returns."""
+
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_fixtures_agree(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        assert_join_matches_reference(sys)
+        assert completeness.find_measure_certificate(sys) == reference_measure_certificate(sys)
+
+    @pytest.mark.parametrize("sys", KNOWN_INCOMPLETE)
+    @pytest.mark.parametrize("step_cap", [1, 30, DEFAULT_STEP_CAP])
+    def test_known_incomplete_agree(self, sys, step_cap):
+        assert_join_matches_reference(sys, step_cap)
+        assert completeness.find_measure_certificate(sys) == reference_measure_certificate(sys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_systems(), st.integers(1, 30), st.randoms(use_true_random=False))
+    def test_random_systems_agree(self, sys, step_cap, rng):
+        assert_join_matches_reference(sys, step_cap)
+        rules = list(sys.rules)
+        rng.shuffle(rules)
+        for ordered in (sys, sys.with_rules(rules)):
+            assert completeness.find_measure_certificate(ordered) == (
+                reference_measure_certificate(ordered)
+            )
+
+    def test_construction_outputs_agree(self, construction_output):
+        assert_join_matches_reference(construction_output)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_shuffled_construction_certificates_agree(self, construction_output, rng):
+        rules = list(construction_output.rules)
+        rng.shuffle(rules)
+        for sys in (construction_output, construction_output.with_rules(rules)):
+            assert completeness.find_measure_certificate(sys) == reference_measure_certificate(sys)
+
+
+def test_step_cap_trace_is_not_replayed_by_the_join(monkeypatch):
+    # a b -> b a -> a b: the first critical pair's left result 'b a a'
+    # reaches the step cap after 50 rewrites, each found by one call.
+    cycle = system("a b", ("ab", "ba"), ("ba", "ab"))
+    calls = []
+    first_redex = LhsMatcher.first_redex
+
+    def counted(self, *args):
+        calls.append(args)
+        return first_redex(self, *args)
+
+    monkeypatch.setattr(LhsMatcher, "first_redex", counted)
+    evidence = check_local_confluence(cycle, 50)
+    assert (evidence.status, evidence.joined_count) == (INCONCLUSIVE, 0)
+    assert len(calls) <= 51
 
 
 def test_each_distinct_result_is_normalized_once(monkeypatch):

@@ -38,8 +38,8 @@ SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_a
 
 # Reference kernel: the plain scan over every rule at every position that
 # the hashed left-hand-side matcher replaced.
-def naive_first_redex(word, sys, rightmost=False):
-    positions = range(len(word) - 1, -1, -1) if rightmost else range(len(word))
+def naive_first_redex(word, sys, rightmost=False, start=0):
+    positions = range(len(word) - 1, -1, -1) if rightmost else range(start, len(word))
     for pos in positions:
         for idx, rule in enumerate(sys.rules):
             k = len(rule.lhs)
@@ -187,6 +187,32 @@ def small_systems(draw):
     pairs.append((draw(st.sampled_from(pairs))[0], draw(letter_lists)))
     pairs.append((longer[: draw(st.integers(1, len(longer) - 1))], draw(letter_lists)))
     alphabet = Alphabet(LETTERS)
+    return RewritingSystem(
+        alphabet, tuple(Rule(alphabet.word(lhs), alphabet.word(rhs)) for lhs, rhs in pairs)
+    )
+
+
+@st.composite
+def trie_systems(draw):
+    """Random rules over two or three letters with sides of one to four
+    letters, always with a duplicate left-hand side, a proper prefix and a
+    proper factor of a longer left-hand side and a one-letter left-hand
+    side, each at a random index."""
+    letters = LETTERS[: draw(st.integers(2, 3))]
+    side = st.lists(st.sampled_from(letters), min_size=1, max_size=4)
+    pairs = draw(st.lists(st.tuples(side, side), max_size=4))
+    longer = draw(st.lists(st.sampled_from(letters), min_size=3, max_size=4))
+    start = draw(st.integers(1, len(longer) - 1))
+    end = draw(st.integers(start + 1, len(longer)))
+    extra = [
+        longer,
+        longer[: draw(st.integers(1, len(longer) - 1))],
+        longer[start:end],
+        [draw(st.sampled_from(letters))],
+    ]
+    for lhs in extra + [draw(st.sampled_from(extra + [lhs for lhs, _ in pairs]))]:
+        pairs.insert(draw(st.integers(0, len(pairs))), (lhs, draw(side)))
+    alphabet = Alphabet(letters)
     return RewritingSystem(
         alphabet, tuple(Rule(alphabet.word(lhs), alphabet.word(rhs)) for lhs, rhs in pairs)
     )
@@ -500,6 +526,37 @@ class TestMatcherAgainstReference:
         assert right.matcher is not None
         assert left == right
         assert left != system("a s", ("aa", "s"))
+
+
+class TestTrieAgainstReference:
+    """The trie walk of LhsMatcher agrees with the plain scan over every
+    rule, on left-hand sides that share prefixes, contain one another and
+    repeat."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trie_systems(), st.data())
+    def test_matcher_agrees(self, sys, data):
+        names = data.draw(st.lists(st.sampled_from(sys.alphabet.names()), min_size=1, max_size=9))
+        word = sys.alphabet.word(names)
+        letters, matcher = tuple(word), sys.matcher
+        rightmost = naive_first_redex(word, sys, rightmost=True)
+        for start in range(len(word) + 1):
+            assert matcher.first_redex(letters, False, start) == naive_first_redex(
+                word, sys, start=start
+            )
+            assert matcher.first_redex(letters, True, start) == rightmost
+        reference = naive_one_step_reductions(word, sys)
+        assert matcher.redexes(letters) == [
+            (step.position, step.rule_index) for step, _ in reference
+        ]
+        assert matcher.successors(letters) == [result for _, result in reference]
+
+    @settings(max_examples=200, deadline=None)
+    @given(trie_systems(), st.integers(0, 5))
+    def test_irreducible_words_agree(self, sys, max_len):
+        assert list(irreducible_words(sys, max_len)) == [
+            word for word in words_over(sys.alphabet, max_len) if naive_is_irreducible(word, sys)
+        ]
 
 
 class TestSearchesAgainstReference:
