@@ -96,7 +96,7 @@ def _overlaps(
     :func:`critical_pairs`: (source, left result, right result, overlap
     kind, rule indices), the words as plain tuples."""
     matcher = system.matcher
-    lhs, rhs, table, lengths = matcher.lhs, matcher.rhs, matcher.table, matcher.lengths
+    lhs, rhs = matcher.lhs, matcher.rhs
     by_prefix: dict[Letters, list[int]] = {}
     for j, lj in enumerate(lhs):
         for k in range(1, len(lj)):
@@ -106,11 +106,7 @@ def _overlaps(
         partners: set[int] = set()
         for k in range(1, len_i):
             partners.update(by_prefix.get(li[len_i - k:], ()))
-        for k in lengths:
-            if k > len_i:
-                break
-            for pos in range(len_i - k + 1):
-                partners.update(table.get(li[pos: pos + k], ()))
+        partners.update(j for _, j in matcher.redexes(li))
         for j in sorted(partners):
             lj = lhs[j]
             len_j = len(lj)
@@ -147,7 +143,7 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     Only the rules that overlap rule i are visited as its partner j: those
     whose lhs has a proper prefix equal to a proper suffix of lhs i (an
     index of proper prefixes), and those whose lhs is a factor of lhs i
-    (the matcher's table).
+    (the redexes of lhs i, found by the matcher's trie).
     """
     return [_pair(*overlap) for overlap in _overlaps(system)]
 
@@ -339,10 +335,9 @@ def verify_complete(
     system: RewritingSystem,
     max_len: int = DEFAULT_SEARCH_LEN,
     step_cap: int = DEFAULT_STEP_CAP,
-    heavy: frozenset[Letter] | None = None,
 ) -> CompletenessReport:
     """Full report: termination evidence, local confluence, verdict."""
-    termination = check_termination(system, max_len, step_cap, heavy)
+    termination = check_termination(system, max_len, step_cap)
     confluence = check_local_confluence(system, step_cap)
     if termination.holds() and confluence.status == ALL_JOINED:
         verdict = COMPLETE

@@ -11,8 +11,9 @@ Reduction contract: a reduction step rewrites the leftmost position at
 which some left-hand side occurs, and among the rules whose left-hand side
 occurs there, the one with the lowest index (``rightmost=True`` flips the
 position order only).  ``one_step_reductions`` lists every step ordered by
-(position, rule index).  Every redex and factor search goes through the
-system's :class:`LhsMatcher`, which is built once per system on first use.
+(position, rule index).  Every redex and factor search walks one trie of
+left-hand sides, the system's :class:`LhsMatcher`, which is built once per
+system on first use.
 
 Hot loops (``normal_form`` and the graph searches: ``reduces_to``,
 ``descendants``, ``disorder``, and the cycle and property searches of
@@ -291,9 +292,6 @@ class RewritingSystem:
         """
         return LhsMatcher(self.rules)
 
-    def max_lhs_len(self) -> int:
-        return max((len(rule.lhs) for rule in self.rules), default=0)
-
     def with_rules(self, rules: Iterable[Rule]) -> "RewritingSystem":
         return RewritingSystem(self.alphabet, tuple(rules))
 
@@ -303,37 +301,33 @@ class RewritingSystem:
 
 
 class LhsMatcher:
-    """The left-hand sides of a rule list, in a trie.
+    """The left-hand sides of a rule list, in a trie: the one index that
+    every left-hand-side query goes through.
 
     ``lhs`` and ``rhs`` hold each rule's sides as plain tuples of letters,
-    by rule index; ``table`` maps each distinct left-hand side to the
-    ascending indexes of the rules that have it (duplicates keep every
-    index); ``lengths`` holds the distinct left-hand-side lengths in
-    ascending order.  ``trie`` holds the same left-hand sides: a node maps
-    each letter to its child node, and its key ``None`` holds the indexes
-    of the left-hand sides that end there.  A position of a word is tested
-    by walking the trie from that position's letter, one dict lookup per
-    letter, until the walk falls off; at most positions it stops at the
-    first letter.  Searches take the word as a plain tuple.
+    by rule index; ``maxlen`` is the longest left-hand side (0 with no
+    rules).  In ``trie`` a node maps each letter to its child node, and
+    its key ``None`` holds the ascending indexes of the rules whose
+    left-hand side ends there (duplicates keep every index).  A position
+    of a word is tested by walking the trie from that position's letter,
+    one dict lookup per letter, until the walk falls off; at most
+    positions it stops at the first letter.  Searches take the word as a
+    plain tuple.
     """
 
-    __slots__ = ("table", "lengths", "trie", "lhs", "rhs")
+    __slots__ = ("trie", "lhs", "rhs", "maxlen")
 
     def __init__(self, rules: Iterable[Rule]):
         rules = tuple(rules)
         self.lhs = tuple(tuple(rule.lhs) for rule in rules)
         self.rhs = tuple(tuple(rule.rhs) for rule in rules)
-        table: dict[tuple[Letter, ...], list[int]] = {}
-        for idx, side in enumerate(self.lhs):
-            table.setdefault(side, []).append(idx)
-        self.table = {key: tuple(idxs) for key, idxs in table.items()}
-        self.lengths = tuple(sorted({len(key) for key in table}))
+        self.maxlen = max(map(len, self.lhs), default=0)
         self.trie: dict = {}
-        for side, idxs in self.table.items():
+        for idx, side in enumerate(self.lhs):
             node = self.trie
             for letter in side:
                 node = node.setdefault(letter, {})
-            node[None] = idxs
+            node[None] = node.get(None, ()) + (idx,)
 
     def first_redex(
         self, letters: tuple[Letter, ...], rightmost: bool = False, start: int = 0
@@ -462,7 +456,7 @@ def normal_form(
     letters = _require_known(word, system)
     matcher = system.matcher
     first_redex, lhs, rhs = matcher.first_redex, matcher.lhs, matcher.rhs
-    back = max(matcher.lengths, default=1) - 1
+    back = max(matcher.maxlen - 1, 0)
     current, start = letters, 0
     for _ in range(step_cap):
         redex = first_redex(current, rightmost, start)
@@ -606,20 +600,21 @@ def irreducible_words(system: RewritingSystem, max_len: int) -> Iterator[Word]:
     1 <= length <= max_len, in the order of :func:`words_over`.
 
     Every factor of an irreducible word is irreducible, so the walk extends
-    only irreducible words, one letter at a time, level by level.  A
-    candidate is dropped when some left-hand side ends at its last letter:
-    one probe of the matcher's table per left-hand-side length.
+    only irreducible words, one letter at a time, level by level.  The
+    prefix of a candidate is irreducible, so a redex of the candidate ends
+    at its last letter: the matcher's trie is walked from the last
+    ``maxlen`` positions only.
     """
-    table, lengths = system.matcher.table, system.matcher.lengths
+    first_redex, maxlen = system.matcher.first_redex, system.matcher.maxlen
     letters = system.alphabet.letters()
     level: list[tuple[Letter, ...]] = [()]
     for length in range(1, max_len + 1):
-        fits = [k for k in lengths if k <= length]
+        start = max(0, length - maxlen)
         nxt = []
         for prefix in level:
             for letter in letters:
                 word = prefix + (letter,)
-                if not any(word[-k:] in table for k in fits):
+                if first_redex(word, False, start) is None:
                     nxt.append(word)
                     yield Word(word)
         level = nxt

@@ -92,7 +92,7 @@ class LargeSubConstruction:
     @property
     def n_bound(self) -> int:
         """The D1 image-length cap N: longest base left-hand side + 4."""
-        return self.presentation.system.max_lhs_len() + 4
+        return self.presentation.system.matcher.maxlen + 4
 
     # The tables phi and rho read, built once per construction on first use
     # (the dataclass is frozen, so they cannot go stale).

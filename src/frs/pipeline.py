@@ -24,9 +24,9 @@ from .core import (
     RewritingSystem,
     Rule,
     Word,
+    irreducible_words,
     is_irreducible,
     normal_form,
-    words_over,
 )
 from .letter_intro import build_letter_intro
 
@@ -208,9 +208,7 @@ def check_subsemigroup_closed(
     complement = set(canonicalize_complement(presentation, step_cap).words)
     system = presentation.system
     reps = [
-        word
-        for word in words_over(system.alphabet, max_len - 1)
-        if is_irreducible(word, system) and word not in complement
+        word for word in irreducible_words(system, max_len - 1) if word not in complement
     ]
     violations = []
     for u in reps:

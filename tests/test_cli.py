@@ -379,6 +379,20 @@ def test_start_up_does_not_import_a_thread_pool():
     assert result.stdout == "False\n"
 
 
+def test_traced_benchmark_finds_every_probed_name():
+    # bench/spans.py wraps module-level functions by name (core.normal_form,
+    # large_sub.phi_t, parallel.pmap, ...); renaming or deleting one breaks
+    # the traced benchmark run, so the probe set is installed here.
+    bench = Path(__file__).parent.parent / "bench"
+    env = dict(os.environ, PYTHONPATH=str(Path(frs.__file__).parent.parent))
+    probe = (
+        f"import sys; sys.path.insert(0, {str(bench)!r}); import frs.cli, spans; "
+        "recorder = spans.Recorder(); recorder.install(); recorder.uninstall(); print('ok')"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "ok\n", "")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

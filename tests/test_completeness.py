@@ -34,7 +34,7 @@ from frs.completeness import (
 from frs.core import DEFAULT_STEP_CAP, LhsMatcher
 
 from conftest import looping_systems, system, w
-from test_core import small_systems
+from test_core import small_systems, trie_systems
 
 SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
 
@@ -100,12 +100,17 @@ def reference_critical_pairs(sys):
 
 
 # The overlap-indexed list builder that the streamed pairs of
-# completeness._overlaps replaced.
+# completeness._overlaps replaced.  It builds its own hashed index of the
+# left-hand sides (each side -> ascending rule indexes, and the ascending
+# side lengths), so it does not share the trie that _overlaps walks.
 def reference_indexed_critical_pairs(sys):
     pairs = []
     rules = sys.rules
-    matcher = sys.matcher
-    lhs, rhs, table, lengths = matcher.lhs, matcher.rhs, matcher.table, matcher.lengths
+    lhs, rhs = sys.matcher.lhs, sys.matcher.rhs
+    table = {}
+    for idx, side in enumerate(lhs):
+        table.setdefault(side, []).append(idx)
+    lengths = sorted({len(side) for side in table})
     by_prefix = {}
     for j, lj in enumerate(lhs):
         for k in range(1, len(lj)):
@@ -569,6 +574,14 @@ class TestStreamedJoinAgainstReference:
             assert completeness.find_measure_certificate(ordered) == (
                 reference_measure_certificate(ordered)
             )
+
+    # Duplicate, prefix, factor and one-letter left-hand sides: the factor
+    # partners of a rule come from the trie's redexes of its left-hand side.
+    @settings(max_examples=200, deadline=None)
+    @given(trie_systems(), st.integers(1, 30))
+    def test_trie_systems_agree(self, sys, step_cap):
+        assert_join_matches_reference(sys, step_cap)
+        assert critical_pairs(sys) == reference_critical_pairs(sys)
 
     def test_construction_outputs_agree(self, construction_output):
         assert_join_matches_reference(construction_output)

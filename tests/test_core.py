@@ -539,6 +539,7 @@ class TestTrieAgainstReference:
         names = data.draw(st.lists(st.sampled_from(sys.alphabet.names()), min_size=1, max_size=9))
         word = sys.alphabet.word(names)
         letters, matcher = tuple(word), sys.matcher
+        assert matcher.maxlen == max(len(rule.lhs) for rule in sys.rules)
         rightmost = naive_first_redex(word, sys, rightmost=True)
         for start in range(len(word) + 1):
             assert matcher.first_redex(letters, False, start) == naive_first_redex(
@@ -550,6 +551,9 @@ class TestTrieAgainstReference:
             (step.position, step.rule_index) for step, _ in reference
         ]
         assert matcher.successors(letters) == [result for _, result in reference]
+
+    def test_maxlen_is_zero_without_rules(self, free_ab):
+        assert free_ab.matcher.maxlen == 0
 
     @settings(max_examples=200, deadline=None)
     @given(trie_systems(), st.integers(0, 5))

@@ -10,6 +10,7 @@ from frs import (
     Presentation,
     canonicalize_complement,
     check_subsemigroup_closed,
+    is_irreducible,
     letterize_complement,
     normal_form,
     normalize_q2_q3,
@@ -267,3 +268,51 @@ class TestSubsemigroupCheck:
         assert violations
         u, v = violations[0]
         assert (str(u), str(v)) == ("a", "b")
+
+
+# The filter over every word that the irreducible-word walk of
+# check_subsemigroup_closed replaced.
+def reference_subsemigroup_closed(presentation, max_len=6, step_cap=DEFAULT_STEP_CAP):
+    complement = set(canonicalize_complement(presentation, step_cap).words)
+    system = presentation.system
+    reps = [
+        word
+        for word in words_over(system.alphabet, max_len - 1)
+        if is_irreducible(word, system) and word not in complement
+    ]
+    return [
+        (u, v)
+        for u in reps
+        for v in reps
+        if len(u) + len(v) <= max_len
+        and normal_form(u + v, system, step_cap) in complement
+    ]
+
+
+# The ladder's inputs (comm, two, comm_ab, three) and one that is not closed.
+LADDER_SHAPES = {
+    "comm": ("a b", [("ba", "ab")], ["a"]),
+    "two": ("a b", [("aaa", "a"), ("bb", "b")], ["a", "aa"]),
+    "comm_ab": ("a b", [("ba", "ab")], ["a", "b"]),
+    "three": ("a b c", [("ca", "ac"), ("cb", "bc")], ["a", "b"]),
+    "not_closed": ("a b", [], ["ab"]),
+}
+
+
+class TestSubsemigroupCheckAgainstReference:
+    @pytest.mark.parametrize("fixture", ["pres_aaa", "pres_free_ab"])
+    @pytest.mark.parametrize("max_len", range(7))
+    def test_fixtures_agree(self, fixture, max_len, request):
+        pres = request.getfixturevalue(fixture)
+        assert check_subsemigroup_closed(pres, max_len) == (
+            reference_subsemigroup_closed(pres, max_len)
+        )
+
+    @pytest.mark.parametrize("name", sorted(LADDER_SHAPES))
+    @pytest.mark.parametrize("max_len", [1, 2, 4, 6])
+    def test_prepared_ladder_shapes_agree(self, name, max_len):
+        letters, rules, complement = LADDER_SHAPES[name]
+        prepared = prepare_presentation(present(system(letters, *rules), *complement))
+        violations = check_subsemigroup_closed(prepared, max_len)
+        assert violations == reference_subsemigroup_closed(prepared, max_len)
+        assert bool(violations) == (name == "not_closed" and max_len > 1)
