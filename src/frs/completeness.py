@@ -18,8 +18,7 @@ verdicts are visibly weaker than certified ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     DEFAULT_STEP_CAP,
@@ -50,8 +49,7 @@ COMPLETE = "complete"
 INCOMPLETE = "incomplete"
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(NamedTuple):
     """The two one-step results of a superposition word where two rule
     applications overlap."""
 
@@ -62,8 +60,7 @@ class CriticalPair:
     rule_indices: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TerminationEvidence:
+class TerminationEvidence(NamedTuple):
     status: str
     certificate: str | None = None
     depth: int | None = None
@@ -73,8 +70,7 @@ class TerminationEvidence:
         return self.status in (CERTIFIED, BOUNDED_VERIFIED)
 
 
-@dataclass(frozen=True)
-class ConfluenceEvidence:
+class ConfluenceEvidence(NamedTuple):
     status: str
     joined_count: int = 0
     counterexample: CriticalPair | None = None
@@ -82,8 +78,7 @@ class ConfluenceEvidence:
     right_nf: Word | None = None
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     termination: TerminationEvidence
     local_confluence: ConfluenceEvidence
     verdict: str

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 LETTER_NAME = re.compile(r"[A-Za-z0-9_']+\Z")
 
@@ -209,7 +208,11 @@ def substitute(word: Word, images: Mapping[str, Word]) -> Word:
     return Word(letters)
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable plain classes."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class Rule:
     """A directed rule lhs -> rhs with both sides nonempty.
 
@@ -217,13 +220,20 @@ class Rule:
     equality, so deduplication works on (lhs, rhs) alone.
     """
 
-    lhs: Word
-    rhs: Word
-    tags: tuple[str, ...] = field(default=(), compare=False)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if not self.lhs or not self.rhs:
+    def __init__(self, lhs: Word, rhs: Word, tags: tuple[str, ...] = ()):
+        if not lhs or not rhs:
             raise InputError("rule sides must be nonempty words")
+        self.__dict__.update(lhs=lhs, rhs=rhs, tags=tags)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.rhs))
 
     def tagged(self, *tags: str) -> "Rule":
         merged = self.tags + tuple(t for t in tags if t not in self.tags)
@@ -249,29 +259,27 @@ class RuleEmitter:
         return tuple(self._rules.values())
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One rule application: which rule, at which 0-based start position."""
 
     rule_index: int
     position: int
 
 
-@dataclass(frozen=True, eq=False)
 class RewritingSystem:
     """An alphabet plus an ordered, finite list of rules over it."""
 
-    alphabet: Alphabet
-    rules: tuple[Rule, ...] = ()
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        for rule in self.rules:
+    def __init__(self, alphabet: Alphabet, rules: tuple[Rule, ...] = ()):
+        for rule in rules:
             for side in (rule.lhs, rule.rhs):
                 for letter in side:
-                    if letter not in self.alphabet:
+                    if letter not in alphabet:
                         raise InputError(
                             f"rule {rule!r} uses letter {letter.name!r} outside the alphabet"
                         )
+        self.__dict__.update(alphabet=alphabet, rules=rules)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RewritingSystem):
@@ -287,8 +295,9 @@ class RewritingSystem:
     def matcher(self) -> "LhsMatcher":
         """The left-hand-side matcher of ``rules``, built on first use.
 
-        Caching is safe because ``rules`` is an immutable tuple; the cache
-        lives in the instance dict and takes no part in ``__eq__``.
+        Caching is safe because ``rules`` is an immutable tuple that cannot
+        be reassigned; the cache lives in the instance dict and takes no
+        part in ``__eq__``.
         """
         return LhsMatcher(self.rules)
 
@@ -448,8 +457,9 @@ def normal_form(
     ``pos - maxlen + 1`` (``maxlen`` the longest left-hand side): no redex
     started before ``pos``, so a redex of the new word that starts earlier
     would have to reach into the rewritten part.  When ``step_cap`` steps
-    do not reach a normal form, the :class:`NonTerminationError` replays
-    the steps from the start when its trace is first read.
+    do not reach a normal form (the word after the last of them is still
+    reducible), the :class:`NonTerminationError` replays the steps from the
+    start when its trace is first read.
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
@@ -465,6 +475,8 @@ def normal_form(
         idx, pos = redex
         current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
         start = max(0, pos - back)
+    if first_redex(current, rightmost, start) is None:
+        return word if current is letters else Word(current)
 
     def replay() -> tuple[Word, ...]:
         trace, current = [word], letters

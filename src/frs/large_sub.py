@@ -18,8 +18,8 @@ B-factorization; phi substitutes images back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_STEP_CAP,
@@ -31,6 +31,7 @@ from .core import (
     RewritingSystem,
     RuleEmitter,
     Word,
+    _read_only,
     is_irreducible,
     normal_form,
     substitute,
@@ -55,8 +56,7 @@ class ConstructionError(RewriteError):
     """The construction cannot produce a usable generating set."""
 
 
-@dataclass(frozen=True)
-class LetterClassification:
+class LetterClassification(NamedTuple):
     """Split of the base alphabet: a1 generates inside T, a_s is the
     complement letters, excluded covers letters that merely reduce to a
     complement letter (they never enter B)."""
@@ -66,28 +66,43 @@ class LetterClassification:
     excluded: tuple[Letter, ...] = ()
 
 
-@dataclass(frozen=True)
-class CLetter:
+class CLetter(NamedTuple):
     kind: str
     image: Word
     letter: Letter
 
 
-@dataclass(frozen=True)
-class FSets:
+class FSets(NamedTuple):
     f1: tuple[Word, ...]
     f2: tuple[Word, ...]
     f3: tuple[Word, ...]
     f4: tuple[Word, ...]
 
 
-@dataclass(frozen=True)
 class LargeSubConstruction:
-    presentation: Presentation
-    classification: LetterClassification
-    c_letters: tuple[CLetter, ...]
-    b_alphabet: Alphabet
-    r_t: RewritingSystem
+    """The output of :func:`build_construction`: the prepared presentation,
+    its letter split, the C-letters, B = A1 + C and the system R_T."""
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        presentation: Presentation,
+        classification: LetterClassification,
+        c_letters: tuple[CLetter, ...],
+        b_alphabet: Alphabet,
+        r_t: RewritingSystem,
+    ):
+        self.__dict__.update(
+            presentation=presentation, classification=classification,
+            c_letters=c_letters, b_alphabet=b_alphabet, r_t=r_t,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = ("presentation", "classification", "c_letters", "b_alphabet", "r_t")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
     @property
     def n_bound(self) -> int:
@@ -95,7 +110,7 @@ class LargeSubConstruction:
         return self.presentation.system.matcher.maxlen + 4
 
     # The tables phi and rho read, built once per construction on first use
-    # (the dataclass is frozen, so they cannot go stale).
+    # (no field can be reassigned, so they cannot go stale).
     @cached_property
     def images(self) -> dict[Letter, Word]:
         return {c.letter: c.image for c in self.c_letters}

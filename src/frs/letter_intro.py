@@ -12,7 +12,6 @@ commutation rule per self-overlap of w0 (family C6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     RewritingSystem,
     RuleEmitter,
     Word,
+    _read_only,
     is_irreducible,
     normal_form,
     substitute,
@@ -75,15 +75,28 @@ def self_overlaps(w0: Word) -> list[tuple[Word, Word, Word]]:
     return out
 
 
-@dataclass(frozen=True)
 class LetterIntroResult:
     """Output of one letter-introduction round."""
 
-    new_letter: Letter
-    w0: Word
-    b_alphabet: Alphabet
-    r_s: RewritingSystem
-    base: RewritingSystem
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        new_letter: Letter,
+        w0: Word,
+        b_alphabet: Alphabet,
+        r_s: RewritingSystem,
+        base: RewritingSystem,
+    ):
+        self.__dict__.update(
+            new_letter=new_letter, w0=w0, b_alphabet=b_alphabet, r_s=r_s, base=base
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = ("new_letter", "w0", "b_alphabet", "r_s", "base")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
     @cached_property
     def images(self) -> dict[Letter, Word]:

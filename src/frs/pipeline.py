@@ -10,7 +10,6 @@ can change the normal forms of the remaining representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import completeness
@@ -24,6 +23,7 @@ from .core import (
     RewritingSystem,
     Rule,
     Word,
+    _read_only,
     irreducible_words,
     is_irreducible,
     normal_form,
@@ -31,12 +31,25 @@ from .core import (
 from .letter_intro import build_letter_intro
 
 
-@dataclass(frozen=True)
 class ComplementSpec:
     """Representative words for the finitely many classes outside the
     target subsemigroup."""
 
-    words: tuple[Word, ...]
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, words: tuple[Word, ...]):
+        self.__dict__["words"] = words
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.words == other.words
+
+    def __hash__(self) -> int:
+        return hash((self.words,))
+
+    def __repr__(self) -> str:
+        return f"ComplementSpec(words={self.words!r})"
 
     def __iter__(self):
         return iter(self.words)
@@ -45,24 +58,39 @@ class ComplementSpec:
         return len(self.words)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A rewriting system, optionally with a complement declaration and, if
     generated, its generators' images under phi as source letter names."""
 
-    system: RewritingSystem
-    complement: ComplementSpec | None = None
-    generators: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if self.complement is not None:
-            for word in self.complement:
+    def __init__(
+        self,
+        system: RewritingSystem,
+        complement: ComplementSpec | None = None,
+        generators: tuple[tuple[str, tuple[str, ...]], ...] = (),
+    ):
+        if complement is not None:
+            for word in complement:
                 for letter in word:
-                    if letter not in self.system.alphabet:
+                    if letter not in system.alphabet:
                         raise InputError(
                             f"complement word '{word}' uses letter "
                             f"{letter.name!r} outside the alphabet"
                         )
+        self.__dict__.update(system=system, complement=complement, generators=generators)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = ("system", "complement", "generators")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    def __repr__(self) -> str:
+        return (
+            f"Presentation(system={self.system!r}, complement={self.complement!r}, "
+            f"generators={self.generators!r})"
+        )
 
     @cached_property
     def membership(self) -> "Membership":

@@ -10,9 +10,8 @@ counterexample, or inconclusive when a step cap was hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from . import completeness
 from .core import (
@@ -46,8 +45,7 @@ SWEEP_CHUNK = 4096
 Item = TypeVar("Item")
 
 
-@dataclass(frozen=True)
-class CandidateTuple:
+class CandidateTuple(NamedTuple):
     """A candidate 5-tuple relative to a base system.
 
     ``phi`` maps B-words to A-words homomorphically, ``rho`` sends members
@@ -55,7 +53,8 @@ class CandidateTuple:
     in the representative set, and ``in_t`` decides whether an A-word's
     class lies in the target subsemigroup.  ``heavy`` optionally names the
     letters whose rightward drift certifies termination of the
-    image-preserving rules.
+    image-preserving rules.  A variant with some fields replaced is built
+    with ``tup._replace(field=value)``.
     """
 
     base: RewritingSystem
@@ -67,8 +66,7 @@ class CandidateTuple:
     heavy: frozenset[Letter] = frozenset()
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     status: str
     bound: int
@@ -77,8 +75,7 @@ class PropertyResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class PropertyRReport:
+class PropertyRReport(NamedTuple):
     results: tuple[PropertyResult, ...]
     overall: bool
 
@@ -89,8 +86,7 @@ class PropertyRReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class IsomorphismReport:
+class IsomorphismReport(NamedTuple):
     slice_bound: int
     forward_injective: bool
     slice_surjective: bool
@@ -151,7 +147,7 @@ def _straightening_path(
             return False
         idx, pos = redex
         current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
-    return False
+    return current == target
 
 
 def check_p1_to_p6(

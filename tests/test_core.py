@@ -22,7 +22,17 @@ from frs import (
     reduces_to,
     words_over,
 )
+from frs.completeness import (
+    CompletenessReport,
+    ConfluenceEvidence,
+    CriticalPair,
+    TerminationEvidence,
+)
 from frs.core import DEFAULT_STEP_CAP, irreducible_words
+from frs.large_sub import CLetter, FSets, LargeSubConstruction, LetterClassification
+from frs.letter_intro import LetterIntroResult
+from frs.pipeline import ComplementSpec, Presentation
+from frs.property_r import CandidateTuple, IsomorphismReport, PropertyResult, PropertyRReport
 
 from conftest import (
     all_normal_forms,
@@ -55,12 +65,11 @@ def naive_apply(word, sys, idx, pos):
 
 def naive_normal_form(word, sys, step_cap, rightmost=False):
     trace = [word]
-    for _ in range(step_cap):
-        redex = naive_first_redex(trace[-1], sys, rightmost)
-        if redex is None:
-            return trace[-1]
+    while (redex := naive_first_redex(trace[-1], sys, rightmost)) is not None:
+        if len(trace) > step_cap:
+            raise NonTerminationError("step cap exceeded", tuple(trace))
         trace.append(naive_apply(trace[-1], sys, *redex))
-    raise NonTerminationError("step cap exceeded", tuple(trace))
+    return trace[-1]
 
 
 def naive_one_step_reductions(word, sys):
@@ -317,6 +326,186 @@ class TestRepresentation:
             is_irreducible(foreign, sys_moves)
 
 
+def record_cases():
+    """(class, field names in constructor order, defaults, one value per
+    field) for every result record; no value equals its field's default."""
+    ab = Alphabet(["a", "b"])
+    ba, a_b, a = ab.word("b a"), ab.word("a b"), ab.word("a")
+    rule = Rule(ba, a_b, ("D1",))
+    comm = RewritingSystem(ab, (rule,))
+    presentation = Presentation(comm, ComplementSpec((a,)), (("c", ("a", "b")),))
+    pair = CriticalPair(ba, a_b, a_b, "embedding", (0, 0))
+    termination = TerminationEvidence("bounded_verified", "length", 4, (ba, a_b))
+    confluence = ConfluenceEvidence("counterexample", 2, pair, a_b, ba)
+    split = ((ab.get("b"),), (ab.get("a"),), (ab.get("b"),))
+    classification = LetterClassification(*split)
+    c_letter_fields = ("C_R", a_b, ab.get("b"))
+    c_letter = CLetter(*c_letter_fields)
+    result = PropertyResult("P4", "counterexample", 3, 5, (ba,), "note")
+    return [
+        (ReductionStep, ("rule_index", "position"), {}, (1, 2)),
+        (Rule, ("lhs", "rhs", "tags"), {"tags": ()}, (ba, a_b, ("D1",))),
+        (RewritingSystem, ("alphabet", "rules"), {"rules": ()}, (ab, (rule,))),
+        (CriticalPair, ("source", "left_result", "right_result", "overlap_kind", "rule_indices"),
+         {}, (ba, a_b, ba, "suffix-prefix", (0, 1))),
+        (TerminationEvidence, ("status", "certificate", "depth", "cycle"),
+         {"certificate": None, "depth": None, "cycle": None},
+         ("bounded_verified", "length", 4, (ba, a_b))),
+        (ConfluenceEvidence, ("status", "joined_count", "counterexample", "left_nf", "right_nf"),
+         {"joined_count": 0, "counterexample": None, "left_nf": None, "right_nf": None},
+         ("counterexample", 2, pair, a_b, ba)),
+        (CompletenessReport, ("termination", "local_confluence", "verdict"), {},
+         (termination, confluence, "incomplete")),
+        (LetterClassification, ("a1", "a_s", "excluded"), {"excluded": ()}, split),
+        (CLetter, ("kind", "image", "letter"), {}, c_letter_fields),
+        (FSets, ("f1", "f2", "f3", "f4"), {}, ((a,), (ba,), (a_b,), ())),
+        (LargeSubConstruction, ("presentation", "classification", "c_letters", "b_alphabet", "r_t"),
+         {}, (presentation, classification, (c_letter,), ab, comm)),
+        (LetterIntroResult, ("new_letter", "w0", "b_alphabet", "r_s", "base"), {},
+         (ab.get("b"), a_b, ab, comm, comm)),
+        (ComplementSpec, ("words",), {}, ((a, ba),)),
+        (Presentation, ("system", "complement", "generators"),
+         {"complement": None, "generators": ()},
+         (comm, ComplementSpec((a,)), (("c", ("a", "b")),))),
+        (CandidateTuple, ("base", "system", "phi", "rho", "in_at", "in_t", "heavy"),
+         {"heavy": frozenset()}, (comm, comm, str, repr, bool, callable, frozenset({"a"}))),
+        (PropertyResult, ("name", "status", "bound", "witness_count", "counterexample", "note"),
+         {"witness_count": 0, "counterexample": None, "note": ""},
+         ("P4", "counterexample", 3, 5, (ba,), "note")),
+        (PropertyRReport, ("results", "overall"), {}, ((result,), True)),
+        (IsomorphismReport,
+         ("slice_bound", "forward_injective", "slice_surjective", "mismatches", "t_class_count",
+          "image_count"),
+         {"mismatches": (), "t_class_count": 0, "image_count": 0},
+         (4, True, False, ((a, ba),), 3, 2)),
+    ]
+
+
+RECORD_CASES = record_cases()
+# Records with a rewriting system among their fields cannot be hashed, as
+# RewritingSystem itself cannot.
+UNHASHABLE = {RewritingSystem, Presentation, LargeSubConstruction, LetterIntroResult, CandidateTuple}
+
+
+class TestRecords:
+    """The constructor, immutability and equality contract of every result
+    record."""
+
+    def test_every_record_is_covered(self):
+        assert len({cls for cls, *_ in RECORD_CASES}) == 18
+
+    @pytest.mark.parametrize("case", RECORD_CASES, ids=lambda case: case[0].__name__)
+    def test_positional_and_keyword_construction(self, case):
+        cls, fields, defaults, values = case
+        assert len(values) == len(fields)
+        for record in (cls(*values), cls(**dict(zip(fields, values)))):
+            assert [getattr(record, name) for name in fields] == list(values)
+            for name, value in zip(fields, values):
+                assert getattr(record, name) is value
+
+    @pytest.mark.parametrize("case", RECORD_CASES, ids=lambda case: case[0].__name__)
+    def test_defaults_are_the_trailing_fields(self, case):
+        cls, fields, defaults, values = case
+        required = len(fields) - len(defaults)
+        assert tuple(defaults) == fields[required:]
+        record = cls(*values[:required])
+        for name, default in defaults.items():
+            assert getattr(record, name) == default
+        for name, value in zip(fields[required:], values[required:]):
+            assert value != defaults[name]
+        with pytest.raises(TypeError):
+            cls(*values[: required - 1])
+
+    @pytest.mark.parametrize("case", RECORD_CASES, ids=lambda case: case[0].__name__)
+    def test_fields_cannot_be_assigned_or_deleted(self, case):
+        cls, fields, _, values = case
+        record = cls(*values)
+        for name, value in zip(fields, values):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("case", RECORD_CASES, ids=lambda case: case[0].__name__)
+    def test_records_of_equal_fields_are_equal(self, case):
+        cls, _, _, values = case
+        first, second = cls(*values), cls(*values)
+        assert first == second and not first != second
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(first)
+        else:
+            assert hash(first) == hash(second)
+
+    def test_rule_equality_ignores_tags(self):
+        ab = Alphabet(["a", "b"])
+        plain = Rule(ab.word("b a"), ab.word("a b"))
+        tagged = Rule(ab.word("b a"), ab.word("a b"), ("C1", "D2"))
+        assert plain == tagged and hash(plain) == hash(tagged)
+        assert plain.tags == () and tagged.tags == ("C1", "D2")
+        assert plain.tagged("D1").tags == ("D1",)
+        assert plain != Rule(ab.word("b a"), ab.word("b"))
+        assert plain != Rule(ab.word("a b"), ab.word("a b"))
+        with pytest.raises(InputError, match="rule sides must be nonempty words"):
+            Rule(Word(), ab.word("a"))
+        with pytest.raises(InputError, match="rule sides must be nonempty words"):
+            Rule(ab.word("a"), Word())
+
+    def test_rewriting_systems_compare_letter_names_and_rules(self):
+        first = system("a b", ("ba", "ab"))
+        assert first == system("b a", ("ba", "ab"))
+        assert first != system("a b c", ("ba", "ab"))
+        assert first != system("a b", ("ba", "ab"), ("bb", "b"))
+        assert first != system("a b", ("bb", "b"), ("ba", "ab"))
+        with pytest.raises(TypeError):
+            hash(first)
+        with pytest.raises(InputError, match="outside the alphabet"):
+            RewritingSystem(Alphabet(["a"]), first.rules)
+
+    def test_presentations_and_complements_compare_by_value(self):
+        def build(generators=(), complement="a"):
+            base = system("a b", ("ba", "ab"))
+            words = (w(base.alphabet, complement),)
+            return Presentation(base, ComplementSpec(words), generators)
+
+        first = build()
+        assert first == build() and first.complement == build().complement
+        assert hash(first.complement) == hash(build().complement)
+        assert first != build(complement="b") and first != build((("c", ("a",)),))
+        assert first != Presentation(first.system)
+        assert Presentation(first.system) == Presentation(system("a b", ("ba", "ab")))
+        with pytest.raises(InputError, match="outside the alphabet"):
+            Presentation(first.system, ComplementSpec((Alphabet(["z"]).word("z"),)))
+
+    def test_caches_take_no_part_in_equality(self):
+        cold, warm = (
+            Presentation(system("a b", ("ba", "ab")), ComplementSpec((Alphabet(["a"]).word("a"),)))
+            for _ in range(2)
+        )
+        warm.membership, warm.system.matcher
+        assert "membership" in vars(warm) and "matcher" in vars(warm.system)
+        assert "membership" not in vars(cold) and "matcher" not in vars(cold.system)
+        assert warm == cold and warm.system == cold.system
+
+    def test_reprs(self):
+        ab = Alphabet(["a", "b"])
+        assert repr(ReductionStep(1, 2)) == "ReductionStep(rule_index=1, position=2)"
+        assert repr(Rule(ab.word("b a"), ab.word("a b"), ("D1",))) == "Rule('b a' -> 'a b')"
+        complement = ComplementSpec((ab.word("a"),))
+        assert repr(complement) == "ComplementSpec(words=(Word('a'),))"
+        assert repr(Presentation(system("a b", ("ba", "ab")), complement)) == (
+            "Presentation(system=RewritingSystem([a, b]; b a->a b), "
+            "complement=ComplementSpec(words=(Word('a'),)), generators=())"
+        )
+        assert repr(PropertyResult("P1", "verified", 4)) == (
+            "PropertyResult(name='P1', status='verified', bound=4, witness_count=0, "
+            "counterexample=None, note='')"
+        )
+
+
 class TestOneStepReductions:
     def test_three_overlapping_occurrences(self, sys_aaa):
         results = one_step_reductions(w(sys_aaa.alphabet, "aaaaa"), sys_aaa)
@@ -417,6 +606,46 @@ class TestNormalForm:
         with pytest.raises(NonTerminationError) as err:
             normal_form(w(loop.alphabet, "a"), loop, step_cap=5)
         assert len(err.value.trace) == 6
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rightmost", [False, True])
+    def test_a_normal_form_exactly_the_cap_away_is_reached(self, steps, rightmost):
+        # b^k a needs k steps of b a -> a b to reach a b^k, either way round.
+        comm = system("a b", ("ba", "ab"))
+        word = comm.alphabet.word(["b"] * steps + ["a"])
+        expected = comm.alphabet.word(["a"] + ["b"] * steps)
+        assert normal_form(word, comm, step_cap=steps, rightmost=rightmost) == expected
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rightmost", [False, True])
+    def test_a_normal_form_one_step_past_the_cap_raises(self, cap, rightmost):
+        comm = system("a b", ("ba", "ab"))
+        word = comm.alphabet.word(["b"] * (cap + 1) + ["a"])
+        with pytest.raises(NonTerminationError) as err:
+            normal_form(word, comm, step_cap=cap, rightmost=rightmost)
+        assert str(err.value) == f"possible non-termination: {cap} reduction steps exceeded"
+        trace = err.value.trace
+        assert len(trace) == cap + 1 and trace[0] == word
+        assert not is_irreducible(trace[-1], comm)
+
+    def test_every_fixture_word_agrees_with_the_reference_at_its_own_distance(
+        self, sys_moves, sys_aaa
+    ):
+        # At a cap equal to the leftmost (or rightmost) path length the
+        # normal form is reached; one less, the cap is hit.
+        for sys in (sys_moves, sys_aaa):
+            for word in words_over(sys.alphabet, 6):
+                for rightmost in (False, True):
+                    steps = 0
+                    current = word
+                    while (redex := naive_first_redex(current, sys, rightmost)) is not None:
+                        current = naive_apply(current, sys, *redex)
+                        steps += 1
+                    if steps:
+                        assert normal_form(word, sys, steps, rightmost) == current
+                        with pytest.raises(NonTerminationError):
+                            normal_form(word, sys, steps - 1, rightmost)
+                    assert_kernel_matches_reference(word, sys, step_cap=max(steps, 1))
 
     def test_strategy_independent_on_complete_system(self, sys_moves):
         for word in words_over(sys_moves.alphabet, 7):

@@ -198,11 +198,12 @@ class TestMembershipAgainstReference:
 class TestMembershipCache:
     def test_step_cap_failure_not_cached(self):
         pres = ladder_presentation("comm")
-        word = w(pres.system.alphabet, "ba")
+        # b b a needs two steps to its normal form a b b.
+        word = w(pres.system.alphabet, "bba")
         for _ in range(2):
             with pytest.raises(NonTerminationError):
                 in_AT(word, pres, step_cap=1)
-        assert ("b", "a") not in pres.membership.factor_ok[1]
+        assert ("b", "b", "a") not in pres.membership.factor_ok[1]
         assert in_AT(word, pres, step_cap=2)
 
     def test_step_caps_never_share_entries(self):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from frs import (
@@ -104,7 +102,7 @@ def reference_p6(tup, bound):
 def wrong_rho_at(tup, word, wrong):
     """``tup`` with rho sending the image of ``word`` to ``wrong``."""
     image = tup.phi(word)
-    return replace(tup, rho=lambda u: wrong if u == image else tup.rho(u))
+    return tup._replace(rho=lambda u: wrong if u == image else tup.rho(u))
 
 
 def drop_rules(tup, predicate):
@@ -164,6 +162,13 @@ class TestProperties:
             check_p1_to_p6(broken, 6, 4)
 
 
+    def test_straightening_path_of_exactly_the_cap_is_found(self):
+        # b b a -> b a b -> a b b takes two steps of b a -> a b.
+        comm = system("a b", ("ba", "ab"))
+        word, target = w(comm.alphabet, "bba"), w(comm.alphabet, "abb")
+        assert property_r._straightening_path(word, target, comm.matcher, 2)
+        assert not property_r._straightening_path(word, target, comm.matcher, 1)
+
     def test_inconclusive_results_name_their_own_bound(self, tuple_comm):
         # b a -> a b gives P1 witnesses; step cap 1 stops every
         # reachability search that needs a second state.
@@ -182,7 +187,7 @@ class TestProperties:
         u = tuple_free.system.alphabet.word("c_b_a c_b_a b")
         assert len(descendants(u, tuple_free.system)) == 4
         image = tuple_free.phi(u)
-        sabotaged = replace(tuple_free, in_at=lambda word: word != image and tuple_free.in_at(word))
+        sabotaged = tuple_free._replace(in_at=lambda word: word != image and tuple_free.in_at(word))
         res = check_p1_to_p6(sabotaged, 2, 3, step_cap=3).result("P4")
         assert res.status == "inconclusive"
         assert res.bound == 3
@@ -225,7 +230,7 @@ class TestProperties:
             calls.append(word)
             return tuple_comm.rho(word)
 
-        report = check_p1_to_p6(replace(tuple_comm, rho=rho), 6, 3)
+        report = check_p1_to_p6(tuple_comm._replace(rho=rho), 6, 3)
         assert report.overall
         # P1 and P5 share rho(u) for each representative u; P6 takes one
         # rho(phi(u')) per B-word it sweeps.
@@ -382,7 +387,7 @@ class TestSweepChunks:
                 raise NonTerminationError(f"step cap hit at '{word}'")
             return tuple_free.in_at(word)
 
-        res = check_p1_to_p6(replace(sabotaged, in_at=in_at), 2, self.BOUND_B).result("P6")
+        res = check_p1_to_p6(sabotaged._replace(in_at=in_at), 2, self.BOUND_B).result("P6")
         assert res.status == status
         if status == "counterexample":
             assert res.counterexample == (first, wrong)
