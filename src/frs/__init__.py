@@ -5,7 +5,6 @@ from .core import (
     Alphabet,
     InputError,
     InternalError,
-    Letter,
     NonTerminationError,
     PreconditionError,
     ReductionStep,
@@ -37,7 +36,6 @@ from .letter_intro import (
     self_overlaps,
 )
 from .pipeline import (
-    ComplementSpec,
     Presentation,
     canonicalize_complement,
     check_subsemigroup_closed,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import completeness
 from .core import (
@@ -44,7 +43,8 @@ OK, FAILED, BAD_INPUT, INCONCLUSIVE = 0, 1, 2, 3
 
 def _load(path: str) -> Presentation:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse_presentation(text)
@@ -58,7 +58,8 @@ def _word_from(arg: str, system: RewritingSystem) -> Word:
 
 
 def _write(path: str, presentation: Presentation) -> None:
-    Path(path).write_text(serialize_presentation(presentation), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(serialize_presentation(presentation))
 
 
 def _require_complete(system: RewritingSystem, max_len: int, step_cap: int, label: str) -> None:
@@ -114,7 +115,7 @@ def _cmd_letter_intro(args: argparse.Namespace) -> int:
     generators = tuple(result.images.items())
     _write(args.output, Presentation(result.r_s, presentation.complement, generators))
     print(
-        f"introduced letter '{result.new_letter.name}' for '{result.w0}'; "
+        f"introduced letter '{result.new_letter}' for '{result.w0}'; "
         f"{len(result.r_s.rules)} rules written to {args.output}"
     )
     return OK
@@ -129,7 +130,7 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
     print(
         f"prepared presentation with {len(prepared.system.alphabet)} letters, "
         f"{len(prepared.system.rules)} rules, "
-        f"{len(prepared.complement.words)} complement letters -> {args.output}"
+        f"{len(prepared.complement)} complement letters -> {args.output}"
     )
     return OK
 
@@ -179,7 +180,7 @@ def _candidate_tuple(
             "the target file has no 'generator:' lines; regenerate it with "
             "'frs large-sub' or 'frs letter-intro'"
         )
-    large_sub = s_pres.complement is not None and bool(s_pres.complement.words)
+    large_sub = bool(s_pres.complement)
     source = _prepared(s_pres, step_cap) if large_sub else s_pres
     images = {name: source.system.alphabet.word(image) for name, image in t_pres.generators}
     if large_sub:

@@ -166,7 +166,7 @@ def _drops_count_first(rule: Rule, heavy: frozenset[Letter]) -> bool:
 
 
 def _measure_candidates(system: RewritingSystem) -> list[frozenset[Letter]]:
-    letters = system.alphabet.letters()
+    letters = system.alphabet.names()
     candidates: list[frozenset[Letter]] = [frozenset()]
     candidates += [frozenset({letter}) for letter in letters]
     if len(letters) <= 14:

@@ -1,11 +1,10 @@
 """Words, rules and reduction for string rewriting (semi-Thue) systems.
 
 Everything in this module is a pure value, and all reduction functions
-are deterministic functions of their inputs.  A letter is its name: a
-:class:`Letter` is a ``str``, interned per alphabet, that also records its
-index there.  A word is a tuple of letters: a :class:`Word` is a ``tuple``.
-So a word, the plain tuple of its letters and the tuple of their names
-are equal and hash alike, and there is nothing to convert between them.
+are deterministic functions of their inputs.  A letter is its name, a
+plain ``str``, and a word is a tuple of letters: a :class:`Word` is a
+``tuple``.  So a word and the plain tuple of its letters are equal and
+hash alike, and there is nothing to convert between them.
 
 Reduction contract: a reduction step rewrites the leftmost position at
 which some left-hand side occurs, and among the rules whose left-hand side
@@ -74,30 +73,16 @@ class NonTerminationError(RewriteError):
         return self._trace
 
 
-class Letter(str):
-    """A single alphabet symbol: a ``str`` that equals and hashes as its
-    name; ``index`` records the interning order inside the owning
-    alphabet and takes no part in equality."""
-
-    def __new__(cls, name: str, index: int) -> "Letter":
-        letter = super().__new__(cls, name)
-        letter.index = index
-        return letter
-
-    @property
-    def name(self) -> str:
-        """The name as a plain ``str``."""
-        return str(self)
-
-    def __repr__(self) -> str:
-        return f"Letter({self.name!r})"
+# A letter is its name; the alias marks where a name stands for a letter.
+Letter = str
 
 
 class Alphabet:
     """Ordered, effectively immutable set of letters with unique names.
 
-    Indexes are stable: an alphabet built by :meth:`extended` keeps the
-    parent's letters (same objects, same indexes) and appends new ones.
+    The order is insertion order: an alphabet built by :meth:`extended`
+    keeps the parent's letters first and appends new ones.  Each name is
+    stored once, and :meth:`get` and iteration hand out that stored ``str``.
     """
 
     def __init__(self, names: Iterable[str] = ()):
@@ -105,14 +90,12 @@ class Alphabet:
         for name in names:
             self._intern(name)
 
-    def _intern(self, name: str) -> Letter:
+    def _intern(self, name: str) -> None:
         if not LETTER_NAME.match(name):
-            raise InputError(f"invalid letter name {str(name)!r}")
+            raise InputError(f"invalid letter name {name!r}")
         if name in self._by_name:
-            raise InputError(f"duplicate letter {str(name)!r}")
-        letter = Letter(name, len(self._by_name))
-        self._by_name[letter.name] = letter
-        return letter
+            raise InputError(f"duplicate letter {name!r}")
+        self._by_name[name] = name
 
     def extended(self, names: Iterable[str]) -> "Alphabet":
         new = Alphabet()
@@ -134,21 +117,18 @@ class Alphabet:
         try:
             return self._by_name[name]
         except KeyError:
-            raise InputError(f"unknown letter {str(name)!r}") from None
+            raise InputError(f"unknown letter {name!r}") from None
 
     def __contains__(self, item: str) -> bool:
         return item in self._by_name
 
     def __iter__(self) -> Iterator[Letter]:
-        return iter(self._by_name.values())
+        return iter(self._by_name)
 
     def __len__(self) -> int:
         return len(self._by_name)
 
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(self._by_name.values())
-
-    def names(self) -> tuple[str, ...]:
+    def names(self) -> tuple[Letter, ...]:
         return tuple(self._by_name)
 
     def word(self, source: "str | Iterable[str]") -> "Word":
@@ -163,18 +143,14 @@ class Alphabet:
 
 class Word(tuple):
     """A finite (possibly empty) sequence of letters: a ``tuple`` of
-    :class:`Letter` that equals and hashes as that tuple.  Slices and
-    ``+`` return words.
+    letter names that equals and hashes as that tuple.  Slices and ``+``
+    return words.
 
     The empty word is representable because it occurs as a context factor,
     but it is rejected as a rule side and as a reduction input.
     """
 
     __slots__ = ()
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(self)
 
     def __add__(self, other: "Word") -> "Word":
         return Word(tuple.__add__(self, other))
@@ -183,9 +159,6 @@ class Word(tuple):
         if isinstance(item, slice):
             return Word(tuple.__getitem__(self, item))
         return tuple.__getitem__(self, item)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(map(str, self))
 
     def __str__(self) -> str:
         return " ".join(self)
@@ -277,7 +250,7 @@ class RewritingSystem:
                 for letter in side:
                     if letter not in alphabet:
                         raise InputError(
-                            f"rule {rule!r} uses letter {letter.name!r} outside the alphabet"
+                            f"rule {rule!r} uses letter {letter!r} outside the alphabet"
                         )
         self.__dict__.update(alphabet=alphabet, rules=rules)
 
@@ -408,7 +381,7 @@ def _require_known(word: Word, system: RewritingSystem) -> tuple[Letter, ...]:
     known = system.alphabet._by_name
     if not all(map(known.__contains__, letters)):
         foreign = next(letter for letter in letters if letter not in known)
-        raise InputError(f"letter {str(foreign)!r} is not in the system's alphabet")
+        raise InputError(f"letter {foreign!r} is not in the system's alphabet")
     return letters
 
 
@@ -597,11 +570,11 @@ def reduces_to(
 
 
 def words_over(
-    letters: "Alphabet | Iterable[Letter]", max_len: int, min_len: int = 1
+    letters: Iterable[Letter], max_len: int, min_len: int = 1
 ) -> Iterator[Word]:
     """All words over the given letters with min_len <= length <= max_len,
     in (length, letter-order) sequence."""
-    pool = letters.letters() if isinstance(letters, Alphabet) else tuple(letters)
+    pool = tuple(letters)
     for length in range(min_len, max_len + 1):
         for combo in itertools.product(pool, repeat=length):
             yield Word(combo)
@@ -618,7 +591,7 @@ def irreducible_words(system: RewritingSystem, max_len: int) -> Iterator[Word]:
     ``maxlen`` positions only.
     """
     first_redex, maxlen = system.matcher.first_redex, system.matcher.maxlen
-    letters = system.alphabet.letters()
+    letters = system.alphabet.names()
     level: list[tuple[Letter, ...]] = [()]
     for length in range(1, max_len + 1):
         start = max(0, length - maxlen)

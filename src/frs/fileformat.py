@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .core import LETTER_NAME, Alphabet, InputError, RewritingSystem, Rule, Word
-from .pipeline import ComplementSpec, Presentation
+from .pipeline import Presentation
 
 _TOKEN = re.compile(r"\S+")
 
@@ -135,7 +135,7 @@ def parse_presentation(text: str) -> Presentation:
                     group.append((token, column))
 
     system = RewritingSystem(alphabet, tuple(rules))
-    complement = ComplementSpec(tuple(complement_words)) if has_complement else None
+    complement = tuple(complement_words) if has_complement else None
     return Presentation(system, complement, tuple(generators.items()))
 
 

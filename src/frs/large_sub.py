@@ -27,7 +27,6 @@ from .core import (
     InputError,
     Letter,
     PreconditionError,
-    RewriteError,
     RewritingSystem,
     RuleEmitter,
     Word,
@@ -52,8 +51,10 @@ C_R, C_L1, C_L2, C_M1, C_M2 = "C_R", "C_L1", "C_L2", "C_M1", "C_M2"
 RIGHT_DRIFT_KINDS = frozenset({C_R, C_M1, C_M2})
 
 
-class ConstructionError(RewriteError):
-    """The construction cannot produce a usable generating set."""
+class ConstructionError(PreconditionError):
+    """The construction cannot produce a usable generating set: the input
+    admits no construction, so the command line reports it as a
+    precondition error."""
 
 
 class LetterClassification(NamedTuple):
@@ -447,7 +448,7 @@ def build_construction(
         letter: len(images[letter]) if letter in images else 1
         for letter in b_alphabet
     }
-    letters = b_alphabet.letters()
+    letters = b_alphabet.names()
 
     def extend(prefix: list[Letter], length: int) -> None:
         for letter in letters:
@@ -478,13 +479,14 @@ def build_construction(
                 emitter.emit(u_prime, canonical, D2)
 
     emitted = emitter.rules()
+    order = {letter: i for i, letter in enumerate(letters)}
     d1 = sorted(
         (rule for rule in emitted if rule.tags[0] == D1),
-        key=lambda r: (len(r.lhs), tuple(letter.index for letter in r.lhs)),
+        key=lambda r: (len(r.lhs), tuple(map(order.__getitem__, r.lhs))),
     )
     d2 = sorted(
         (rule for rule in emitted if rule.tags[0] == D2),
-        key=lambda r: tuple(letter.index for letter in r.lhs),
+        key=lambda r: tuple(map(order.__getitem__, r.lhs)),
     )
     r_t = RewritingSystem(b_alphabet, tuple(d1 + d2))
     return LargeSubConstruction(presentation, classification, c_letters, b_alphabet, r_t)

@@ -44,7 +44,7 @@ def rho_s(word: Word, w0: Word, s: Letter) -> Word:
         raise PreconditionError("the named word must have length > 1")
     letters = tuple(word)
     if s in letters:
-        raise InputError(f"input to rho contains the fresh letter {s.name!r}")
+        raise InputError(f"input to rho contains the fresh letter {s!r}")
     out: list[Letter] = []
     i = len(letters)
     k = len(w0)
@@ -139,7 +139,7 @@ def build_letter_intro(
         raise PreconditionError("the named word must have length > 1")
     for letter in w0:
         if letter not in system.alphabet:
-            raise InputError(f"letter {letter.name!r} is not in the alphabet")
+            raise InputError(f"letter {letter!r} is not in the alphabet")
     if not is_irreducible(w0, system):
         raise PreconditionError(f"the named word '{w0}' must be irreducible")
 

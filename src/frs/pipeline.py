@@ -31,43 +31,18 @@ from .core import (
 from .letter_intro import build_letter_intro
 
 
-class ComplementSpec:
-    """Representative words for the finitely many classes outside the
-    target subsemigroup."""
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(self, words: tuple[Word, ...]):
-        self.__dict__["words"] = words
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash((self.words,))
-
-    def __repr__(self) -> str:
-        return f"ComplementSpec(words={self.words!r})"
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
 class Presentation:
-    """A rewriting system, optionally with a complement declaration and, if
-    generated, its generators' images under phi as source letter names."""
+    """A rewriting system, optionally with a complement declaration (the
+    representative words of the finitely many classes outside the target
+    subsemigroup) and, if generated, its generators' images under phi as
+    source letter names."""
 
     __setattr__ = __delattr__ = _read_only
 
     def __init__(
         self,
         system: RewritingSystem,
-        complement: ComplementSpec | None = None,
+        complement: tuple[Word, ...] | None = None,
         generators: tuple[tuple[str, tuple[str, ...]], ...] = (),
     ):
         if complement is not None:
@@ -76,7 +51,7 @@ class Presentation:
                     if letter not in system.alphabet:
                         raise InputError(
                             f"complement word '{word}' uses letter "
-                            f"{letter.name!r} outside the alphabet"
+                            f"{letter!r} outside the alphabet"
                         )
         self.__dict__.update(system=system, complement=complement, generators=generators)
 
@@ -119,18 +94,18 @@ class Membership:
 
     __slots__ = ("complement_words", "complement_letters", "factor_ok")
 
-    def __init__(self, complement: ComplementSpec):
-        self.complement_words = frozenset(complement.words)
-        self.complement_letters = frozenset(word[0] for word in complement.words if word)
+    def __init__(self, complement: tuple[Word, ...]):
+        self.complement_words = frozenset(complement)
+        self.complement_letters = frozenset(word[0] for word in complement if word)
         self.factor_ok: dict[int, dict[tuple[Letter, ...], bool]] = {}
 
 
 def canonicalize_complement(
     presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP
-) -> ComplementSpec:
+) -> tuple[Word, ...]:
     """Replace each complement word by its normal form, deduplicate, and
     sort by (length, letter names).  Assumes the system is complete."""
-    if presentation.complement is None or not presentation.complement.words:
+    if not presentation.complement:
         raise InputError(
             "empty complement: the construction needs at least one excluded "
             "class; with nothing excluded, use the original system directly"
@@ -139,8 +114,7 @@ def canonicalize_complement(
         normal_form(word, presentation.system, step_cap)
         for word in presentation.complement
     }
-    ordered = sorted(forms, key=lambda w: (len(w), w))
-    return ComplementSpec(tuple(ordered))
+    return tuple(sorted(forms, key=lambda w: (len(w), w)))
 
 
 def letterize_complement(
@@ -161,9 +135,7 @@ def letterize_complement(
             return Presentation(system, complement)
         result = build_letter_intro(system, long_words[0], step_cap=step_cap)
         system = result.r_s
-        renamed = ComplementSpec(
-            tuple(normal_form(word, system, step_cap) for word in complement)
-        )
+        renamed = tuple(normal_form(word, system, step_cap) for word in complement)
         complement = canonicalize_complement(
             Presentation(system, renamed), step_cap
         )
@@ -207,7 +179,7 @@ def _reducible_by_other(matcher: LhsMatcher, idx: int) -> bool:
 
 def satisfies_q1(presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP) -> bool:
     """Every complement class is a single irreducible alphabet letter."""
-    if presentation.complement is None or not presentation.complement.words:
+    if not presentation.complement:
         return False
     return all(
         len(word) == 1 and is_irreducible(word, presentation.system)
@@ -233,7 +205,7 @@ def check_subsemigroup_closed(
     """Bounded closure check: products of T-representatives must stay out
     of the complement.  Returns the violations found up to the bound; an
     empty list means "closed as far as checked", not a proof."""
-    complement = set(canonicalize_complement(presentation, step_cap).words)
+    complement = set(canonicalize_complement(presentation, step_cap))
     system = presentation.system
     reps = [
         word for word in irreducible_words(system, max_len - 1) if word not in complement
@@ -266,7 +238,7 @@ def prepare_presentation(
     after each stage, and a failure is an internal contradiction rather
     than a user error.  The result satisfies Q1, Q2 and Q3.
     """
-    if presentation.complement is None or not presentation.complement.words:
+    if not presentation.complement:
         raise InputError("a complement declaration is required")
     report = completeness.verify_complete(presentation.system, step_cap=step_cap)
     if report.verdict != completeness.COMPLETE:

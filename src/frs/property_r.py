@@ -95,22 +95,6 @@ class IsomorphismReport(NamedTuple):
     image_count: int = 0
 
 
-def _check_sandwich(tup: CandidateTuple, bound: int) -> None:
-    # The representative set must sit between the irreducible T-words and
-    # all T-words; a supplied predicate violating that is a bad input, not
-    # a property failure.
-    for word in words_over(tup.base.alphabet, bound):
-        member = tup.in_at(word)
-        if member and not tup.in_t(word):
-            raise PreconditionError(
-                f"representative set contains '{word}' whose class is outside T"
-            )
-        if not member and tup.in_t(word) and is_irreducible(word, tup.base):
-            raise PreconditionError(
-                f"representative set misses the irreducible T-word '{word}'"
-            )
-
-
 def _sweep(words: Iterator[Item], ok: Callable[[Item], bool]) -> tuple[int, Item | None]:
     """Map ``ok`` over ``words`` (B-words, or B-words paired with their
     images) one chunk of ``SWEEP_CHUNK`` at a time.
@@ -161,11 +145,26 @@ def check_p1_to_p6(
     bound_a limits the A-side sweeps (P1, P5), bound_b the B-side sweeps
     (P3, P4, P6); P2 is per-rule and needs no bound.
     """
-    _check_sandwich(tup, min(bound_a, 6))
     base, system = tup.base, tup.system
     results: list[PropertyResult] = []
 
-    a_members = [w for w in words_over(base.alphabet, bound_a) if tup.in_at(w)]
+    # The representative set, checked on words of length <= 6 to sit
+    # between the irreducible T-words and all T-words; a supplied predicate
+    # violating that is a bad input, not a property failure.
+    a_members: list[Word] = []
+    for word in words_over(base.alphabet, bound_a):
+        member = tup.in_at(word)
+        if len(word) <= 6:
+            if member and not tup.in_t(word):
+                raise PreconditionError(
+                    f"representative set contains '{word}' whose class is outside T"
+                )
+            if not member and tup.in_t(word) and is_irreducible(word, base):
+                raise PreconditionError(
+                    f"representative set misses the irreducible T-word '{word}'"
+                )
+        if member:
+            a_members.append(word)
     # rho of a_members[:len(rhos)], filled in order by P1 and then by P5.
     rhos: list[Word] = []
 
@@ -211,15 +210,19 @@ def check_p1_to_p6(
         return PropertyResult("P2", VERIFIED, 0, len(system.rules))
 
     # P3: no infinite chain of image-preserving steps; checked as
-    # termination of the image-preserving rule subset.
+    # termination of the image-preserving rule subset.  When the declared
+    # heavy letters certify nothing, only the certificate search is retried
+    # over every letter set: the cycle search would repeat itself.
     def p3() -> PropertyResult:
         evidence = completeness.check_termination(
             preserved, max_len=bound_b, step_cap=step_cap, heavy=tup.heavy or None
         )
         if not evidence.holds() and tup.heavy:
-            evidence = completeness.check_termination(
-                preserved, max_len=bound_b, step_cap=step_cap
-            )
+            certificate = completeness.find_measure_certificate(preserved)
+            if certificate is not None:
+                evidence = completeness.TerminationEvidence(
+                    completeness.CERTIFIED, certificate=certificate
+                )
         if evidence.status == completeness.COUNTEREXAMPLE:
             return PropertyResult(
                 "P3", COUNTEREXAMPLE, bound_b, 0, evidence.cycle

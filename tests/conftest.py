@@ -3,7 +3,6 @@ from hypothesis import strategies as st
 
 from frs import (
     Alphabet,
-    ComplementSpec,
     Presentation,
     RewritingSystem,
     Rule,
@@ -27,7 +26,7 @@ def system(letter_names, *rule_pairs):
 
 
 def rule_set(sys):
-    return {(r.lhs.names(), r.rhs.names()) for r in sys.rules}
+    return {(tuple(r.lhs), tuple(r.rhs)) for r in sys.rules}
 
 
 def all_normal_forms(word, sys, memo=None):
@@ -109,9 +108,9 @@ def free_ab():
 
 @pytest.fixture
 def pres_aaa(sys_aaa):
-    return Presentation(sys_aaa, ComplementSpec((w(sys_aaa.alphabet, "a"),)))
+    return Presentation(sys_aaa, (w(sys_aaa.alphabet, "a"),))
 
 
 @pytest.fixture
 def pres_free_ab(free_ab):
-    return Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "a"),)))
+    return Presentation(free_ab, (w(free_ab.alphabet, "a"),))

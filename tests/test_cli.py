@@ -6,7 +6,17 @@ from pathlib import Path
 import pytest
 
 import frs
+from frs import cli
 from frs.cli import main
+from frs.core import (
+    InputError,
+    InternalError,
+    NonTerminationError,
+    PreconditionError,
+    RewriteError,
+)
+from frs.fileformat import ParseError
+from frs.large_sub import ConstructionError
 
 FREE_A = "alphabet: a\n"
 FREE_AB = "alphabet: a b\n"
@@ -150,6 +160,17 @@ class TestPrepareAndLargeSub:
         write, _ = files
         src = write("c.frs", "alphabet: a b\ncomplement: a b\n")
         assert main(["large-sub", src, "-o", str(tmp_path / "o.frs")]) == 2
+
+    def test_no_generator_letters_is_a_precondition_error(self, files, tmp_path, capsys):
+        # a a -> a leaves only the complement letter a, and a a is not in T.
+        write, _ = files
+        src = write("idem.frs", "alphabet: a\nrule: a a -> a\ncomplement: a\n")
+        assert main(["large-sub", src, "-o", str(tmp_path / "o.frs")]) == 2
+        assert capsys.readouterr().err == (
+            "precondition error: the subsemigroup is not expressible: no generator "
+            "letters (empty a1 and no admissible boundary words)\n"
+        )
+        assert not (tmp_path / "o.frs").exists()
 
 
 class TestVerifyCommands:
@@ -369,10 +390,47 @@ class TestDeterminism:
         assert (tmp_path / "one.frs").read_bytes() == (tmp_path / "two.frs").read_bytes()
 
 
+def _error_classes(cls=RewriteError):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("frs."):
+            yield sub
+        yield from _error_classes(sub)
+
+
+# The exit code and stderr prefix of each error class of the package.
+ERROR_EXITS = {
+    InputError: (2, "input error: "),
+    ParseError: (2, "input error: line 1, column 2: "),
+    PreconditionError: (2, "precondition error: "),
+    ConstructionError: (2, "precondition error: "),
+    NonTerminationError: (3, "inconclusive: "),
+    InternalError: (1, "internal contradiction: "),
+}
+
+
+@pytest.mark.parametrize(
+    "error", sorted(set(_error_classes()), key=lambda cls: cls.__name__),
+    ids=lambda cls: cls.__name__,
+)
+def test_every_error_class_exits_with_a_one_line_message(error, files, capsys, monkeypatch):
+    # A class missing from ERROR_EXITS fails here until its exit is decided.
+    code, prefix = ERROR_EXITS[error]
+    exc = error("boom", 1, 2) if error is ParseError else error("boom")
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "normal_form", fail)
+    write, _ = files
+    assert main(["nf", write("a.frs", FREE_A), "--word", "a"]) == code
+    assert capsys.readouterr() == ("", prefix + "boom\n")
+
+
 def test_start_up_does_not_import_a_thread_pool():
     # The sweeps run serially, so a CLI process never needs
     # concurrent.futures; the records are NamedTuples and plain classes,
-    # so it never needs dataclasses, nor the inspect module that loads.
+    # so it never needs dataclasses, nor the inspect module that loads;
+    # files are read and written with open(), so it never needs pathlib.
     # Both interpreters run without site (-S), and the modules counted are
     # those that importing frs.cli adds to a bare interpreter's.
     env = dict(os.environ, PYTHONPATH=str(Path(frs.__file__).parent.parent))
@@ -386,7 +444,8 @@ def test_start_up_does_not_import_a_thread_pool():
 
     bare, started = modules(""), modules(", frs.cli")
     assert "frs.cli" in started - bare
-    assert {"concurrent.futures", "dataclasses", "inspect"} & (started - bare) == set()
+    absent = {"concurrent.futures", "dataclasses", "inspect", "pathlib"}
+    assert absent & (started - bare) == set()
 
 
 def test_traced_benchmark_finds_every_probed_name():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frs import (
-    ComplementSpec,
     NonTerminationError,
     Presentation,
     Word,
@@ -61,7 +60,7 @@ def large_sub_output(name):
     letters, rules, complement = CONSTRUCTIONS[name]
     base = system(letters, *rules)
     words = tuple(w(base.alphabet, text) for text in complement)
-    prepared = prepare_presentation(Presentation(base, ComplementSpec(words)))
+    prepared = prepare_presentation(Presentation(base, words))
     return build_construction(prepared).r_t
 
 
@@ -79,10 +78,10 @@ def reference_critical_pairs(sys):
         for j, rj in enumerate(rules):
             li, lj = ri.lhs, rj.lhs
             for k in range(1, min(len(li), len(lj))):
-                if li.letters[len(li) - k:] == lj.letters[:k]:
-                    source = Word(li.letters + lj.letters[k:])
-                    left = Word(ri.rhs.letters + lj.letters[k:])
-                    right = Word(li.letters[: len(li) - k] + rj.rhs.letters)
+                if li[len(li) - k:] == lj[:k]:
+                    source = li + lj[k:]
+                    left = ri.rhs + lj[k:]
+                    right = li[: len(li) - k] + rj.rhs
                     pairs.append(CriticalPair(source, left, right, SUFFIX_PREFIX, (i, j)))
             if i == j:
                 continue
@@ -93,8 +92,8 @@ def reference_critical_pairs(sys):
             if len(lj) >= len(li):
                 continue
             for pos in range(len(li) - len(lj) + 1):
-                if li.letters[pos:pos + len(lj)] == lj.letters:
-                    inner = Word(li.letters[:pos] + rj.rhs.letters + li.letters[pos + len(lj):])
+                if li[pos:pos + len(lj)] == lj:
+                    inner = li[:pos] + rj.rhs + li[pos + len(lj):]
                     pairs.append(CriticalPair(li, ri.rhs, inner, EMBEDDING, (i, j)))
     return pairs
 
@@ -368,7 +367,7 @@ class TestVerifyComplete:
     ):
         rng = random.Random(20240811)
         for sys in (sys_moves, sys_aaa):
-            letters = sys.alphabet.letters()
+            letters = sys.alphabet.names()
             for _ in range(200):
                 length = rng.randint(1, 8)
                 word = Word(tuple(rng.choice(letters) for _ in range(length)))
@@ -617,13 +616,13 @@ def test_each_distinct_result_is_normalized_once(monkeypatch):
     calls = []
 
     def counted(word, *args):
-        calls.append(word.names())
+        calls.append(tuple(word))
         return normal_form(word, *args)
 
     monkeypatch.setattr(completeness, "normal_form", counted)
     assert check_local_confluence(comm).status == ALL_JOINED
     results = [
-        result.names()
+        tuple(result)
         for pair in critical_pairs(comm)
         for result in (pair.left_result, pair.right_result)
     ]

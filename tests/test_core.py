@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from frs import (
     Alphabet,
     InputError,
-    Letter,
     NonTerminationError,
     ReductionStep,
     Rule,
@@ -31,7 +30,7 @@ from frs.completeness import (
 from frs.core import DEFAULT_STEP_CAP, irreducible_words
 from frs.large_sub import CLetter, FSets, LargeSubConstruction, LetterClassification
 from frs.letter_intro import LetterIntroResult
-from frs.pipeline import ComplementSpec, Presentation
+from frs.pipeline import Presentation
 from frs.property_r import CandidateTuple, IsomorphismReport, PropertyResult, PropertyRReport
 
 from conftest import (
@@ -53,14 +52,14 @@ def naive_first_redex(word, sys, rightmost=False, start=0):
     for pos in positions:
         for idx, rule in enumerate(sys.rules):
             k = len(rule.lhs)
-            if pos + k <= len(word) and word.letters[pos: pos + k] == rule.lhs.letters:
+            if pos + k <= len(word) and word[pos: pos + k] == rule.lhs:
                 return idx, pos
     return None
 
 
 def naive_apply(word, sys, idx, pos):
     rule = sys.rules[idx]
-    return Word(word.letters[:pos] + rule.rhs.letters + word.letters[pos + len(rule.lhs):])
+    return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
 
 
 def naive_normal_form(word, sys, step_cap, rightmost=False):
@@ -77,7 +76,7 @@ def naive_one_step_reductions(word, sys):
         (ReductionStep(idx, pos), naive_apply(word, sys, idx, pos))
         for pos in range(len(word))
         for idx, rule in enumerate(sys.rules)
-        if word.letters[pos: pos + len(rule.lhs)] == rule.lhs.letters
+        if word[pos: pos + len(rule.lhs)] == rule.lhs
     ]
 
 
@@ -239,8 +238,8 @@ class TestLettersAndWords:
     def test_letters_equal_by_name_across_extensions(self):
         base = Alphabet(["a", "b"])
         extended = base.extended(["s"])
-        assert base.get("a") == extended.get("a")
-        assert base.get("a").index == extended.get("a").index
+        assert base.get("a") is extended.get("a")
+        assert extended.names() == ("a", "b", "s") and list(extended) == ["a", "b", "s"]
 
     def test_fresh_name_is_deterministic(self):
         alphabet = Alphabet(["s", "s0"])
@@ -281,9 +280,8 @@ class TestRepresentation:
 
     def test_word_is_its_tuple_of_letters_and_of_names(self):
         word = w(Alphabet(["a", "b"]), "abb")
-        assert word == tuple(word) == word.letters == ("a", "b", "b")
-        assert hash(word) == hash(tuple(word)) == hash(word.names())
-        assert type(word.letters) is tuple
+        assert word == tuple(word) == ("a", "b", "b")
+        assert hash(word) == hash(tuple(word)) == hash(("a", "b", "b"))
         assert {word: 1}[("a", "b", "b")] == 1
 
     def test_slices_and_concatenation_are_words(self):
@@ -291,29 +289,28 @@ class TestRepresentation:
         for part in (word[1:], word[:0], word[::-1], word + word, word[:1] + Word()):
             assert type(part) is Word
         assert word[1:] == ("b", "b")
-        assert word[0] == "a" and word[0].index == 0
+        assert word[0] == "a" and type(word[0]) is str
 
     def test_words_have_no_instance_dict(self):
         word = w(Alphabet(["a"]), "a")
         with pytest.raises(AttributeError):
             word.extra = 1
 
-    def test_letter_is_its_name_and_keeps_its_index(self):
-        letter = Letter("a", 0)
-        assert letter == "a" and hash(letter) == hash("a")
-        assert letter.index == 0 and Letter("a", 5) == letter
-        assert letter.name == "a" and type(letter.name) is str
-        assert Alphabet(["x", "y"]).get("y").index == 1
+    def test_letter_is_its_name(self):
+        alphabet = Alphabet(["x", "y"])
+        letter = alphabet.get("y")
+        assert letter == "y" and type(letter) is str
+        assert letter is alphabet.get("y") and alphabet.names() == ("x", "y")
 
     def test_reprs(self):
         alphabet = Alphabet(["a", "b"])
         assert repr(w(alphabet, "ab")) == "Word('a b')"
         assert repr(Word()) == "Word('')"
-        assert repr(alphabet.get("a")) == "Letter('a')"
+        assert repr(alphabet.get("a")) == "'a'"
         assert str(w(alphabet, "ab")) == "a b" and type(str(w(alphabet, "ab"))) is str
 
     def test_a_letter_of_another_alphabet_is_named_plainly(self):
-        letters = Alphabet(["a", "b"]).letters()
+        letters = Alphabet(["a", "b"]).names()
         assert Alphabet([*letters, "c"]).names() == ("a", "b", "c")
         with pytest.raises(InputError, match=r"^duplicate letter 'a'$"):
             Alphabet([*letters, letters[0]])
@@ -333,7 +330,7 @@ def record_cases():
     ba, a_b, a = ab.word("b a"), ab.word("a b"), ab.word("a")
     rule = Rule(ba, a_b, ("D1",))
     comm = RewritingSystem(ab, (rule,))
-    presentation = Presentation(comm, ComplementSpec((a,)), (("c", ("a", "b")),))
+    presentation = Presentation(comm, (a,), (("c", ("a", "b")),))
     pair = CriticalPair(ba, a_b, a_b, "embedding", (0, 0))
     termination = TerminationEvidence("bounded_verified", "length", 4, (ba, a_b))
     confluence = ConfluenceEvidence("counterexample", 2, pair, a_b, ba)
@@ -363,10 +360,9 @@ def record_cases():
          {}, (presentation, classification, (c_letter,), ab, comm)),
         (LetterIntroResult, ("new_letter", "w0", "b_alphabet", "r_s", "base"), {},
          (ab.get("b"), a_b, ab, comm, comm)),
-        (ComplementSpec, ("words",), {}, ((a, ba),)),
         (Presentation, ("system", "complement", "generators"),
          {"complement": None, "generators": ()},
-         (comm, ComplementSpec((a,)), (("c", ("a", "b")),))),
+         (comm, (a,), (("c", ("a", "b")),))),
         (CandidateTuple, ("base", "system", "phi", "rho", "in_at", "in_t", "heavy"),
          {"heavy": frozenset()}, (comm, comm, str, repr, bool, callable, frozenset({"a"}))),
         (PropertyResult, ("name", "status", "bound", "witness_count", "counterexample", "note"),
@@ -392,7 +388,7 @@ class TestRecords:
     record."""
 
     def test_every_record_is_covered(self):
-        assert len({cls for cls, *_ in RECORD_CASES}) == 18
+        assert len({cls for cls, *_ in RECORD_CASES}) == 17
 
     @pytest.mark.parametrize("case", RECORD_CASES, ids=lambda case: case[0].__name__)
     def test_positional_and_keyword_construction(self, case):
@@ -469,20 +465,20 @@ class TestRecords:
         def build(generators=(), complement="a"):
             base = system("a b", ("ba", "ab"))
             words = (w(base.alphabet, complement),)
-            return Presentation(base, ComplementSpec(words), generators)
+            return Presentation(base, words, generators)
 
         first = build()
         assert first == build() and first.complement == build().complement
-        assert hash(first.complement) == hash(build().complement)
+        assert type(first.complement) is tuple
         assert first != build(complement="b") and first != build((("c", ("a",)),))
         assert first != Presentation(first.system)
         assert Presentation(first.system) == Presentation(system("a b", ("ba", "ab")))
         with pytest.raises(InputError, match="outside the alphabet"):
-            Presentation(first.system, ComplementSpec((Alphabet(["z"]).word("z"),)))
+            Presentation(first.system, (Alphabet(["z"]).word("z"),))
 
     def test_caches_take_no_part_in_equality(self):
         cold, warm = (
-            Presentation(system("a b", ("ba", "ab")), ComplementSpec((Alphabet(["a"]).word("a"),)))
+            Presentation(system("a b", ("ba", "ab")), (Alphabet(["a"]).word("a"),))
             for _ in range(2)
         )
         warm.membership, warm.system.matcher
@@ -494,11 +490,9 @@ class TestRecords:
         ab = Alphabet(["a", "b"])
         assert repr(ReductionStep(1, 2)) == "ReductionStep(rule_index=1, position=2)"
         assert repr(Rule(ab.word("b a"), ab.word("a b"), ("D1",))) == "Rule('b a' -> 'a b')"
-        complement = ComplementSpec((ab.word("a"),))
-        assert repr(complement) == "ComplementSpec(words=(Word('a'),))"
-        assert repr(Presentation(system("a b", ("ba", "ab")), complement)) == (
+        assert repr(Presentation(system("a b", ("ba", "ab")), (ab.word("a"),))) == (
             "Presentation(system=RewritingSystem([a, b]; b a->a b), "
-            "complement=ComplementSpec(words=(Word('a'),)), generators=())"
+            "complement=(Word('a'),), generators=())"
         )
         assert repr(PropertyResult("P1", "verified", 4)) == (
             "PropertyResult(name='P1', status='verified', bound=4, witness_count=0, "
@@ -874,16 +868,16 @@ class TestSuccessors:
     def test_successors_list_one_step_reductions(self, fixture, request):
         sys = request.getfixturevalue(fixture)
         for word in words_over(sys.alphabet, 6):
-            assert sys.matcher.successors(word.names()) == [
-                result.names() for _, result in one_step_reductions(word, sys)
+            assert sys.matcher.successors(tuple(word)) == [
+                tuple(result) for _, result in one_step_reductions(word, sys)
             ]
 
     @settings(max_examples=300, deadline=None)
     @given(small_systems(), st.lists(st.sampled_from(LETTERS), min_size=1, max_size=8))
     def test_random_systems_agree(self, sys, names):
         word = sys.alphabet.word(names)
-        assert sys.matcher.successors(word.names()) == [
-            result.names() for _, result in naive_one_step_reductions(word, sys)
+        assert sys.matcher.successors(tuple(word)) == [
+            tuple(result) for _, result in naive_one_step_reductions(word, sys)
         ]
 
     def test_threads_sharing_a_cold_matcher_agree(self):
@@ -891,7 +885,7 @@ class TestSuccessors:
         # system across threads, which may then build the matcher's
         # right-hand-side table at the same time.
         rules = system("a b c", ("ab", "ba"), ("ba", "c"), ("c", "aa"), ("bb", "b"))
-        words = [word.names() for word in words_over(rules.alphabet, 6)]
+        words = [tuple(word) for word in words_over(rules.alphabet, 6)]
         expected = [rules.matcher.successors(names) for names in words]
         cold = rules.with_rules(rules.rules)
         interval = getswitchinterval()

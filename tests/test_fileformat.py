@@ -1,7 +1,6 @@
 import pytest
 
 from frs import (
-    ComplementSpec,
     ParseError,
     Presentation,
     parse_presentation,
@@ -98,7 +97,7 @@ class TestSerialize:
         assert serialize_presentation(Presentation(sys)) == "alphabet: a s\n"
 
     def test_complement_line(self, sys_aaa):
-        pres = Presentation(sys_aaa, ComplementSpec((w(sys_aaa.alphabet, "a"),)))
+        pres = Presentation(sys_aaa, (w(sys_aaa.alphabet, "a"),))
         assert serialize_presentation(pres).endswith("complement: a\n")
 
 
@@ -143,7 +142,7 @@ class TestGenerators:
 class TestRoundTrip:
     def test_parse_of_serialize_is_identity(self, sys_moves, sys_aaa):
         for sys in (sys_moves, sys_aaa):
-            pres = Presentation(sys, ComplementSpec((w(sys.alphabet, "a"),)))
+            pres = Presentation(sys, (w(sys.alphabet, "a"),))
             assert parse_presentation(serialize_presentation(pres)) == pres
 
     def test_serialize_of_parse_fixes_canonical_files(self):

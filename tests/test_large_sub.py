@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frs import (
     Alphabet,
-    ComplementSpec,
     InputError,
     NonTerminationError,
     PreconditionError,
@@ -50,12 +49,12 @@ def ladder_presentation(shape):
     letters, rules, complement = LADDER_SHAPES[shape]
     sys = system(letters, *rules)
     words = tuple(w(sys.alphabet, text) for text in complement)
-    return prepare_presentation(Presentation(sys, ComplementSpec(words)))
+    return prepare_presentation(Presentation(sys, words))
 
 
 def reference_in_T(word, presentation, step_cap=DEFAULT_STEP_CAP):
     """The unmemoized membership test in T."""
-    complement = set(presentation.complement.words)
+    complement = set(presentation.complement)
     return normal_form(word, presentation.system, step_cap) not in complement
 
 
@@ -63,12 +62,12 @@ def reference_in_AT(word, presentation, step_cap=DEFAULT_STEP_CAP):
     """The unmemoized representative-set test: one normal form per factor."""
     if not word:
         return False
-    complement = {w.letters[0] for w in presentation.complement.words}
+    complement = {w[0] for w in presentation.complement}
     system = presentation.system
 
     def factor_in_t(factor):
         form = normal_form(factor, system, step_cap)
-        return not (len(form) == 1 and form.letters[0] in complement)
+        return not (len(form) == 1 and form[0] in complement)
 
     for letter in word:
         single = Word((letter,))
@@ -103,7 +102,7 @@ def prepared_presentations(draw):
     complement = draw(st.lists(st.text("ab", min_size=1, max_size=2), min_size=1, max_size=2))
     presentation = Presentation(
         RewritingSystem(alphabet, tuple(rules)),
-        ComplementSpec(tuple(alphabet.word(list(text)) for text in complement)),
+        tuple(alphabet.word(list(text)) for text in complement),
     )
     try:
         return prepare_presentation(presentation)
@@ -124,28 +123,28 @@ def cons_free(pres_free_ab):
 class TestClassification:
     def test_free_two_letters(self, pres_free_ab):
         cls = classify_letters(pres_free_ab)
-        assert [l.name for l in cls.a1] == ["b"]
-        assert [l.name for l in cls.a_s] == ["a"]
+        assert cls.a1 == ("b",)
+        assert cls.a_s == ("a",)
         assert cls.excluded == ()
 
     def test_single_letter_complement_only(self, pres_aaa):
         cls = classify_letters(pres_aaa)
         assert cls.a1 == ()
-        assert [l.name for l in cls.a_s] == ["a"]
+        assert cls.a_s == ("a",)
 
     def test_after_letterization(self, free_ab):
         pres = prepare_presentation(
-            Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "ab"),)))
+            Presentation(free_ab, (w(free_ab.alphabet, "ab"),))
         )
         cls = classify_letters(pres)
-        assert [l.name for l in cls.a1] == ["a", "b"]
-        assert [l.name for l in cls.a_s] == ["s"]
+        assert cls.a1 == ("a", "b")
+        assert cls.a_s == ("s",)
 
     def test_letter_reducing_to_complement_is_excluded(self):
         sys = system("a b", ("b", "a"))
-        pres = Presentation(sys, ComplementSpec((w(sys.alphabet, "a"),)))
+        pres = Presentation(sys, (w(sys.alphabet, "a"),))
         cls = classify_letters(pres)
-        assert [l.name for l in cls.excluded] == ["b"]
+        assert cls.excluded == ("b",)
         assert cls.a1 == ()
 
 
@@ -169,7 +168,7 @@ class TestMembership:
 
     def test_excluded_letters_break_membership(self):
         sys = system("a b", ("b", "a"))
-        pres = Presentation(sys, ComplementSpec((w(sys.alphabet, "a"),)))
+        pres = Presentation(sys, (w(sys.alphabet, "a"),))
         assert not in_AT(w(sys.alphabet, "bb"), pres)
 
     def test_without_complement_rejected(self, free_ab):
@@ -213,8 +212,8 @@ class TestMembershipCache:
         with pytest.raises(NonTerminationError):
             in_AT(word, pres, step_cap=1)
         tables = pres.membership.factor_ok
-        assert word.names() in tables[DEFAULT_STEP_CAP]
-        assert word.names() not in tables[1]
+        assert tuple(word) in tables[DEFAULT_STEP_CAP]
+        assert tuple(word) not in tables[1]
 
     def test_foreign_letter_rejected_after_table_warm(self, pres_free_ab):
         for word in words_over(pres_free_ab.system.alphabet, 4):
@@ -246,12 +245,12 @@ class TestMembershipCache:
         assert results == [expected] * 4
 
     def test_equality_ignores_the_cache(self, free_ab):
-        left = Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "a"),)))
-        right = Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "a"),)))
+        left = Presentation(free_ab, (w(free_ab.alphabet, "a"),))
+        right = Presentation(free_ab, (w(free_ab.alphabet, "a"),))
         assert in_AT(w(free_ab.alphabet, "aba"), left)
         assert left == right and right == left
         assert left.membership is not right.membership
-        assert left != Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "b"),)))
+        assert left != Presentation(free_ab, (w(free_ab.alphabet, "b"),))
 
 
 class TestFSets:
@@ -275,7 +274,7 @@ class TestFSets:
         # empty, so no generating alphabet exists.
         sys = system("a b", ("ab", "a"), ("ba", "a"), ("aa", "a"), ("bb", "b"))
         pres = Presentation(
-            sys, ComplementSpec((w(sys.alphabet, "a"), w(sys.alphabet, "b")))
+            sys, (w(sys.alphabet, "a"), w(sys.alphabet, "b"))
         )
         cls = classify_letters(pres)
         f = build_f_sets(cls, pres)
@@ -294,7 +293,7 @@ class TestBAlphabet:
             "c_a_b_a",
             "c_a_a_a",
         )
-        kinds = {c.letter.name: c.kind for c in cons_free.c_letters}
+        kinds = {c.letter: c.kind for c in cons_free.c_letters}
         assert kinds == {
             "c_b_a": "C_R",
             "c_a_b": "C_L1",
@@ -388,7 +387,7 @@ class TestConstruction:
         assert cons_free.n_bound == 4
         assert all("D2" in rule.tags for rule in cons_free.r_t.rules)
         sample = {
-            (rule.lhs.names(), rule.rhs.names()) for rule in cons_free.r_t.rules
+            (tuple(rule.lhs), tuple(rule.rhs)) for rule in cons_free.r_t.rules
         }
         assert (("c_b_a", "c_a_b"), ("b", "c_a_a", "b")) in sample
         assert len(cons_free.r_t.rules) == 18
@@ -406,7 +405,7 @@ class TestConstruction:
 
     def test_non_subsemigroup_rejected(self, free_ab):
         pres = prepare_presentation(
-            Presentation(free_ab, ComplementSpec((w(free_ab.alphabet, "ab"),)))
+            Presentation(free_ab, (w(free_ab.alphabet, "ab"),))
         )
         with pytest.raises(PreconditionError):
             build_construction(pres)

@@ -2,7 +2,6 @@ import pytest
 
 from frs import (
     CandidateTuple,
-    ComplementSpec,
     NonTerminationError,
     Presentation,
     PreconditionError,
@@ -20,7 +19,7 @@ from frs import (
     verify_complete,
     words_over,
 )
-from frs import property_r
+from frs import Rule, completeness, property_r
 from frs.property_r import SWEEP_CHUNK
 
 from conftest import system, w
@@ -44,7 +43,7 @@ def tuple_aaa(pres_aaa):
 def construction(letters, *rules, complement):
     base = system(letters, *rules)
     words = tuple(w(base.alphabet, word) for word in complement)
-    pres = Presentation(base, ComplementSpec(words))
+    pres = Presentation(base, words)
     return build_construction(prepare_presentation(pres)).as_candidate_tuple()
 
 
@@ -160,6 +159,35 @@ class TestProperties:
         )
         with pytest.raises(PreconditionError):
             check_p1_to_p6(broken, 6, 4)
+
+    def test_sandwich_checks_words_up_to_length_six(self, tuple_aa):
+        # Every word over a is an irreducible T-word; leaving a length out
+        # of the representative set is caught up to length 6 only.
+        skip_seven = tuple_aa._replace(in_at=lambda word: len(word) != 7)
+        check_p1_to_p6(skip_seven, 7, 2)
+        skip_three = tuple_aa._replace(in_at=lambda word: len(word) not in (3, 7))
+        with pytest.raises(PreconditionError, match="misses the irreducible T-word 'a a a'$"):
+            check_p1_to_p6(skip_three, 7, 2)
+
+    def test_p3_runs_the_cycle_search_once(self, tuple_aa, monkeypatch):
+        # a s -> s a undoes s a -> a s, and both keep the image, so neither
+        # the declared heavy letter s nor any other letter set certifies
+        # the image-preserving rules; only the certificate search is retried.
+        alphabet = tuple_aa.system.alphabet
+        undo = Rule(alphabet.word("a s"), alphabet.word("s a"))
+        looping = tuple_aa._replace(system=tuple_aa.system.with_rules(tuple_aa.system.rules + (undo,)))
+        calls = []
+        search = completeness._bounded_cycle_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(completeness, "_bounded_cycle_search", counted)
+        res = check_p1_to_p6(looping, 4, 3).result("P3")
+        assert len(calls) == 1
+        assert res.status == "counterexample"
+        assert [str(word) for word in res.counterexample] == ["a s", "s a", "a s"]
 
 
     def test_straightening_path_of_exactly_the_cap_is_found(self):
