@@ -466,10 +466,25 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestGolden:
-    """Whole CLI outputs on comm and two, pinned byte for byte: the stdout,
-    stderr and exit code of each command in ``transcript.txt``, and each
-    written target file under its own name."""
+    """Whole CLI outputs, pinned byte for byte: the stdout, stderr and exit
+    code of each command in ``transcript.txt``, and each written target
+    file under its own name.  After the constructions on comm and two come
+    the outputs that print words: a normal form, a letter introduction and
+    its refusal, a termination cycle, an unjoinable critical pair, the
+    mismatches and counterexample of a sabotaged target, and a complement
+    that is not closed under products."""
 
+    INPUTS = {
+        "comm.frs": COMM,
+        "two.frs": TWO,
+        "cycle.frs": CYCLE,
+        "fork.frs": "alphabet: a b c\nrule: a b c -> a b\nrule: b c -> c b\n",
+        "free.frs": FREE_A,
+        # The C6 rule s a -> a s is dropped, so s a and a s stay apart.
+        "sab.frs": "alphabet: a s\nrule: a a -> s\ngenerator: s = a a\n",
+        # a times b b is c, a complement letter.
+        "open.frs": "alphabet: a b c\nrule: a b b -> c\ncomplement: c\n",
+    }
     COMMANDS = [
         ["large-sub", "comm.frs", "-o", "comm.t"],
         ["large-sub", "comm.frs", "-o", "comm.ti", "--interreduce"],
@@ -479,16 +494,24 @@ class TestGolden:
         ["check", "two.ti"],
         ["verify-tuple", "comm.frs", "comm.t", "--bound-a", "5", "--bound-b", "3"],
         ["verify-iso", "comm.frs", "comm.t", "--bound", "4"],
+        ["nf", "comm.frs", "--word", "b a b a"],
+        ["letter-intro", "two.frs", "--w0", "a b", "-o", "two.li"],
+        ["letter-intro", "comm.frs", "--w0", "b a", "-o", "comm.li"],
+        ["check", "cycle.frs", "--step-cap", "50"],
+        ["check", "fork.frs"],
+        ["verify-iso", "free.frs", "sab.frs", "--bound", "3"],
+        ["verify-tuple", "free.frs", "sab.frs"],
+        ["large-sub", "open.frs", "-o", "open.t"],
     ]
-    TARGETS = ["comm.t", "comm.ti", "two.t", "two.ti"]
+    TARGETS = ["comm.t", "comm.ti", "two.t", "two.ti", "two.li"]
 
     @staticmethod
     def run(directory, capsys, monkeypatch):
         """The transcript and the target files that ``COMMANDS`` give when
         run in ``directory``, as {file name: text}."""
         monkeypatch.chdir(directory)
-        Path("comm.frs").write_text(COMM)
-        Path("two.frs").write_text(TWO)
+        for name, text in TestGolden.INPUTS.items():
+            Path(name).write_text(text)
         capsys.readouterr()
         transcript = []
         for args in TestGolden.COMMANDS:

@@ -475,6 +475,9 @@ class TestRecords:
         assert Presentation(first.system) == Presentation(system("a b", ("ba", "ab")))
         with pytest.raises(InputError, match="outside the alphabet"):
             Presentation(first.system, (Alphabet(["z"]).word("z"),))
+        with pytest.raises(InputError) as exc:
+            Presentation(first.system, (Alphabet(["a", "z"]).word("a z"),))
+        assert str(exc.value) == "complement word 'a z' uses letter 'z' outside the alphabet"
 
     def test_caches_take_no_part_in_equality(self):
         cold, warm = (

@@ -343,6 +343,25 @@ class TestPhiRho:
             with pytest.raises(PreconditionError, match="rho is undefined"):
                 rho_t(Word(), cons_free, check=check)
 
+    def test_rho_precondition_messages_name_the_word(self):
+        # c reduces to the complement letter a, so it is excluded from B and
+        # the prefix a c is no boundary word.
+        base = system("a b c", ("c", "a"))
+        cons = build_construction(prepare_presentation(Presentation(base, (w(base.alphabet, "a"),))))
+        cases = [
+            ("b c", True, "'b c' is not in the representative set; rho is undefined on it"),
+            (
+                "a c b",
+                False,
+                "'a c b' is not in the representative set (prefix 'a c' crosses the complement)",
+            ),
+            ("b c", False, "'b c' is not in the representative set"),
+        ]
+        for text, check, message in cases:
+            with pytest.raises(PreconditionError) as exc:
+                rho_t(w(base.alphabet, text), cons, check=check)
+            assert str(exc.value) == message
+
     def test_retraction_identity_on_representatives(self, cons_free, cons_aaa):
         for cons in (cons_free, cons_aaa):
             base = cons.presentation.system.alphabet

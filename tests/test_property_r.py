@@ -169,6 +169,17 @@ class TestProperties:
         with pytest.raises(PreconditionError, match="misses the irreducible T-word 'a a a'$"):
             check_p1_to_p6(skip_three, 7, 2)
 
+    def test_sandwich_messages_name_the_word(self, tuple_aa, tuple_two):
+        # Under two's a a a -> a, a a is the complement class s.
+        too_many = tuple_two._replace(in_at=lambda word: len(word) == 2 or tuple_two.in_at(word))
+        with pytest.raises(PreconditionError) as exc:
+            check_p1_to_p6(too_many, 3, 2)
+        assert str(exc.value) == "representative set contains 'a a' whose class is outside T"
+        too_few = tuple_aa._replace(in_at=lambda word: len(word) != 2)
+        with pytest.raises(PreconditionError) as exc:
+            check_p1_to_p6(too_few, 3, 2)
+        assert str(exc.value) == "representative set misses the irreducible T-word 'a a'"
+
     def test_p3_runs_the_cycle_search_once(self, tuple_aa, monkeypatch):
         # a s -> s a undoes s a -> a s, and both keep the image, so neither
         # the declared heavy letter s nor any other letter set certifies
