@@ -18,6 +18,7 @@ from .core import (
     normal_form,
     one_step_reductions,
     reduces_to,
+    show,
     substitute,
     words_over,
 )

@@ -19,6 +19,7 @@ from .core import (
     RewritingSystem,
     Word,
     normal_form,
+    show,
 )
 from .fileformat import parse_presentation, serialize_presentation
 from .large_sub import (
@@ -45,7 +46,7 @@ def _load(path: str) -> Presentation:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse_presentation(text)
 
@@ -58,8 +59,11 @@ def _word_from(arg: str, system: RewritingSystem) -> Word:
 
 
 def _write(path: str, presentation: Presentation) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_presentation(presentation))
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(serialize_presentation(presentation))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _require_complete(system: RewritingSystem, max_len: int, step_cap: int, label: str) -> None:
@@ -78,7 +82,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if term.status == completeness.BOUNDED_VERIFIED:
         detail = f"no reduction cycles among words of length <= {term.depth}"
     if term.status == completeness.COUNTEREXAMPLE and term.cycle:
-        detail = " -> ".join(str(w) for w in term.cycle)
+        detail = " -> ".join(map(show, term.cycle))
     print(f"termination: {term.status}" + (f" ({detail})" if detail else ""))
     conf = report.local_confluence
     if conf.status == completeness.ALL_JOINED:
@@ -88,8 +92,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if conf.status == completeness.INCONCLUSIVE:
             detail = f"step cap {args.step_cap} exceeded"
         else:
-            detail = f"{conf.left_nf} vs {conf.right_nf}"
-        print(f"local confluence: {conf.status} at source '{pair.source}' ({detail})")
+            detail = f"{show(conf.left_nf)} vs {show(conf.right_nf)}"
+        print(f"local confluence: {conf.status} at source '{show(pair.source)}' ({detail})")
     else:
         print(f"local confluence: {conf.status}")
     print(f"verdict: {report.verdict}")
@@ -103,7 +107,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_nf(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
     word = _word_from(args.word, presentation.system)
-    print(normal_form(word, presentation.system, args.step_cap))
+    print(show(normal_form(word, presentation.system, args.step_cap)))
     return OK
 
 
@@ -115,7 +119,7 @@ def _cmd_letter_intro(args: argparse.Namespace) -> int:
     generators = tuple(result.images.items())
     _write(args.output, Presentation(result.r_s, presentation.complement, generators))
     print(
-        f"introduced letter '{result.new_letter}' for '{result.w0}'; "
+        f"introduced letter '{result.new_letter}' for '{show(result.w0)}'; "
         f"{len(result.r_s.rules)} rules written to {args.output}"
     )
     return OK
@@ -218,7 +222,7 @@ def _cmd_verify_tuple(args: argparse.Namespace) -> int:
         elif res.status == "inconclusive":
             line += f" (bound {res.bound})"
         elif res.counterexample:
-            line += " at " + " / ".join(f"'{w}'" for w in res.counterexample)
+            line += " at " + " / ".join(f"'{show(w)}'" for w in res.counterexample)
         if res.note:
             line += f" [{res.note}]"
         print(line)
@@ -239,8 +243,8 @@ def _cmd_verify_iso(args: argparse.Namespace) -> int:
     print(f"forward injective: {'yes' if report.forward_injective else 'no'}")
     print(f"slice surjective: {'yes' if report.slice_surjective else 'no'}")
     print(f"mismatches: {len(report.mismatches)}")
-    for mismatch in report.mismatches[:10]:
-        print("  " + " / ".join(str(part) for part in mismatch))
+    for tag, *words in report.mismatches[:10]:
+        print("  " + " / ".join([tag, *map(show, words)]))
     return OK if not report.mismatches else FAILED
 
 

@@ -33,8 +33,6 @@ from .core import (
 
 DEFAULT_SEARCH_LEN = 6
 
-Letters = tuple[Letter, ...]
-
 SUFFIX_PREFIX = "suffix-prefix"
 EMBEDDING = "embedding"
 
@@ -86,13 +84,13 @@ class CompletenessReport(NamedTuple):
 
 def _overlaps(
     system: RewritingSystem,
-) -> Iterator[tuple[Letters, Letters, Letters, str, tuple[int, int]]]:
+) -> Iterator[tuple[Word, Word, Word, str, tuple[int, int]]]:
     """Every critical pair, as it is found, in the order of
     :func:`critical_pairs`: (source, left result, right result, overlap
-    kind, rule indices), the words as plain tuples."""
+    kind, rule indices)."""
     matcher = system.matcher
     lhs, rhs = matcher.lhs, matcher.rhs
-    by_prefix: dict[Letters, list[int]] = {}
+    by_prefix: dict[Word, list[int]] = {}
     for j, lj in enumerate(lhs):
         for k in range(1, len(lj)):
             by_prefix.setdefault(lj[:k], []).append(j)
@@ -120,12 +118,6 @@ def _overlaps(
                     yield li, rhs[i], li[:pos] + rhs[j] + li[pos + len_j:], EMBEDDING, (i, j)
 
 
-def _pair(
-    source: Letters, left: Letters, right: Letters, kind: str, rules: tuple[int, int]
-) -> CriticalPair:
-    return CriticalPair(Word(source), Word(left), Word(right), kind, rules)
-
-
 def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     """Enumerate all superpositions of the system's left-hand sides.
 
@@ -140,7 +132,7 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     index of proper prefixes), and those whose lhs is a factor of lhs i
     (the redexes of lhs i, found by the matcher's trie).
     """
-    return [_pair(*overlap) for overlap in _overlaps(system)]
+    return [CriticalPair(*overlap) for overlap in _overlaps(system)]
 
 
 def _measure(word: Word, heavy: frozenset[Letter]) -> tuple[int, int, int]:
@@ -224,16 +216,15 @@ def _bounded_cycle_search(
     system: RewritingSystem, max_len: int, step_cap: int
 ) -> TerminationEvidence:
     """Exhaustive cycle search over the reduction graph restricted to words
-    of length <= max_len, on plain tuples."""
+    of length <= max_len."""
     successors = system.matcher.successors
-    color: dict[tuple[Letter, ...], int] = {}  # 1 = on current path, 2 = done
+    color: dict[Word, int] = {}  # 1 = on current path, 2 = done
     explored = 0
-    for word in words_over(system.alphabet, max_len):
-        start = tuple(word)
+    for start in words_over(system.alphabet, max_len):
         if color.get(start) == 2:
             continue
-        path: list[tuple[Letter, ...]] = []
-        stack: list[tuple[tuple[Letter, ...], list[tuple[Letter, ...]] | None]] = [(start, None)]
+        path: list[Word] = []
+        stack: list[tuple[Word, list[Word] | None]] = [(start, None)]
         while stack:
             node, succ = stack.pop()
             if succ is None:
@@ -250,11 +241,8 @@ def _bounded_cycle_search(
                 succ = [nxt for nxt in successors(node) if len(nxt) <= max_len]
                 for nxt in succ:
                     if color.get(nxt) == 1:
-                        cycle = path[path.index(nxt):] + [nxt]
-                        return TerminationEvidence(
-                            COUNTEREXAMPLE,
-                            cycle=tuple(Word(node) for node in cycle),
-                        )
+                        cycle = (*path[path.index(nxt):], nxt)
+                        return TerminationEvidence(COUNTEREXAMPLE, cycle=cycle)
                 stack.append((node, succ))
                 for nxt in succ:
                     if nxt not in color:
@@ -297,12 +285,12 @@ def check_local_confluence(
     inconclusive rather than as a counterexample.  Decisive only when
     termination is already established.
     """
-    normal: dict[Letters, Word] = {}
+    normal: dict[Word, Word] = {}
 
-    def normal_of(result: Letters) -> Word:
+    def normal_of(result: Word) -> Word:
         found = normal.get(result)
         if found is None:
-            found = normal[result] = normal_form(Word(result), system, step_cap)
+            found = normal[result] = normal_form(result, system, step_cap)
         return found
 
     joined = 0
@@ -312,13 +300,13 @@ def check_local_confluence(
             right_nf = normal_of(overlap[2])
         except NonTerminationError:
             return ConfluenceEvidence(
-                INCONCLUSIVE, joined_count=joined, counterexample=_pair(*overlap)
+                INCONCLUSIVE, joined_count=joined, counterexample=CriticalPair(*overlap)
             )
         if left_nf != right_nf:
             return ConfluenceEvidence(
                 COUNTEREXAMPLE,
                 joined_count=joined,
-                counterexample=_pair(*overlap),
+                counterexample=CriticalPair(*overlap),
                 left_nf=left_nf,
                 right_nf=right_nf,
             )

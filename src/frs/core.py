@@ -2,9 +2,10 @@
 
 Everything in this module is a pure value, and all reduction functions
 are deterministic functions of their inputs.  A letter is its name, a
-plain ``str``, and a word is a tuple of letters: a :class:`Word` is a
-``tuple``.  So a word and the plain tuple of its letters are equal and
-hash alike, and there is nothing to convert between them.
+plain ``str``, and a word is the plain ``tuple`` of its letters; the
+empty word ``()`` occurs as a context factor but is rejected as a rule
+side and as a reduction input.  :func:`show` is the one place that knows
+how a word is written: its letter names separated by single spaces.
 
 Reduction contract: a reduction step rewrites the leftmost position at
 which some left-hand side occurs, and among the rules whose left-hand side
@@ -13,13 +14,6 @@ position order only).  ``one_step_reductions`` lists every step ordered by
 (position, rule index).  Every redex and factor search walks one trie of
 left-hand sides, the system's :class:`LhsMatcher`, which is built once per
 system on first use.
-
-Hot loops (``normal_form`` and the graph searches: ``reduces_to``,
-``descendants``, ``disorder``, and the cycle and property searches of
-``completeness`` and ``property_r``) take ``tuple(word)`` once, at entry,
-and slice that plain tuple: a :class:`Word` slice goes through Python to
-return a word.  They check their start word once and wrap in :class:`Word`
-only what they hand back: returned words, cycle traces and error traces.
 """
 
 from __future__ import annotations
@@ -61,20 +55,27 @@ class NonTerminationError(RewriteError):
     def __init__(
         self,
         message: str,
-        trace: "tuple[Word, ...] | Callable[[], tuple[Word, ...]]" = (),
+        trace: tuple[Word, ...] | Callable[[], tuple[Word, ...]] = (),
     ):
         super().__init__(message)
         self._trace = trace
 
     @property
-    def trace(self) -> tuple["Word", ...]:
+    def trace(self) -> tuple[Word, ...]:
         if callable(self._trace):
             self._trace = self._trace()
         return self._trace
 
 
-# A letter is its name; the alias marks where a name stands for a letter.
+# A letter is its name and a word the tuple of its letters; the aliases
+# mark where a name stands for a letter and a tuple for a word.
 Letter = str
+Word = tuple[Letter, ...]
+
+
+def show(word: Word) -> str:
+    """The written form of a word: its letters separated by spaces."""
+    return " ".join(word)
 
 
 class Alphabet:
@@ -131,40 +132,14 @@ class Alphabet:
     def names(self) -> tuple[Letter, ...]:
         return tuple(self._by_name)
 
-    def word(self, source: "str | Iterable[str]") -> "Word":
+    def word(self, source: str | Iterable[str]) -> Word:
         """Build a word from whitespace-separated letter names (or any
         iterable of names)."""
-        names = source.split() if isinstance(source, str) else list(source)
-        return Word(self.get(name) for name in names)
+        names = source.split() if isinstance(source, str) else source
+        return tuple(self.get(name) for name in names)
 
     def __repr__(self) -> str:
         return f"Alphabet({list(self._by_name)})"
-
-
-class Word(tuple):
-    """A finite (possibly empty) sequence of letters: a ``tuple`` of
-    letter names that equals and hashes as that tuple.  Slices and ``+``
-    return words.
-
-    The empty word is representable because it occurs as a context factor,
-    but it is rejected as a rule side and as a reduction input.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(tuple.__add__(self, other))
-
-    def __getitem__(self, item: "int | slice") -> "Letter | Word":
-        if isinstance(item, slice):
-            return Word(tuple.__getitem__(self, item))
-        return tuple.__getitem__(self, item)
-
-    def __str__(self) -> str:
-        return " ".join(self)
-
-    def __repr__(self) -> str:
-        return f"Word({str(self)!r})"
 
 
 def substitute(word: Word, images: Mapping[str, Word]) -> Word:
@@ -178,7 +153,7 @@ def substitute(word: Word, images: Mapping[str, Word]) -> Word:
             letters.append(letter)
         else:
             letters.extend(image)
-    return Word(letters)
+    return tuple(letters)
 
 
 def _read_only(self, name: str, *value: object) -> None:
@@ -213,7 +188,7 @@ class Rule:
         return Rule(self.lhs, self.rhs, merged)
 
     def __repr__(self) -> str:
-        return f"Rule({str(self.lhs)!r} -> {str(self.rhs)!r})"
+        return f"Rule({show(self.lhs)!r} -> {show(self.rhs)!r})"
 
 
 class RuleEmitter:
@@ -278,7 +253,7 @@ class RewritingSystem:
         return RewritingSystem(self.alphabet, tuple(rules))
 
     def __repr__(self) -> str:
-        rules = ", ".join(f"{r.lhs}->{r.rhs}" for r in self.rules)
+        rules = ", ".join(f"{show(r.lhs)}->{show(r.rhs)}" for r in self.rules)
         return f"RewritingSystem([{', '.join(self.alphabet.names())}]; {rules})"
 
 
@@ -286,23 +261,22 @@ class LhsMatcher:
     """The left-hand sides of a rule list, in a trie: the one index that
     every left-hand-side query goes through.
 
-    ``lhs`` and ``rhs`` hold each rule's sides as plain tuples of letters,
-    by rule index; ``maxlen`` is the longest left-hand side (0 with no
-    rules).  In ``trie`` a node maps each letter to its child node, and
-    its key ``None`` holds the ascending indexes of the rules whose
-    left-hand side ends there (duplicates keep every index).  A position
-    of a word is tested by walking the trie from that position's letter,
-    one dict lookup per letter, until the walk falls off; at most
-    positions it stops at the first letter.  Searches take the word as a
-    plain tuple.
+    ``lhs`` and ``rhs`` hold each rule's sides by rule index; ``maxlen``
+    is the longest left-hand side (0 with no rules).  In ``trie`` a node
+    maps each letter to its child node, and its key ``None`` holds the
+    ascending indexes of the rules whose left-hand side ends there
+    (duplicates keep every index).  A position of a word is tested by
+    walking the trie from that position's letter, one dict lookup per
+    letter, until the walk falls off; at most positions it stops at the
+    first letter.
     """
 
     __slots__ = ("trie", "lhs", "rhs", "maxlen")
 
     def __init__(self, rules: Iterable[Rule]):
         rules = tuple(rules)
-        self.lhs = tuple(tuple(rule.lhs) for rule in rules)
-        self.rhs = tuple(tuple(rule.rhs) for rule in rules)
+        self.lhs = tuple(rule.lhs for rule in rules)
+        self.rhs = tuple(rule.rhs for rule in rules)
         self.maxlen = max(map(len, self.lhs), default=0)
         self.trie: dict = {}
         for idx, side in enumerate(self.lhs):
@@ -312,7 +286,7 @@ class LhsMatcher:
             node[None] = node.get(None, ()) + (idx,)
 
     def first_redex(
-        self, letters: tuple[Letter, ...], rightmost: bool = False, start: int = 0
+        self, letters: Word, rightmost: bool = False, start: int = 0
     ) -> tuple[int, int] | None:
         """(rule index, position) of the first redex: leftmost position
         (rightmost with ``rightmost=True``), then lowest rule index.  A
@@ -336,7 +310,7 @@ class LhsMatcher:
                 return best, pos
         return None
 
-    def _matches(self, letters: tuple[Letter, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    def _matches(self, letters: Word) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(position, ascending rule indexes) for every position at which
         some left-hand side occurs, left to right."""
         root, n = self.trie, len(letters)
@@ -357,12 +331,12 @@ class LhsMatcher:
             if found is not None:
                 yield pos, found
 
-    def redexes(self, letters: tuple[Letter, ...]) -> list[tuple[int, int]]:
+    def redexes(self, letters: Word) -> list[tuple[int, int]]:
         """Every (position, rule index) occurrence, in that order."""
         return [(pos, idx) for pos, idxs in self._matches(letters) for idx in idxs]
 
-    def successors(self, letters: tuple[Letter, ...]) -> list[tuple[Letter, ...]]:
-        """Every one-step reduct of ``letters``, as plain tuples, in the
+    def successors(self, letters: Word) -> list[Word]:
+        """Every one-step reduct of ``letters``, in the
         (position, rule index) order of :func:`one_step_reductions`.  The
         word is not validated; callers check it once before a search."""
         lhs, rhs = self.lhs, self.rhs
@@ -374,15 +348,14 @@ class LhsMatcher:
         return out
 
 
-def _require_known(word: Word, system: RewritingSystem) -> tuple[Letter, ...]:
-    """The letters of ``word`` as a plain tuple, after checking that each
-    is in the system's alphabet."""
-    letters = tuple(word)
+def _require_known(word: Word, system: RewritingSystem) -> Word:
+    """``word``, after checking that each letter is in the system's
+    alphabet."""
     known = system.alphabet._by_name
-    if not all(map(known.__contains__, letters)):
-        foreign = next(letter for letter in letters if letter not in known)
+    if not all(map(known.__contains__, word)):
+        foreign = next(letter for letter in word if letter not in known)
         raise InputError(f"letter {foreign!r} is not in the system's alphabet")
-    return letters
+    return word
 
 
 def one_step_reductions(
@@ -399,7 +372,7 @@ def one_step_reductions(
     return [
         (
             ReductionStep(idx, pos),
-            Word(letters[:pos] + matcher.rhs[idx] + letters[pos + len(matcher.lhs[idx]):]),
+            letters[:pos] + matcher.rhs[idx] + letters[pos + len(matcher.lhs[idx]):],
         )
         for pos, idx in matcher.redexes(letters)
     ]
@@ -425,8 +398,7 @@ def normal_form(
     exists so tests can cross-check strategy independence).  For a complete
     system the result does not depend on the strategy.
 
-    The reduction runs on a plain tuple and builds one :class:`Word` at the
-    end.  After a leftmost rewrite at ``pos`` the scan resumes at
+    After a leftmost rewrite at ``pos`` the scan resumes at
     ``pos - maxlen + 1`` (``maxlen`` the longest left-hand side): no redex
     started before ``pos``, so a redex of the new word that starts earlier
     would have to reach into the rewritten part.  When ``step_cap`` steps
@@ -436,27 +408,27 @@ def normal_form(
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
-    letters = _require_known(word, system)
+    current = _require_known(word, system)
     matcher = system.matcher
     first_redex, lhs, rhs = matcher.first_redex, matcher.lhs, matcher.rhs
     back = max(matcher.maxlen - 1, 0)
-    current, start = letters, 0
+    start = 0
     for _ in range(step_cap):
         redex = first_redex(current, rightmost, start)
         if redex is None:
-            return word if current is letters else Word(current)
+            return current
         idx, pos = redex
         current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
         start = max(0, pos - back)
     if first_redex(current, rightmost, start) is None:
-        return word if current is letters else Word(current)
+        return current
 
     def replay() -> tuple[Word, ...]:
-        trace, current = [word], letters
+        trace, current = [word], word
         for _ in range(step_cap):
             idx, pos = first_redex(current, rightmost)
             current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
-            trace.append(Word(current))
+            trace.append(current)
         return tuple(trace)
 
     raise NonTerminationError(
@@ -476,9 +448,9 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
         raise InputError("the empty word is not a rewriting input")
     start = _require_known(word, system)
     successors = system.matcher.successors
-    memo: dict[tuple[Letter, ...], int] = {}
-    on_path: set[tuple[Letter, ...]] = set()
-    stack: list[tuple[tuple[Letter, ...], list[tuple[Letter, ...]] | None]] = [(start, None)]
+    memo: dict[Word, int] = {}
+    on_path: set[Word] = set()
+    stack: list[tuple[Word, list[Word] | None]] = [(start, None)]
     while stack:
         node, succ = stack.pop()
         if succ is None:
@@ -492,7 +464,7 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
             succ = successors(node)
             for nxt in succ:
                 if nxt in on_path:
-                    raise NonTerminationError("reduction cycle detected", (Word(node), Word(nxt)))
+                    raise NonTerminationError("reduction cycle detected", (node, nxt))
             stack.append((node, succ))
             for nxt in succ:
                 if nxt not in memo:
@@ -504,18 +476,17 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
 
 
 def _reach(
-    start: tuple[Letter, ...],
+    start: Word,
     system: RewritingSystem,
-    goal: Callable[[tuple[Letter, ...]], bool] | None,
+    goal: Callable[[Word], bool] | None,
     step_cap: int,
     cap_message: str,
-) -> set[tuple[Letter, ...]] | None:
-    """Depth-first search of the reduction graph from ``start``, on plain
-    tuples.  Returns None as soon as a reached state other than ``start``
-    passes ``goal``; otherwise the set of every state reachable from
-    ``start``.  Adding a state beyond ``step_cap`` raises
-    :class:`NonTerminationError` with ``cap_message``.  The caller has
-    validated ``start``."""
+) -> set[Word] | None:
+    """Depth-first search of the reduction graph from ``start``.  Returns
+    None as soon as a reached state other than ``start`` passes ``goal``;
+    otherwise the set of every state reachable from ``start``.  Adding a
+    state beyond ``step_cap`` raises :class:`NonTerminationError` with
+    ``cap_message``.  The caller has validated ``start``."""
     successors = system.matcher.successors
     seen = {start}
     frontier = [start]
@@ -539,10 +510,7 @@ def descendants(
     if not word:
         raise InputError("cannot reduce the empty word")
     start = _require_known(word, system)
-    seen = _reach(
-        start, system, None, step_cap, f"descendant search exceeded {step_cap} states"
-    )
-    return {Word(letters) for letters in seen}
+    return _reach(start, system, None, step_cap, f"descendant search exceeded {step_cap} states")
 
 
 def reduces_to(
@@ -576,8 +544,7 @@ def words_over(
     in (length, letter-order) sequence."""
     pool = tuple(letters)
     for length in range(min_len, max_len + 1):
-        for combo in itertools.product(pool, repeat=length):
-            yield Word(combo)
+        yield from itertools.product(pool, repeat=length)
 
 
 def irreducible_words(system: RewritingSystem, max_len: int) -> Iterator[Word]:
@@ -592,7 +559,7 @@ def irreducible_words(system: RewritingSystem, max_len: int) -> Iterator[Word]:
     """
     first_redex, maxlen = system.matcher.first_redex, system.matcher.maxlen
     letters = system.alphabet.names()
-    level: list[tuple[Letter, ...]] = [()]
+    level: list[Word] = [()]
     for length in range(1, max_len + 1):
         start = max(0, length - maxlen)
         nxt = []
@@ -601,5 +568,5 @@ def irreducible_words(system: RewritingSystem, max_len: int) -> Iterator[Word]:
                 word = prefix + (letter,)
                 if first_redex(word, False, start) is None:
                     nxt.append(word)
-                    yield Word(word)
+                    yield word
         level = nxt

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .core import LETTER_NAME, Alphabet, InputError, RewritingSystem, Rule, Word
+from .core import LETTER_NAME, Alphabet, InputError, RewritingSystem, Rule, Word, show
 from .pipeline import Presentation
 
 _TOKEN = re.compile(r"\S+")
@@ -87,7 +87,7 @@ def parse_presentation(text: str) -> Presentation:
             if token not in alphabet:
                 raise ParseError(f"unknown letter token {token!r}", lineno, column)
             letters.append(alphabet.get(token))
-        return Word(letters)
+        return tuple(letters)
 
     rules: list[Rule] = []
     complement_words: list[Word] = []
@@ -143,15 +143,12 @@ def serialize_presentation(presentation: Presentation) -> str:
     """Canonical text form; provenance tags appear as trailing comments."""
     lines = ["alphabet: " + " ".join(sorted(presentation.system.alphabet.names()))]
     for name, image in presentation.generators:
-        lines.append(f"generator: {name} = {' '.join(image)}")
+        lines.append(f"generator: {name} = {show(image)}")
     for rule in presentation.system.rules:
-        line = f"rule: {rule.lhs} -> {rule.rhs}"
+        line = f"rule: {show(rule.lhs)} -> {show(rule.rhs)}"
         if rule.tags:
             line += "  # " + " ".join(rule.tags)
         lines.append(line)
     if presentation.complement is not None:
-        lines.append(
-            "complement: "
-            + " ; ".join(str(word) for word in presentation.complement)
-        )
+        lines.append("complement: " + " ; ".join(map(show, presentation.complement)))
     return "\n".join(lines) + "\n"

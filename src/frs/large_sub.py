@@ -33,6 +33,7 @@ from .core import (
     _read_only,
     is_irreducible,
     normal_form,
+    show,
     substitute,
 )
 from .pipeline import (
@@ -120,7 +121,7 @@ class LargeSubConstruction:
     def _by_image(self) -> dict[Word, Letter]:
         by_image = {c.image: c.letter for c in self.c_letters}
         for letter in self.classification.a1:
-            by_image.setdefault(Word((letter,)), letter)
+            by_image.setdefault((letter,), letter)
         return by_image
 
     @cached_property
@@ -171,7 +172,7 @@ def classify_letters(
     for letter in presentation.system.alphabet:
         if letter in complement:
             a_s.append(letter)
-        elif _class_in_t(Word((letter,)), presentation, step_cap):
+        elif _class_in_t((letter,), presentation, step_cap):
             a1.append(letter)
         else:
             excluded.append(letter)
@@ -221,16 +222,16 @@ def in_AT(
     table = membership.factor_ok.setdefault(step_cap, {})
     ok = table.get(word)
     if ok is None:
-        ok = _factors_ok(tuple(word), presentation, table, step_cap)
+        ok = _factors_ok(word, presentation, table, step_cap)
     if len(word) == 1 and word[0] in membership.complement_letters:
         return ok and _class_in_t(word, presentation, step_cap)
     return ok
 
 
 def _factors_ok(
-    letters: tuple[Letter, ...],
+    letters: Word,
     presentation: Presentation,
-    table: dict[tuple[Letter, ...], bool],
+    table: dict[Word, bool],
     step_cap: int,
 ) -> bool:
     """ok(word) by the recursion in :func:`in_AT`, filling ``table``.
@@ -246,7 +247,7 @@ def _factors_ok(
         key = (letter,)
         ok = table.get(key)
         if ok is None:
-            ok = letter in complement or _class_in_t(Word(key), presentation, step_cap)
+            ok = letter in complement or _class_in_t(key, presentation, step_cap)
             table[key] = ok
         if not ok:
             return False
@@ -265,7 +266,7 @@ def _factors_ok(
                 stack.append((i + 1, j))
                 continue
         if ok:
-            ok = _class_in_t(Word(letters[i:j]), presentation, step_cap)
+            ok = _class_in_t(letters[i:j], presentation, step_cap)
         table[letters[i:j]] = ok
         stack.pop()
     return table[letters]
@@ -283,21 +284,15 @@ def build_f_sets(
     def member(word: Word) -> bool:
         return in_T(word, presentation, step_cap)
 
-    f1 = tuple(Word((a,)) for a in a1)
-    f2 = tuple(
-        Word((s, b)) for s in a_s for b in both if member(Word((s, b)))
-    )
-    f3 = tuple(
-        Word((a, s)) for a in a1 for s in a_s if member(Word((a, s)))
-    )
+    f1 = tuple((a,) for a in a1)
+    f2 = tuple((s, b) for s in a_s for b in both if member((s, b)))
+    f3 = tuple((a, s) for a in a1 for s in a_s if member((a, s)))
     f4 = tuple(
-        Word((s, b, s2))
+        (s, b, s2)
         for s in a_s
         for b in both
         for s2 in a_s
-        if member(Word((s, b)))
-        and member(Word((b, s2)))
-        and member(Word((s, b, s2)))
+        if member((s, b)) and member((b, s2)) and member((s, b, s2))
     )
     def ordered(words: tuple[Word, ...]) -> tuple[Word, ...]:
         return tuple(sorted(words, key=lambda w: (len(w), w)))
@@ -377,34 +372,31 @@ def rho_t(
     """
     if (check and not in_AT(word, construction.presentation, step_cap)) or not word:
         raise PreconditionError(
-            f"'{word}' is not in the representative set; rho is undefined on it"
+            f"'{show(word)}' is not in the representative set; rho is undefined on it"
         )
     a1, a_s, by_image = construction._a1, construction._a_s, construction._by_image
-    letters = tuple(word)
     out: list[Letter] = []
     start = 0  # the part of the word left to factor is word[start:]
     while True:
-        hit = by_image.get(letters[start:])
+        hit = by_image.get(word[start:])
         if hit is not None:
             out.append(hit)
-            return Word(out)
-        first = letters[start]
+            return tuple(out)
+        first = word[start]
         if first in a1:
             out.append(first)
             start += 1
-        elif first in a_s and len(letters) - start >= 3:
-            head = by_image.get(letters[start : start + 2])
+        elif first in a_s and len(word) - start >= 3:
+            head = by_image.get(word[start : start + 2])
             if head is None:
                 raise PreconditionError(
-                    f"'{word}' is not in the representative set "
-                    f"(prefix '{word[start : start + 2]}' crosses the complement)"
+                    f"'{show(word)}' is not in the representative set "
+                    f"(prefix '{show(word[start : start + 2])}' crosses the complement)"
                 )
             out.append(head)
             start += 2
         else:
-            raise PreconditionError(
-                f"'{word}' is not in the representative set"
-            )
+            raise PreconditionError(f"'{show(word)}' is not in the representative set")
 
 
 def build_construction(
@@ -425,7 +417,7 @@ def build_construction(
         u, v = violations[0]
         raise PreconditionError(
             f"the complement does not define a subsemigroup: the product of "
-            f"T-representatives '{u}' and '{v}' lands in the complement"
+            f"T-representatives '{show(u)}' and '{show(v)}' lands in the complement"
         )
 
     classification = classify_letters(presentation, step_cap)
@@ -456,7 +448,7 @@ def build_construction(
             if total > n_bound:
                 continue
             prefix.append(letter)
-            u_prime = Word(prefix)
+            u_prime = tuple(prefix)
             image = phi_t(u_prime, construction)
             if not is_irreducible(image, system):
                 reduced = normal_form(image, system, step_cap)
@@ -470,7 +462,7 @@ def build_construction(
     # already that image's canonical factorization.
     for x in letters:
         for y in letters:
-            u_prime = Word((x, y))
+            u_prime = (x, y)
             image = phi_t(u_prime, construction)
             if not in_AT(image, presentation, step_cap):
                 continue

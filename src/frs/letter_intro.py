@@ -26,6 +26,7 @@ from .core import (
     _read_only,
     is_irreducible,
     normal_form,
+    show,
     substitute,
 )
 from .property_r import CandidateTuple
@@ -42,21 +43,20 @@ def rho_s(word: Word, w0: Word, s: Letter) -> Word:
     """
     if len(w0) < 2:
         raise PreconditionError("the named word must have length > 1")
-    letters = tuple(word)
-    if s in letters:
+    if s in word:
         raise InputError(f"input to rho contains the fresh letter {s!r}")
     out: list[Letter] = []
-    i = len(letters)
+    i = len(word)
     k = len(w0)
     while i > 0:
-        if i >= k and letters[i - k : i] == w0:
+        if i >= k and word[i - k : i] == w0:
             out.append(s)
             i -= k
         else:
-            out.append(letters[i - 1])
+            out.append(word[i - 1])
             i -= 1
     out.reverse()
-    return Word(out)
+    return tuple(out)
 
 
 def self_overlaps(w0: Word) -> list[tuple[Word, Word, Word]]:
@@ -141,7 +141,7 @@ def build_letter_intro(
         if letter not in system.alphabet:
             raise InputError(f"letter {letter!r} is not in the alphabet")
     if not is_irreducible(w0, system):
-        raise PreconditionError(f"the named word '{w0}' must be irreducible")
+        raise PreconditionError(f"the named word '{show(w0)}' must be irreducible")
 
     fresh = system.alphabet.fresh_name(s_name)
     b_alphabet = system.alphabet.extended([fresh])
@@ -160,7 +160,7 @@ def build_letter_intro(
     for rule in system.rules:
         emitter.emit(rho(rule.lhs), rho(rule.rhs), C1)
     # C2: the naming rule itself.
-    emitter.emit(w0, Word((s,)), C2)
+    emitter.emit(w0, (s,), C2)
     # C3: w0 overlapping a lhs from the left (a nonempty prefix of the lhs
     # is a suffix of w0); the assembled word is w0's remainder + lhs.
     for rule in system.rules:
@@ -185,7 +185,7 @@ def build_letter_intro(
                     close(w0[: len(w0) - i] + lhs + w0[j:], C5)
     # C6: one commutation rule per self-overlap of w0.
     for x1, _x2, x3 in self_overlaps(w0):
-        emitter.emit(Word((s,)) + x3, x1 + Word((s,)), C6)
+        emitter.emit((s, *x3), (*x1, s), C6)
 
     # Emission runs family by family, so insertion order is already the
     # canonical order: C1 block, C2, C3 block, C4, C5, C6; a deduplicated

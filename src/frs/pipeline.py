@@ -17,7 +17,6 @@ from .core import (
     DEFAULT_STEP_CAP,
     InputError,
     InternalError,
-    Letter,
     LhsMatcher,
     PreconditionError,
     RewritingSystem,
@@ -27,6 +26,7 @@ from .core import (
     irreducible_words,
     is_irreducible,
     normal_form,
+    show,
 )
 from .letter_intro import build_letter_intro
 
@@ -50,7 +50,7 @@ class Presentation:
                 for letter in word:
                     if letter not in system.alphabet:
                         raise InputError(
-                            f"complement word '{word}' uses letter "
+                            f"complement word '{show(word)}' uses letter "
                             f"{letter!r} outside the alphabet"
                         )
         self.__dict__.update(system=system, complement=complement, generators=generators)
@@ -97,7 +97,7 @@ class Membership:
     def __init__(self, complement: tuple[Word, ...]):
         self.complement_words = frozenset(complement)
         self.complement_letters = frozenset(word[0] for word in complement if word)
-        self.factor_ok: dict[int, dict[tuple[Letter, ...], bool]] = {}
+        self.factor_ok: dict[int, dict[Word, bool]] = {}
 
 
 def canonicalize_complement(

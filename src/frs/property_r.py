@@ -29,6 +29,7 @@ from .core import (
     reduces_to,
     _reach,
     _require_known,
+    show,
     words_over,
 )
 from .parallel import pmap
@@ -122,7 +123,7 @@ def _straightening_path(
     Sound but incomplete; callers fall back to a full reachability search.
     """
     first_redex, lhs, rhs = preserving.first_redex, preserving.lhs, preserving.rhs
-    current = tuple(word)
+    current = word
     for _ in range(step_cap):
         if current == target:
             return True
@@ -157,11 +158,11 @@ def check_p1_to_p6(
         if len(word) <= 6:
             if member and not tup.in_t(word):
                 raise PreconditionError(
-                    f"representative set contains '{word}' whose class is outside T"
+                    f"representative set contains '{show(word)}' whose class is outside T"
                 )
             if not member and tup.in_t(word) and is_irreducible(word, base):
                 raise PreconditionError(
-                    f"representative set misses the irreducible T-word '{word}'"
+                    f"representative set misses the irreducible T-word '{show(word)}'"
                 )
         if member:
             a_members.append(word)
@@ -187,16 +188,14 @@ def check_p1_to_p6(
             reducts = system.matcher.successors(_require_known(rho_of(i), system))
             targets = {tup.phi(u_prime) for u_prime in reducts}
             # u was drawn over the base alphabet, so its reducts need no check.
-            for v1 in successors(tuple(u)):
+            for v1 in successors(u):
                 witnesses += 1
                 if v1 in targets:
                     continue
-                cap = f"P1 search from '{' '.join(v1)}' exceeded {step_cap} states"
+                cap = f"P1 search from '{show(v1)}' exceeded {step_cap} states"
                 if targets and _reach(v1, base, targets.__contains__, step_cap, cap) is None:
                     continue
-                return PropertyResult(
-                    "P1", COUNTEREXAMPLE, bound_a, witnesses, (u, Word(v1))
-                )
+                return PropertyResult("P1", COUNTEREXAMPLE, bound_a, witnesses, (u, v1))
         return PropertyResult("P1", VERIFIED, bound_a, witnesses)
 
     # P2: every rule's image reduces in the base system (context closure
@@ -244,11 +243,11 @@ def check_p1_to_p6(
                 return True
             # normal_form has validated u_prime.
             found = _reach(
-                tuple(u_prime),
+                u_prime,
                 system,
-                lambda letters: tup.in_at(tup.phi(Word(letters))),
+                lambda word: tup.in_at(tup.phi(word)),
                 step_cap,
-                f"P4 search from '{u_prime}' exceeded {step_cap} states",
+                f"P4 search from '{show(u_prime)}' exceeded {step_cap} states",
             )
             return found is None
 

@@ -27,6 +27,7 @@ from frs import (
     prepare_presentation,
     reduces_to,
     rho_t,
+    show,
     verify_complete,
     words_over,
 )
@@ -262,7 +263,7 @@ def test_criterion_7_oracle_agreement():
     rep = verify_complete(nonconfluent)
     ok = ok and rep.verdict == "incomplete"
     pair = rep.local_confluence
-    ok = ok and (str(pair.left_nf), str(pair.right_nf)) == ("a", "b")
+    ok = ok and (show(pair.left_nf), show(pair.right_nf)) == ("a", "b")
     report(7, "class oracle agrees with normal forms; witness pair found", ok)
 
 

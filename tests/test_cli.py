@@ -72,6 +72,16 @@ class TestCheck:
     def test_missing_file_exits_two(self):
         assert main(["check", "/nonexistent/path.frs"]) == 2
 
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin.frs"
+        path.write_bytes(b"alphabet: a\xff\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"input error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 11: invalid start byte\n",
+        )
+
 
 class TestNf:
     def test_normal_form_printed(self, files, capsys):
@@ -128,6 +138,15 @@ class TestPrepareAndLargeSub:
         assert main(["prepare", src, "-o", out]) == 0
         text = (tmp_path / "prep.frs").read_text()
         assert "complement: s" in text
+
+    def test_unwritable_output_exits_two(self, files, tmp_path, capsys):
+        write, _ = files
+        out = tmp_path / "no" / "such" / "dir" / "x.frs"
+        assert main(["prepare", write("c.frs", COMM), "-o", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"input error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n",
+        )
 
     def test_prepare_requires_complement(self, files, tmp_path):
         write, _ = files

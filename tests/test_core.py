@@ -13,12 +13,21 @@ from frs import (
     Rule,
     RewritingSystem,
     Word,
+    build_construction,
+    check_termination,
+    critical_pairs,
     disorder,
     descendants,
     is_irreducible,
     normal_form,
     one_step_reductions,
+    parse_presentation,
+    phi_t,
+    prepare_presentation,
     reduces_to,
+    rho_s,
+    rho_t,
+    show,
     words_over,
 )
 from frs.completeness import (
@@ -81,7 +90,7 @@ def naive_one_step_reductions(word, sys):
 
 
 def naive_is_irreducible(word, sys):
-    return all(f" {rule.lhs} " not in f" {word} " for rule in sys.rules)
+    return all(f" {show(rule.lhs)} " not in f" {show(word)} " for rule in sys.rules)
 
 
 def outcome(reduce, *args, **kwargs):
@@ -259,7 +268,7 @@ class TestLettersAndWords:
         word = w(alphabet, "abba")
         assert len(word) == 4
         assert word[1:3] == w(alphabet, "bb")
-        assert str(word) == "a b b a"
+        assert show(word) == "a b b a"
 
     def test_rule_sides_nonempty(self):
         alphabet = Alphabet(["a"])
@@ -287,9 +296,34 @@ class TestRepresentation:
     def test_slices_and_concatenation_are_words(self):
         word = w(Alphabet(["a", "b"]), "abb")
         for part in (word[1:], word[:0], word[::-1], word + word, word[:1] + Word()):
-            assert type(part) is Word
+            assert type(part) is tuple
         assert word[1:] == ("b", "b")
         assert word[0] == "a" and type(word[0]) is str
+
+    def test_every_source_hands_out_plain_tuples(self, sys_moves, pres_free_ab):
+        # Nothing wraps a word: each public source returns the builtin tuple.
+        word = w(sys_moves.alphabet, "saa")
+        words = [word, normal_form(word, sys_moves)]
+        words += [result for _, result in one_step_reductions(word, sys_moves)]
+        words += descendants(word, sys_moves)
+        words += words_over(sys_moves.alphabet, 2)
+        words += irreducible_words(sys_moves, 3)
+        words += [field for pair in critical_pairs(sys_moves) for field in pair[:3]]
+        parsed = parse_presentation("alphabet: a b\nrule: b a -> a b\ncomplement: a ; b a\n")
+        words += [side for rule in parsed.system.rules for side in (rule.lhs, rule.rhs)]
+        words += parsed.complement
+        cons = build_construction(prepare_presentation(pres_free_ab))
+        image = w(cons.presentation.system.alphabet, "baab")
+        words += [rho_t(image, cons), phi_t(rho_t(image, cons), cons)]
+        words.append(rho_s(w(sys_moves.alphabet, "aaa"), w(sys_moves.alphabet, "aa"), "t"))
+        loop = system("a b", ("ab", "ba"), ("ba", "ab"))
+        words += check_termination(loop, max_len=2).cycle
+        for search in (normal_form, disorder):
+            with pytest.raises(NonTerminationError) as err:
+                search(w(loop.alphabet, "ab"), loop, 3)
+            words += err.value.trace
+        assert len(words) > 40
+        assert {type(word) for word in words} == {tuple}
 
     def test_words_have_no_instance_dict(self):
         word = w(Alphabet(["a"]), "a")
@@ -304,10 +338,10 @@ class TestRepresentation:
 
     def test_reprs(self):
         alphabet = Alphabet(["a", "b"])
-        assert repr(w(alphabet, "ab")) == "Word('a b')"
-        assert repr(Word()) == "Word('')"
+        assert repr(w(alphabet, "ab")) == "('a', 'b')"
+        assert repr(Word()) == "()"
         assert repr(alphabet.get("a")) == "'a'"
-        assert str(w(alphabet, "ab")) == "a b" and type(str(w(alphabet, "ab"))) is str
+        assert show(w(alphabet, "ab")) == "a b" and type(show(w(alphabet, "ab"))) is str
 
     def test_a_letter_of_another_alphabet_is_named_plainly(self):
         letters = Alphabet(["a", "b"]).names()
@@ -495,7 +529,7 @@ class TestRecords:
         assert repr(Rule(ab.word("b a"), ab.word("a b"), ("D1",))) == "Rule('b a' -> 'a b')"
         assert repr(Presentation(system("a b", ("ba", "ab")), (ab.word("a"),))) == (
             "Presentation(system=RewritingSystem([a, b]; b a->a b), "
-            "complement=(Word('a'),), generators=())"
+            "complement=(('a',),), generators=())"
         )
         assert repr(PropertyResult("P1", "verified", 4)) == (
             "PropertyResult(name='P1', status='verified', bound=4, witness_count=0, "
@@ -506,7 +540,7 @@ class TestRecords:
 class TestOneStepReductions:
     def test_three_overlapping_occurrences(self, sys_aaa):
         results = one_step_reductions(w(sys_aaa.alphabet, "aaaaa"), sys_aaa)
-        assert [(step.position, str(word)) for step, word in results] == [
+        assert [(step.position, show(word)) for step, word in results] == [
             (0, "a a a"),
             (1, "a a a"),
             (2, "a a a"),
@@ -519,7 +553,7 @@ class TestOneStepReductions:
     def test_two_rules_ordered_by_position(self, sys_moves):
         results = one_step_reductions(w(sys_moves.alphabet, "saa"), sys_moves)
         assert [
-            (step.rule_index, step.position, str(word)) for step, word in results
+            (step.rule_index, step.position, show(word)) for step, word in results
         ] == [(1, 0, "a s a"), (0, 1, "s s")]
 
     def test_deterministic(self, sys_moves):
@@ -701,7 +735,7 @@ class TestDisorderLaws:
 class TestReachability:
     def test_descendants_of_fixture_word(self, sys_moves):
         found = descendants(w(sys_moves.alphabet, "saa"), sys_moves)
-        names = {str(word) for word in found}
+        names = {show(word) for word in found}
         assert names == {"s a a", "a s a", "s s", "a a s"}
 
     def test_reduces_to_follows_paths_only(self, sys_moves):
@@ -858,11 +892,11 @@ class TestSearchBoundary:
         with pytest.raises(NonTerminationError, match="^reduction cycle detected$") as err:
             disorder(w(loop.alphabet, "a"), loop)
         assert err.value.trace == (w(loop.alphabet, "b"), w(loop.alphabet, "a"))
-        assert all(isinstance(word, Word) for word in err.value.trace)
+        assert all(type(word) is tuple for word in err.value.trace)
 
     def test_descendants_are_words(self, sys_moves):
         found = descendants(w(sys_moves.alphabet, "saa"), sys_moves)
-        assert all(isinstance(word, Word) for word in found)
+        assert all(type(word) is tuple for word in found)
         assert found == reference_descendants(w(sys_moves.alphabet, "saa"), sys_moves)
 
 

@@ -5,6 +5,7 @@ from frs import (
     Presentation,
     parse_presentation,
     serialize_presentation,
+    show,
 )
 
 from conftest import rule_set, system, w
@@ -19,11 +20,11 @@ class TestParse:
 
     def test_complement(self):
         pres = parse_presentation("alphabet: a\ncomplement: a\n")
-        assert [str(word) for word in pres.complement] == ["a"]
+        assert [show(word) for word in pres.complement] == ["a"]
 
     def test_multi_word_complement(self):
         pres = parse_presentation("alphabet: a b\ncomplement: a ; b a\n")
-        assert [str(word) for word in pres.complement] == ["a", "b a"]
+        assert [show(word) for word in pres.complement] == ["a", "b a"]
 
     def test_comments_and_blank_lines_ignored(self):
         pres = parse_presentation(

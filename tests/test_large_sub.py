@@ -25,6 +25,7 @@ from frs import (
     prepare_presentation,
     reduces_to,
     rho_t,
+    show,
     verify_complete,
     words_over,
 )
@@ -257,17 +258,17 @@ class TestFSets:
     def test_free_fixture(self, pres_free_ab):
         cls = classify_letters(pres_free_ab)
         f = build_f_sets(cls, pres_free_ab)
-        assert [str(x) for x in f.f1] == ["b"]
-        assert [str(x) for x in f.f2] == ["a a", "a b"]
-        assert [str(x) for x in f.f3] == ["b a"]
-        assert [str(x) for x in f.f4] == ["a a a", "a b a"]
+        assert [show(x) for x in f.f1] == ["b"]
+        assert [show(x) for x in f.f2] == ["a a", "a b"]
+        assert [show(x) for x in f.f3] == ["b a"]
+        assert [show(x) for x in f.f4] == ["a a a", "a b a"]
 
     def test_single_letter_fixture(self, pres_aaa):
         prepared = prepare_presentation(pres_aaa)
         cls = classify_letters(prepared)
         f = build_f_sets(cls, prepared)
         assert f.f1 == () and f.f3 == () and f.f4 == ()
-        assert [str(x) for x in f.f2] == ["a a"]
+        assert [show(x) for x in f.f2] == ["a a"]
 
     def test_membership_filtering(self):
         # Both letters excluded from T and no products in T: everything
@@ -315,7 +316,7 @@ class TestBAlphabet:
 class TestPhiRho:
     def test_phi_concatenates_images(self, cons_free):
         word = cons_free.b_alphabet.word("c_b_a c_a_b")
-        assert str(phi_t(word, cons_free)) == "b a a b"
+        assert show(phi_t(word, cons_free)) == "b a a b"
 
     def test_phi_identity_on_generators(self, cons_free):
         word = cons_free.b_alphabet.word("b")
@@ -327,11 +328,11 @@ class TestPhiRho:
 
     def test_rho_peels_prefixes(self, cons_free):
         base = cons_free.presentation.system.alphabet
-        assert str(rho_t(w(base, "baab"), cons_free)) == "b c_a_a b"
+        assert show(rho_t(w(base, "baab"), cons_free)) == "b c_a_a b"
 
     def test_rho_prefers_seed_words(self, cons_free):
         base = cons_free.presentation.system.alphabet
-        assert str(rho_t(w(base, "aba"), cons_free)) == "c_a_b_a"
+        assert show(rho_t(w(base, "aba"), cons_free)) == "c_a_b_a"
 
     def test_rho_outside_domain_rejected(self, cons_free):
         base = cons_free.presentation.system.alphabet

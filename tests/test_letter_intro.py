@@ -12,6 +12,7 @@ from frs import (
     reduces_to,
     rho_s,
     self_overlaps,
+    show,
     substitute,
     verify_complete,
     words_over,
@@ -51,13 +52,13 @@ def outcome(rho, word, w0):
 
 class TestRho:
     def test_compresses_every_suffix_occurrence(self, free_ab):
-        assert str(rho_s(w(free_ab.alphabet, "abab"), w(free_ab.alphabet, "ab"), S)) == "s s"
+        assert show(rho_s(w(free_ab.alphabet, "abab"), w(free_ab.alphabet, "ab"), S)) == "s s"
 
     def test_untouched_when_never_matching(self, free_ab):
-        assert str(rho_s(w(free_ab.alphabet, "ba"), w(free_ab.alphabet, "ab"), S)) == "b a"
+        assert show(rho_s(w(free_ab.alphabet, "ba"), w(free_ab.alphabet, "ab"), S)) == "b a"
 
     def test_overlapping_occurrences_resolved_from_the_right(self, free_a):
-        assert str(rho_s(w(free_a.alphabet, "aaa"), w(free_a.alphabet, "aa"), S)) == "a s"
+        assert show(rho_s(w(free_a.alphabet, "aaa"), w(free_a.alphabet, "aa"), S)) == "a s"
 
     def test_rejects_fresh_letter_in_input(self, free_a):
         with pytest.raises(InputError):
@@ -83,7 +84,7 @@ class TestRhoAgainstReference:
 
 class TestPhi:
     def test_substitutes_the_named_word(self, free_ab):
-        assert str(substitute(Word((S, S)), {"s": w(free_ab.alphabet, "ab")})) == "a b a b"
+        assert show(substitute(Word((S, S)), {"s": w(free_ab.alphabet, "ab")})) == "a b a b"
 
     def test_identity_on_base_letters(self, free_ab):
         word = w(free_ab.alphabet, "a")
@@ -91,7 +92,7 @@ class TestPhi:
 
     def test_concatenates_images(self, free_ab):
         a, b = free_ab.alphabet.get("a"), free_ab.alphabet.get("b")
-        assert str(substitute(Word((a, S, b)), {"s": w(free_ab.alphabet, "aa")})) == "a a a b"
+        assert show(substitute(Word((a, S, b)), {"s": w(free_ab.alphabet, "aa")})) == "a a a b"
 
 
 class TestSelfOverlaps:
@@ -100,11 +101,11 @@ class TestSelfOverlaps:
 
     def test_square(self, free_a):
         overlaps = self_overlaps(w(free_a.alphabet, "aa"))
-        assert [(str(x), str(y), str(z)) for x, y, z in overlaps] == [("a", "a", "a")]
+        assert [(show(x), show(y), show(z)) for x, y, z in overlaps] == [("a", "a", "a")]
 
     def test_palindromic_border(self, free_ab):
         overlaps = self_overlaps(w(free_ab.alphabet, "aba"))
-        assert [(str(x), str(y), str(z)) for x, y, z in overlaps] == [("a b", "a", "b a")]
+        assert [(show(x), show(y), show(z)) for x, y, z in overlaps] == [("a b", "a", "b a")]
 
     def test_factorization_laws(self, free_ab):
         for word in words_over(free_ab.alphabet, 6, min_len=2):
@@ -244,7 +245,7 @@ class TestConstructionLaws:
                         ):
                             witnessed = True
                             break
-                    assert witnessed, f"{word} split at {cut} has no witness"
+                    assert witnessed, f"{show(word)} split at {cut} has no witness"
 
     def test_every_extended_word_reaches_its_canonical_form(self, free_a, free_ab):
         for result in _fixtures(free_a, free_ab):

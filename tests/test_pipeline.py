@@ -17,6 +17,7 @@ from frs import (
     RewritingSystem,
     Rule,
     build_construction,
+    show,
     words_over,
 )
 from frs.core import DEFAULT_STEP_CAP
@@ -34,15 +35,15 @@ def present(sys, *complement):
 class TestCanonicalize:
     def test_reduces_to_normal_form(self, sys_aaa):
         spec = canonicalize_complement(present(sys_aaa, "aaa"))
-        assert [str(word) for word in spec] == ["a"]
+        assert [show(word) for word in spec] == ["a"]
 
     def test_deduplicates(self, free_a):
         spec = canonicalize_complement(present(free_a, "a", "a"))
-        assert [str(word) for word in spec] == ["a"]
+        assert [show(word) for word in spec] == ["a"]
 
     def test_sorts_by_length_then_names(self, free_ab):
         spec = canonicalize_complement(present(free_ab, "b", "a", "ab"))
-        assert [str(word) for word in spec] == ["a", "b", "a b"]
+        assert [show(word) for word in spec] == ["a", "b", "a b"]
 
     def test_empty_complement_rejected(self, free_ab):
         with pytest.raises(InputError):
@@ -55,13 +56,13 @@ class TestLetterize:
     def test_single_letter_already_done(self, free_ab):
         result = letterize_complement(present(free_ab, "a"))
         assert result.system == free_ab
-        assert [str(word) for word in result.complement] == ["a"]
+        assert [show(word) for word in result.complement] == ["a"]
 
     def test_one_round_names_the_long_word(self, free_ab):
         result = letterize_complement(present(free_ab, "ab"))
         assert result.system.alphabet.names() == ("a", "b", "s")
         assert rule_set(result.system) == {(("a", "b"), ("s",))}
-        assert [str(word) for word in result.complement] == ["s"]
+        assert [show(word) for word in result.complement] == ["s"]
 
     def test_untouched_when_complement_is_a_letter(self, sys_aaa):
         result = letterize_complement(present(sys_aaa, "a"))
@@ -125,7 +126,7 @@ class TestNormalizeQ2Q3:
 def naive_satisfies_q3(sys):
     """Reference: no left-hand side occurs in another rule's left-hand side."""
     return not any(
-        i != j and f" {other.lhs} " in f" {rule.lhs} "
+        i != j and f" {show(other.lhs)} " in f" {show(rule.lhs)} "
         for i, rule in enumerate(sys.rules)
         for j, other in enumerate(sys.rules)
     )
@@ -146,7 +147,7 @@ def naive_normalize_q2_q3(sys, step_cap=DEFAULT_STEP_CAP):
         deleted = False
         # Letter names hold no spaces, so a padded substring is a factor;
         # each left-hand side counts itself once.
-        padded = [f" {rule.lhs} " for rule in normalized]
+        padded = [f" {show(rule.lhs)} " for rule in normalized]
         for i, lhs in enumerate(padded):
             if sum(map(lhs.__contains__, padded)) > 1:
                 del normalized[i]
@@ -228,12 +229,12 @@ class TestPrepare:
     def test_fixed_point_on_letter_complement(self, free_ab):
         prepared = prepare_presentation(present(free_ab, "a"))
         assert prepared.system == free_ab
-        assert [str(word) for word in prepared.complement] == ["a"]
+        assert [show(word) for word in prepared.complement] == ["a"]
 
     def test_letterizes_then_normalizes(self, free_ab):
         prepared = prepare_presentation(present(free_ab, "ab"))
         assert rule_set(prepared.system) == {(("a", "b"), ("s",))}
-        assert [str(word) for word in prepared.complement] == ["s"]
+        assert [show(word) for word in prepared.complement] == ["s"]
         assert satisfies_q1(prepared)
         assert satisfies_q2(prepared.system)
         assert satisfies_q3(prepared.system)
@@ -241,7 +242,7 @@ class TestPrepare:
     def test_verifies_existing_presentation(self, pres_aaa):
         prepared = prepare_presentation(pres_aaa)
         assert prepared.system == pres_aaa.system
-        assert [str(word) for word in prepared.complement] == ["a"]
+        assert [show(word) for word in prepared.complement] == ["a"]
 
     def test_incomplete_input_rejected(self, sys_nonconfluent):
         with pytest.raises(PreconditionError):
@@ -266,7 +267,7 @@ class TestSubsemigroupCheck:
         violations = check_subsemigroup_closed(prepared)
         assert violations
         u, v = violations[0]
-        assert (str(u), str(v)) == ("a", "b")
+        assert (show(u), show(v)) == ("a", "b")
 
 
 # The filter over every word that the irreducible-word walk of

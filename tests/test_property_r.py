@@ -16,6 +16,7 @@ from frs import (
     oracle_classes,
     prepare_presentation,
     reduces_to,
+    show,
     verify_complete,
     words_over,
 )
@@ -128,7 +129,7 @@ class TestProperties:
         report = check_p1_to_p6(sabotaged, 8, 5)
         res = report.result("P6")
         assert res.status == "counterexample"
-        assert str(res.counterexample[0]) == "s a"
+        assert show(res.counterexample[0]) == "s a"
         assert not report.overall
 
     def test_breaking_a_rule_image_breaks_p2(self, tuple_aa):
@@ -198,7 +199,7 @@ class TestProperties:
         res = check_p1_to_p6(looping, 4, 3).result("P3")
         assert len(calls) == 1
         assert res.status == "counterexample"
-        assert [str(word) for word in res.counterexample] == ["a s", "s a", "a s"]
+        assert [show(word) for word in res.counterexample] == ["a s", "s a", "a s"]
 
 
     def test_straightening_path_of_exactly_the_cap_is_found(self):
@@ -236,14 +237,14 @@ class TestProperties:
         # Without the rule b c_a_b_a -> c_a_a b b, the reduct a b b a of
         # b a b a must reach b a a b, the image of the candidate's only
         # reduct; its three descendants never do.
-        tup = drop_rules(tuple_comm, lambda rule: str(rule.lhs) == "b c_a_b_a")
+        tup = drop_rules(tuple_comm, lambda rule: show(rule.lhs) == "b c_a_b_a")
         res = check_p1_to_p6(tup, 4, 1, step_cap=2).result("P1")
         assert res.status == "inconclusive"
         assert res.bound == 4
         assert res.note == "P1 search from 'a b b a' exceeded 2 states"
         res = check_p1_to_p6(tup, 4, 1, step_cap=3).result("P1")
         assert res.status == "counterexample"
-        assert [str(word) for word in res.counterexample] == ["b a b a", "a b b a"]
+        assert [show(word) for word in res.counterexample] == ["b a b a", "a b b a"]
 
     def test_letter_intro_threebase_witnesses_at_default_bounds(self, tuple_threebase):
         report = check_p1_to_p6(tuple_threebase)
@@ -288,7 +289,7 @@ class TestP1AgainstReference:
         assert res.status == "verified"
 
     def test_sabotaged_tuple_agrees(self, tuple_comm):
-        tup = drop_rules(tuple_comm, lambda rule: str(rule.lhs) == "b c_a_b_a")
+        tup = drop_rules(tuple_comm, lambda rule: show(rule.lhs) == "b c_a_b_a")
         res = check_p1_to_p6(tup, 6, 1).result("P1")
         assert (res.status, res.witness_count, res.counterexample) == reference_p1(tup, 6)
         u, _ = res.counterexample
@@ -298,11 +299,11 @@ class TestP1AgainstReference:
     def test_empty_target_set_agrees(self, tuple_comm):
         # Without c_b_a -> c_a_b, rho(b a) = c_b_a is irreducible while
         # b a is not: there is no image to search for.
-        tup = drop_rules(tuple_comm, lambda rule: str(rule.lhs) == "c_b_a")
+        tup = drop_rules(tuple_comm, lambda rule: show(rule.lhs) == "c_b_a")
         res = check_p1_to_p6(tup, 6, 1).result("P1")
         assert (res.status, res.witness_count, res.counterexample) == reference_p1(tup, 6)
         u, _ = res.counterexample
-        assert str(u) == "b a"
+        assert show(u) == "b a"
         assert is_irreducible(tup.rho(u), tup.system)
         assert not is_irreducible(u, tup.base)
 
@@ -332,7 +333,7 @@ class TestIsomorphismSlice:
         assert report.image_count == 1
         assert report.mismatches == ()
         a = tuple_aaa.base.alphabet
-        assert str(normal_form(tuple_aaa.rho(w(a, "aa")), tuple_aaa.system)) == "c_a_a"
+        assert show(normal_form(tuple_aaa.rho(w(a, "aa")), tuple_aaa.system)) == "c_a_a"
 
     def test_empty_slice_vacuously_passes(self, tuple_aaa):
         report = check_isomorphism_slice(tuple_aaa, 0)
@@ -349,7 +350,7 @@ class TestIsomorphismSlice:
 class TestOracleClasses:
     def test_single_rule_classes(self, sys_aaa):
         classes = oracle_classes(sys_aaa, 4)
-        assert [sorted(str(word) for word in cls) for cls in classes] == [
+        assert [sorted(show(word) for word in cls) for cls in classes] == [
             ["a", "a a a"],
             ["a a", "a a a a"],
         ]
@@ -362,7 +363,7 @@ class TestOracleClasses:
     def test_symmetric_edge_merges(self):
         sys = system("a b", ("ab", "ba"))
         classes = oracle_classes(sys, 2)
-        as_names = [sorted(str(word) for word in cls) for cls in classes]
+        as_names = [sorted(show(word) for word in cls) for cls in classes]
         assert ["a b", "b a"] in as_names
         assert len(classes) == 5
 
