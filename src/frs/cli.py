@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import completeness
+from . import completeness, property_r
 from .core import (
     DEFAULT_STEP_CAP,
     InputError,
@@ -217,9 +217,9 @@ def _cmd_verify_tuple(args: argparse.Namespace) -> int:
     report = check_p1_to_p6(tup, args.bound_a, args.bound_b, args.step_cap)
     for res in report.results:
         line = f"{res.name}: {res.status}"
-        if res.status == "verified":
+        if res.status == property_r.VERIFIED:
             line += f" (bound {res.bound}, {res.witness_count} witnesses)"
-        elif res.status == "inconclusive":
+        elif res.status == property_r.INCONCLUSIVE:
             line += f" (bound {res.bound})"
         elif res.counterexample:
             line += " at " + " / ".join(f"'{show(w)}'" for w in res.counterexample)
@@ -229,7 +229,7 @@ def _cmd_verify_tuple(args: argparse.Namespace) -> int:
     print(f"overall: {'verified' if report.overall else 'not verified'}")
     if report.overall:
         return OK
-    if any(res.status == "counterexample" for res in report.results):
+    if any(res.status == property_r.COUNTEREXAMPLE for res in report.results):
         return FAILED
     return INCONCLUSIVE
 

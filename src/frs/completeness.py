@@ -27,6 +27,7 @@ from .core import (
     RewritingSystem,
     Rule,
     Word,
+    _dfs,
     normal_form,
     words_over,
 )
@@ -215,41 +216,24 @@ def find_measure_certificate(
 def _bounded_cycle_search(
     system: RewritingSystem, max_len: int, step_cap: int
 ) -> TerminationEvidence:
-    """Exhaustive cycle search over the reduction graph restricted to words
-    of length <= max_len."""
+    """Exhaustive cycle search over the words of length <= max_len: one
+    depth-first search from each word, sharing the states seen and the cap."""
     successors = system.matcher.successors
-    color: dict[Word, int] = {}  # 1 = on current path, 2 = done
-    explored = 0
-    for start in words_over(system.alphabet, max_len):
-        if color.get(start) == 2:
-            continue
-        path: list[Word] = []
-        stack: list[tuple[Word, list[Word] | None]] = [(start, None)]
-        while stack:
-            node, succ = stack.pop()
-            if succ is None:
-                if node in color:
-                    continue
-                color[node] = 1
-                path.append(node)
-                explored += 1
-                if explored > step_cap:
-                    return TerminationEvidence(
-                        UNKNOWN,
-                        certificate=f"bounded search stopped: more than {step_cap} states",
-                    )
-                succ = [nxt for nxt in successors(node) if len(nxt) <= max_len]
-                for nxt in succ:
-                    if color.get(nxt) == 1:
-                        cycle = (*path[path.index(nxt):], nxt)
-                        return TerminationEvidence(COUNTEREXAMPLE, cycle=cycle)
-                stack.append((node, succ))
-                for nxt in succ:
-                    if nxt not in color:
-                        stack.append((nxt, None))
-            else:
-                color[node] = 2
-                path.pop()
+
+    def bounded(word: Word) -> list[Word]:
+        return [nxt for nxt in successors(word) if len(nxt) <= max_len]
+
+    seen: dict[Word, bool] = {}
+    cap_message = f"bounded search stopped: more than {step_cap} states"
+    try:
+        for start in words_over(system.alphabet, max_len):
+            for _ in _dfs(start, bounded, seen, step_cap, cap_message):
+                pass
+    except NonTerminationError as err:
+        # A cycle comes as the trace; the cap hit has none.
+        if err.trace:
+            return TerminationEvidence(COUNTEREXAMPLE, cycle=err.trace)
+        return TerminationEvidence(UNKNOWN, certificate=cap_message)
     return TerminationEvidence(BOUNDED_VERIFIED, depth=max_len)
 
 

@@ -13,7 +13,10 @@ occurs there, the one with the lowest index (``rightmost=True`` flips the
 position order only).  ``one_step_reductions`` lists every step ordered by
 (position, rule index).  Every redex and factor search walks one trie of
 left-hand sides, the system's :class:`LhsMatcher`, which is built once per
-system on first use.
+system on first use.  Normal forms follow its :meth:`~LhsMatcher.walk`, the
+one deterministic reduction; :func:`disorder` and the bounded termination
+check share one cycle-detecting depth-first search over its successors,
+which stops once more than ``step_cap`` states have been entered.
 """
 
 from __future__ import annotations
@@ -335,6 +338,27 @@ class LhsMatcher:
         """Every (position, rule index) occurrence, in that order."""
         return [(pos, idx) for pos, idxs in self._matches(letters) for idx in idxs]
 
+    def walk(self, word: Word, rightmost: bool = False) -> Iterator[Word]:
+        """``word``, then each word of its deterministic reduction: every
+        step rewrites the first redex (see :meth:`first_redex`).  Ends at
+        the normal form, or never if the reduction does not terminate.
+
+        After a leftmost rewrite at ``pos`` the scan resumes at
+        ``pos - maxlen + 1``: no redex started before ``pos``, so a redex
+        of the new word that starts earlier would have to reach into the
+        rewritten part."""
+        first_redex, lhs, rhs = self.first_redex, self.lhs, self.rhs
+        back = max(self.maxlen - 1, 0)
+        start = 0
+        while True:
+            yield word
+            redex = first_redex(word, rightmost, start)
+            if redex is None:
+                return
+            idx, pos = redex
+            word = word[:pos] + rhs[idx] + word[pos + len(lhs[idx]):]
+            start = max(0, pos - back)
+
     def successors(self, letters: Word) -> list[Word]:
         """Every one-step reduct of ``letters``, in the
         (position, rule index) order of :func:`one_step_reductions`.  The
@@ -370,11 +394,8 @@ def one_step_reductions(
     letters = _require_known(word, system)
     matcher = system.matcher
     return [
-        (
-            ReductionStep(idx, pos),
-            letters[:pos] + matcher.rhs[idx] + letters[pos + len(matcher.lhs[idx]):],
-        )
-        for pos, idx in matcher.redexes(letters)
+        (ReductionStep(idx, pos), result)
+        for (pos, idx), result in zip(matcher.redexes(letters), matcher.successors(letters))
     ]
 
 
@@ -391,88 +412,90 @@ def normal_form(
     step_cap: int = DEFAULT_STEP_CAP,
     rightmost: bool = False,
 ) -> Word:
-    """Reduce ``word`` to an irreducible descendant.
+    """Reduce ``word`` to an irreducible descendant: the end of the
+    matcher's :meth:`~LhsMatcher.walk`.
 
     The strategy is deterministic: leftmost occurrence, ties broken by
     lowest rule index (``rightmost=True`` flips the position order; it
     exists so tests can cross-check strategy independence).  For a complete
     system the result does not depend on the strategy.
 
-    After a leftmost rewrite at ``pos`` the scan resumes at
-    ``pos - maxlen + 1`` (``maxlen`` the longest left-hand side): no redex
-    started before ``pos``, so a redex of the new word that starts earlier
-    would have to reach into the rewritten part.  When ``step_cap`` steps
-    do not reach a normal form (the word after the last of them is still
-    reducible), the :class:`NonTerminationError` replays the steps from the
-    start when its trace is first read.
+    When ``step_cap`` steps do not reach a normal form (the word after the
+    last of them is still reducible), the :class:`NonTerminationError`
+    walks the steps again from the start when its trace is first read.
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
-    current = _require_known(word, system)
-    matcher = system.matcher
-    first_redex, lhs, rhs = matcher.first_redex, matcher.lhs, matcher.rhs
-    back = max(matcher.maxlen - 1, 0)
-    start = 0
-    for _ in range(step_cap):
-        redex = first_redex(current, rightmost, start)
-        if redex is None:
-            return current
-        idx, pos = redex
-        current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
-        start = max(0, pos - back)
-    if first_redex(current, rightmost, start) is None:
-        return current
+    start = _require_known(word, system)
+    walk = system.matcher.walk
+    limit = max(step_cap, 0)  # a cap below 0 allows no step, as 0 does
+    for steps, current in enumerate(walk(start, rightmost)):
+        if steps > limit:
+            raise NonTerminationError(
+                f"possible non-termination: {step_cap} reduction steps exceeded",
+                lambda: tuple(itertools.islice(walk(start, rightmost), limit + 1)),
+            )
+    return current
 
-    def replay() -> tuple[Word, ...]:
-        trace, current = [word], word
-        for _ in range(step_cap):
-            idx, pos = first_redex(current, rightmost)
-            current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
-            trace.append(current)
-        return tuple(trace)
 
-    raise NonTerminationError(
-        f"possible non-termination: {step_cap} reduction steps exceeded", replay
-    )
+def _dfs(
+    start: Word,
+    successors: Callable[[Word], list[Word]],
+    seen: dict[Word, bool],
+    step_cap: int,
+    cap_message: str,
+) -> Iterator[tuple[Word, list[Word]]]:
+    """Post-order depth-first search from ``start`` over ``successors``:
+    yields each state with its successors once all of them are finished.
+
+    ``seen`` maps every state entered to True while it is on the current
+    path and to False once it is finished; a state in it is not entered
+    again, so searches that share it skip what an earlier one finished.
+    Successors are entered last first.  Entering more than ``step_cap``
+    states in all (``len(seen)``) raises :class:`NonTerminationError` with
+    ``cap_message``; a successor on the current path raises it with the
+    cycle, from that successor back to itself, as trace.
+    """
+    path: list[Word] = []
+    stack: list[tuple[Word, list[Word] | None]] = [(start, None)]
+    while stack:
+        node, succ = stack.pop()
+        if succ is not None:
+            seen[node] = False
+            path.pop()
+            yield node, succ
+        elif node not in seen:
+            seen[node] = True
+            path.append(node)
+            if len(seen) > step_cap:
+                raise NonTerminationError(cap_message)
+            succ = successors(node)
+            for nxt in succ:
+                if seen.get(nxt):
+                    cycle = (*path[path.index(nxt):], nxt)
+                    raise NonTerminationError("reduction cycle detected", cycle)
+            stack.append((node, succ))
+            for nxt in succ:
+                if nxt not in seen:
+                    stack.append((nxt, None))
 
 
 def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_CAP) -> int:
     """Length of the longest reduction sequence from ``word`` to its normal
     form (0 iff the word is irreducible).
 
-    Computed as a memoized longest-path search over the reduction DAG; a
-    cycle or a search deeper/larger than ``step_cap`` raises
-    :class:`NonTerminationError`.
+    Computed as a longest path over the post-order depth-first search of
+    the reduction graph; a cycle, or more than ``step_cap`` states entered,
+    raises :class:`NonTerminationError`.
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
     start = _require_known(word, system)
-    successors = system.matcher.successors
-    memo: dict[Word, int] = {}
-    on_path: set[Word] = set()
-    stack: list[tuple[Word, list[Word] | None]] = [(start, None)]
-    while stack:
-        node, succ = stack.pop()
-        if succ is None:
-            if node in memo:
-                continue
-            on_path.add(node)
-            if len(on_path) > step_cap or len(memo) > step_cap:
-                raise NonTerminationError(
-                    f"possible non-termination: disorder search exceeded {step_cap} states"
-                )
-            succ = successors(node)
-            for nxt in succ:
-                if nxt in on_path:
-                    raise NonTerminationError("reduction cycle detected", (node, nxt))
-            stack.append((node, succ))
-            for nxt in succ:
-                if nxt not in memo:
-                    stack.append((nxt, None))
-        else:
-            memo[node] = 1 + max(memo[nxt] for nxt in succ) if succ else 0
-            on_path.discard(node)
-    return memo[start]
+    message = f"possible non-termination: disorder search exceeded {step_cap} states"
+    longest: dict[Word, int] = {}
+    for node, succ in _dfs(start, system.matcher.successors, {}, step_cap, message):
+        longest[node] = 1 + max(longest[nxt] for nxt in succ) if succ else 0
+    return longest[start]
 
 
 def _reach(

@@ -25,7 +25,6 @@ from .core import (
     irreducible_words,
     is_irreducible,
     normal_form,
-    one_step_reductions,
     reduces_to,
     _reach,
     _require_known,
@@ -116,23 +115,13 @@ def _sweep(words: Iterator[Item], ok: Callable[[Item], bool]) -> tuple[int, Item
 def _straightening_path(
     word: Word, target: Word, preserving: LhsMatcher, step_cap: int
 ) -> bool:
-    """Greedy search: repeatedly apply the first image-preserving rule, the
-    leftmost redex of ``preserving`` (the matcher of the image-preserving
-    rules, in their order in the system).
+    """Greedy search: whether ``target`` is ``word`` or a word reached
+    within ``step_cap`` steps of the leftmost walk of ``preserving`` (the
+    matcher of the image-preserving rules, in their order in the system).
 
     Sound but incomplete; callers fall back to a full reachability search.
     """
-    first_redex, lhs, rhs = preserving.first_redex, preserving.lhs, preserving.rhs
-    current = word
-    for _ in range(step_cap):
-        if current == target:
-            return True
-        redex = first_redex(current)
-        if redex is None:
-            return False
-        idx, pos = redex
-        current = current[:pos] + rhs[idx] + current[pos + len(lhs[idx]):]
-    return current == target
+    return target in islice(preserving.walk(word), max(step_cap, 0) + 1)
 
 
 def check_p1_to_p6(
@@ -379,7 +368,7 @@ def oracle_classes(
             parent[max(ri, rj)] = min(ri, rj)
 
     for word in words:
-        for _, result in one_step_reductions(word, system):
+        for result in system.matcher.successors(word):
             if len(result) <= max_len:
                 union(index[word], index[result])
 

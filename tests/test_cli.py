@@ -490,8 +490,9 @@ class TestGolden:
     file under its own name.  After the constructions on comm and two come
     the outputs that print words: a normal form, a letter introduction and
     its refusal, a termination cycle, an unjoinable critical pair, the
-    mismatches and counterexample of a sabotaged target, and a complement
-    that is not closed under products."""
+    mismatches and counterexample of a sabotaged target, a complement that
+    is not closed under products, and a termination cycle that does not
+    pass through the word its search started from."""
 
     INPUTS = {
         "comm.frs": COMM,
@@ -503,6 +504,8 @@ class TestGolden:
         "sab.frs": "alphabet: a s\nrule: a a -> s\ngenerator: s = a a\n",
         # a times b b is c, a complement letter.
         "open.frs": "alphabet: a b c\nrule: a b b -> c\ncomplement: c\n",
+        # The search from x enters the cycle y -> z -> y one step in.
+        "xyz.frs": "alphabet: x y z\nrule: x -> y\nrule: y -> z\nrule: z -> y\n",
     }
     COMMANDS = [
         ["large-sub", "comm.frs", "-o", "comm.t"],
@@ -521,6 +524,7 @@ class TestGolden:
         ["verify-iso", "free.frs", "sab.frs", "--bound", "3"],
         ["verify-tuple", "free.frs", "sab.frs"],
         ["large-sub", "open.frs", "-o", "open.t"],
+        ["check", "xyz.frs"],
     ]
     TARGETS = ["comm.t", "comm.ti", "two.t", "two.ti", "two.li"]
 

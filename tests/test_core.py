@@ -80,6 +80,21 @@ def naive_normal_form(word, sys, step_cap, rightmost=False):
     return trace[-1]
 
 
+def naive_trace(word, sys, rightmost, limit):
+    """The first ``limit`` words of the naive leftmost (or rightmost)
+    reduction from ``word``, fewer if it reaches a normal form."""
+    trace = [word]
+    while len(trace) < limit and (redex := naive_first_redex(trace[-1], sys, rightmost)):
+        trace.append(naive_apply(trace[-1], sys, *redex))
+    return trace
+
+
+def assert_walk_matches_reference(word, sys, limit=30):
+    for rightmost in (False, True):
+        walked = list(itertools.islice(sys.matcher.walk(word, rightmost), limit))
+        assert walked == naive_trace(word, sys, rightmost, limit)
+
+
 def naive_one_step_reductions(word, sys):
     return [
         (ReductionStep(idx, pos), naive_apply(word, sys, idx, pos))
@@ -114,29 +129,30 @@ def assert_kernel_matches_reference(word, sys, step_cap=DEFAULT_STEP_CAP):
 # the plain-tuple searches through LhsMatcher.successors replaced.
 def reference_disorder(word, sys, step_cap=DEFAULT_STEP_CAP):
     memo = {}
-    on_path = set()
+    on_path = []
     stack = [(word, None)]
     while stack:
         node, succ = stack.pop()
         if succ is None:
             if node in memo:
                 continue
-            on_path.add(node)
-            if len(on_path) > step_cap or len(memo) > step_cap:
+            on_path.append(node)
+            if len(on_path) + len(memo) > step_cap:
                 raise NonTerminationError(
                     f"possible non-termination: disorder search exceeded {step_cap} states"
                 )
             succ = [result for _, result in one_step_reductions(node, sys)]
             for nxt in succ:
                 if nxt in on_path:
-                    raise NonTerminationError("reduction cycle detected", (node, nxt))
+                    cycle = (*on_path[on_path.index(nxt):], nxt)
+                    raise NonTerminationError("reduction cycle detected", cycle)
             stack.append((node, succ))
             for nxt in succ:
                 if nxt not in memo:
                     stack.append((nxt, None))
         else:
             memo[node] = 1 + max(memo[nxt] for nxt in succ) if succ else 0
-            on_path.discard(node)
+            on_path.pop()
     return memo[word]
 
 
@@ -647,6 +663,13 @@ class TestNormalForm:
         expected = comm.alphabet.word(["a"] + ["b"] * steps)
         assert normal_form(word, comm, step_cap=steps, rightmost=rightmost) == expected
 
+    def test_a_cap_below_zero_allows_no_step(self):
+        comm = system("a b", ("ba", "ab"))
+        assert normal_form(w(comm.alphabet, "ab"), comm, step_cap=-1) == w(comm.alphabet, "ab")
+        with pytest.raises(NonTerminationError) as err:
+            normal_form(w(comm.alphabet, "ba"), comm, step_cap=-1)
+        assert err.value.trace == (w(comm.alphabet, "ba"),)
+
     @pytest.mark.parametrize("cap", [1, 2, 3, 5])
     @pytest.mark.parametrize("rightmost", [False, True])
     def test_a_normal_form_one_step_past_the_cap_raises(self, cap, rightmost):
@@ -710,6 +733,16 @@ class TestDisorder:
         loop = system("a b", ("a", "b"), ("b", "a"))
         with pytest.raises(NonTerminationError):
             disorder(w(loop.alphabet, "a"), loop)
+
+    def test_cap_counts_every_state_entered(self, sys_moves):
+        # s a a reaches 4 states: itself, a s a, a a s and s s.
+        word = w(sys_moves.alphabet, "saa")
+        message = "^possible non-termination: disorder search exceeded 3 states$"
+        with pytest.raises(NonTerminationError, match=message):
+            disorder(word, sys_moves, 3)
+        with pytest.raises(NonTerminationError, match="^descendant search exceeded 3 states$"):
+            descendants(word, sys_moves, 3)
+        assert disorder(word, sys_moves, 4) == 3
 
 
 class TestDisorderLaws:
@@ -823,6 +856,23 @@ class TestTrieAgainstReference:
         ]
 
 
+class TestWalkAgainstReference:
+    """LhsMatcher.walk, with its resume offset, follows the naive leftmost
+    and rightmost reductions word for word."""
+
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_fixture_words_agree(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        for word in words_over(sys.alphabet, 6):
+            assert_walk_matches_reference(word, sys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trie_systems(), st.data())
+    def test_random_systems_agree(self, sys, data):
+        names = data.draw(st.lists(st.sampled_from(sys.alphabet.names()), min_size=1, max_size=9))
+        assert_walk_matches_reference(sys.alphabet.word(names), sys)
+
+
 class TestSearchesAgainstReference:
     @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
     @pytest.mark.parametrize("step_cap", [1, 3, DEFAULT_STEP_CAP])
@@ -891,7 +941,9 @@ class TestSearchBoundary:
         loop = system("a b", ("a", "b"), ("b", "a"))
         with pytest.raises(NonTerminationError, match="^reduction cycle detected$") as err:
             disorder(w(loop.alphabet, "a"), loop)
-        assert err.value.trace == (w(loop.alphabet, "b"), w(loop.alphabet, "a"))
+        assert err.value.trace == (
+            w(loop.alphabet, "a"), w(loop.alphabet, "b"), w(loop.alphabet, "a")
+        )
         assert all(type(word) is tuple for word in err.value.trace)
 
     def test_descendants_are_words(self, sys_moves):

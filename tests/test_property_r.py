@@ -21,6 +21,7 @@ from frs import (
     words_over,
 )
 from frs import Rule, completeness, property_r
+from frs.core import DEFAULT_STEP_CAP
 from frs.property_r import SWEEP_CHUNK
 
 from conftest import system, w
@@ -97,6 +98,21 @@ def reference_p6(tup, bound):
         if not reduces_to(u, tup.rho(tup.phi(u)), tup.system):
             return len(words), u
     return len(words), None
+
+
+def reference_straightening_path(word, target, preserving, step_cap):
+    """The greedy loop that the walk of the matcher replaced: up to
+    ``step_cap`` leftmost steps of ``preserving``, stopping at ``target``."""
+    current = word
+    for _ in range(step_cap):
+        if current == target:
+            return True
+        redex = preserving.first_redex(current)
+        if redex is None:
+            return False
+        idx, pos = redex
+        current = current[:pos] + preserving.rhs[idx] + current[pos + len(preserving.lhs[idx]):]
+    return current == target
 
 
 def wrong_rho_at(tup, word, wrong):
@@ -208,6 +224,32 @@ class TestProperties:
         word, target = w(comm.alphabet, "bba"), w(comm.alphabet, "abb")
         assert property_r._straightening_path(word, target, comm.matcher, 2)
         assert not property_r._straightening_path(word, target, comm.matcher, 1)
+
+    @pytest.mark.parametrize(
+        "rules, complement",
+        [
+            ((("ba", "ab"),), ("a",)),
+            ((("aaa", "a"), ("bb", "b")), ("a", "aa")),
+            ((("ba", "ab"),), ("a", "b")),
+        ],
+        ids=["comm", "two", "comm_ab"],
+    )
+    def test_straightening_path_agrees_with_the_greedy_loop(self, rules, complement):
+        tup = construction("a b", *rules, complement=complement)
+        preserving = tup.system.with_rules(
+            rule for rule in tup.system.rules if tup.phi(rule.lhs) == tup.phi(rule.rhs)
+        ).matcher
+        found = set()
+        for word in words_over(tup.system.alphabet, 4):
+            image = tup.phi(word)
+            if not tup.in_at(image):
+                continue
+            target = tup.rho(image)
+            for cap in (-1, 0, 1, 2, 3, DEFAULT_STEP_CAP):
+                path = property_r._straightening_path(word, target, preserving, cap)
+                assert path == reference_straightening_path(word, target, preserving, cap)
+                found.add(path)
+        assert found == {True, False}
 
     def test_inconclusive_results_name_their_own_bound(self, tuple_comm):
         # b a -> a b gives P1 witnesses; step cap 1 stops every
