@@ -12,7 +12,6 @@ from .core import (
     RewritingSystem,
     Rule,
     Word,
-    descendants,
     disorder,
     is_irreducible,
     normal_form,
@@ -64,7 +63,6 @@ from .property_r import (
     PropertyRReport,
     check_isomorphism_slice,
     check_p1_to_p6,
-    oracle_classes,
 )
 from .fileformat import ParseError, parse_presentation, serialize_presentation
 

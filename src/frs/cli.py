@@ -75,7 +75,7 @@ def _require_complete(system: RewritingSystem, max_len: int, step_cap: int, labe
 def _cmd_check(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
     report = completeness.verify_complete(
-        presentation.system, args.max_len, args.step_cap
+        presentation.system, args.max_len, args.step_cap, dict(presentation.generators)
     )
     term = report.termination
     detail = term.certificate or ""

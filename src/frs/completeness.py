@@ -5,6 +5,10 @@ checker is tiered: it first looks for a reduction-order certificate (strict
 length decrease, or a lexicographic measure that lets a designated set of
 "heavy" letters only disappear or drift to the right), and otherwise falls
 back to an exhaustive cycle search over all words up to a length bound.
+When the letters' images under a homomorphism phi are known (a generated
+presentation's ``generator:`` lines), a measure pulled back along phi can
+prove that no cycle exists; the search's answer is then computed, not
+searched for.
 Local confluence is decided exactly, by joining every critical pair; the
 pairs are joined as they are found, one at a time, while
 :func:`critical_pairs` still returns the whole list.  Each distinct result
@@ -18,7 +22,7 @@ verdicts are visibly weaker than certified ones.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     DEFAULT_STEP_CAP,
@@ -29,6 +33,7 @@ from .core import (
     Word,
     _dfs,
     normal_form,
+    substitute,
     words_over,
 )
 
@@ -158,8 +163,10 @@ def _drops_count_first(rule: Rule, heavy: frozenset[Letter]) -> bool:
     return cr < cl or (cr == cl and nr == nl and wr < wl)
 
 
-def _measure_candidates(system: RewritingSystem) -> list[frozenset[Letter]]:
-    letters = system.alphabet.names()
+def _measure_candidates(letters: Iterable[Letter]) -> list[frozenset[Letter]]:
+    """The heavy-letter sets to try, smallest first: every subset of up to
+    14 letters, only the empty set and the singletons above that."""
+    letters = tuple(letters)
     candidates: list[frozenset[Letter]] = [frozenset()]
     candidates += [frozenset({letter}) for letter in letters]
     if len(letters) <= 14:
@@ -191,7 +198,9 @@ def find_measure_certificate(
     if not system.rules:
         return "no rules"
     candidates = (
-        [frozenset(heavy)] if heavy is not None else _measure_candidates(system)
+        [frozenset(heavy)]
+        if heavy is not None
+        else _measure_candidates(system.alphabet.names())
     )
     # A rule that fails one candidate tends to fail the next: it is moved
     # to the front of ``rules``, so the next test of every rule starts there.
@@ -213,18 +222,72 @@ def find_measure_certificate(
     return None
 
 
+def _pulled_back_certificate(
+    system: RewritingSystem, images: Mapping[Letter, Word]
+) -> bool:
+    """True iff a measure pulled back along phi proves that ``system``
+    terminates.  phi maps each letter to its image in ``images``, and a
+    letter without one to itself; the base letters are the letters of the
+    images so defined.
+
+    Every rule must either keep its image, phi(lhs) == phi(rhs), or drop
+    in the length-first measure of its image for one heavy set H of base
+    letters, searched as :func:`find_measure_certificate` searches.  The
+    rules that keep their image must have a certificate nu of their own,
+    tried first with the generators of right-drift kind as heavy letters:
+    every image of length 3, and every image of length 2 whose first letter
+    is its own image (the kinds C_R, C_M1 and C_M2 of a large-subsemigroup
+    construction).  phi is a homomorphism and both measures are monotone
+    under contexts, so (mu_H(phi(w)), nu(w)), compared lexicographically,
+    drops on every rule in every context: no reduction cycle exists.
+    """
+    phi = {letter: images.get(letter, (letter,)) for letter in system.alphabet}
+    moved: list[Rule] = []
+    kept: list[Rule] = []
+    for rule in system.rules:
+        lhs, rhs = substitute(rule.lhs, phi), substitute(rule.rhs, phi)
+        if lhs == rhs:
+            kept.append(rule)
+        else:
+            moved.append(Rule(lhs, rhs))
+    base = dict.fromkeys(letter for image in phi.values() for letter in image)
+    if not any(
+        _all_drop(moved, _drops_length_first, heavy) for heavy in _measure_candidates(base)
+    ):
+        return False
+    rest = system.with_rules(kept)
+    seed = frozenset(
+        letter
+        for letter, image in phi.items()
+        if len(image) == 3 or (len(image) == 2 and phi.get(image[0]) == image[:1])
+    )
+    return (
+        find_measure_certificate(rest, seed) is not None
+        or find_measure_certificate(rest) is not None
+    )
+
+
+def _cap_message(step_cap: int) -> str:
+    return f"bounded search stopped: more than {step_cap} states"
+
+
 def _bounded_cycle_search(
     system: RewritingSystem, max_len: int, step_cap: int
 ) -> TerminationEvidence:
     """Exhaustive cycle search over the words of length <= max_len: one
-    depth-first search from each word, sharing the states seen and the cap."""
+    depth-first search from each word, sharing the states seen and the cap.
+
+    Every word of length <= max_len is a start word, so on a system without
+    a reduction cycle the search enters each of them once, and ends at the
+    cap exactly when there are more than ``step_cap`` of them (see
+    :func:`check_termination`)."""
     successors = system.matcher.successors
 
     def bounded(word: Word) -> list[Word]:
         return [nxt for nxt in successors(word) if len(nxt) <= max_len]
 
     seen: dict[Word, bool] = {}
-    cap_message = f"bounded search stopped: more than {step_cap} states"
+    cap_message = _cap_message(step_cap)
     try:
         for start in words_over(system.alphabet, max_len):
             for _ in _dfs(start, bounded, seen, step_cap, cap_message):
@@ -237,11 +300,23 @@ def _bounded_cycle_search(
     return TerminationEvidence(BOUNDED_VERIFIED, depth=max_len)
 
 
+def _more_words_than(letters: int, max_len: int, step_cap: int) -> bool:
+    """Whether more than max(step_cap, 0) words have length 1..max_len
+    over ``letters`` letters; the count stops once it is past the cap."""
+    cap, words = max(step_cap, 0), 0
+    for length in range(1, max_len + 1):
+        words += letters**length
+        if words > cap:
+            return True
+    return False
+
+
 def check_termination(
     system: RewritingSystem,
     max_len: int = DEFAULT_SEARCH_LEN,
     step_cap: int = DEFAULT_STEP_CAP,
     heavy: frozenset[Letter] | None = None,
+    images: Mapping[Letter, Word] | None = None,
 ) -> TerminationEvidence:
     """Three-tier termination check.
 
@@ -249,11 +324,24 @@ def check_termination(
     2. a lexicographic heavy-letter measure (declared via ``heavy``, or
        found by searching letter subsets) strictly decreases -> certified;
     3. exhaustive cycle search over words of length <= max_len ->
-       bounded_verified, or a concrete cycle as counterexample.
+       bounded_verified, or a concrete cycle as counterexample; unknown
+       when more than ``step_cap`` states are entered.
+
+    With the letters' ``images`` under phi, a certificate pulled back along
+    phi (:func:`_pulled_back_certificate`) can show that the system has no
+    reduction cycle.  Then tier 3 is answered without searching, with what
+    the search would return: it would enter every word of length <=
+    max_len once, so it is unknown exactly when there are more than
+    max(step_cap, 0) such words, and bounded_verified otherwise.  A cycle
+    is only ever reported by the search.
     """
     certificate = find_measure_certificate(system, heavy)
     if certificate is not None:
         return TerminationEvidence(CERTIFIED, certificate=certificate)
+    if images and _pulled_back_certificate(system, images):
+        if _more_words_than(len(system.alphabet), max_len, step_cap):
+            return TerminationEvidence(UNKNOWN, certificate=_cap_message(step_cap))
+        return TerminationEvidence(BOUNDED_VERIFIED, depth=max_len)
     return _bounded_cycle_search(system, max_len, step_cap)
 
 
@@ -302,9 +390,11 @@ def verify_complete(
     system: RewritingSystem,
     max_len: int = DEFAULT_SEARCH_LEN,
     step_cap: int = DEFAULT_STEP_CAP,
+    images: Mapping[Letter, Word] | None = None,
 ) -> CompletenessReport:
-    """Full report: termination evidence, local confluence, verdict."""
-    termination = check_termination(system, max_len, step_cap)
+    """Full report: termination evidence, local confluence, verdict.
+    ``images`` is passed on to :func:`check_termination`."""
+    termination = check_termination(system, max_len, step_cap, images=images)
     confluence = check_local_confluence(system, step_cap)
     if termination.holds() and confluence.status == ALL_JOINED:
         verdict = COMPLETE

@@ -266,12 +266,14 @@ class LhsMatcher:
 
     ``lhs`` and ``rhs`` hold each rule's sides by rule index; ``maxlen``
     is the longest left-hand side (0 with no rules).  In ``trie`` a node
-    maps each letter to its child node, and its key ``None`` holds the
-    ascending indexes of the rules whose left-hand side ends there
-    (duplicates keep every index).  A position of a word is tested by
-    walking the trie from that position's letter, one dict lookup per
-    letter, until the walk falls off; at most positions it stops at the
-    first letter.
+    maps each letter to its child node.  A node at which some left-hand
+    side ends holds, under its key ``None``, the ascending indexes of every
+    rule whose left-hand side ends there or at a node above it on its path
+    (duplicates keep every index): the left-hand sides that match at a
+    position are exactly those of the deepest such node that the walk from
+    there reaches.  A position of a word is tested by walking the trie from
+    that position's letter, one dict lookup per letter, until the walk
+    falls off; at most positions it stops at the first letter.
     """
 
     __slots__ = ("trie", "lhs", "rhs", "maxlen")
@@ -287,6 +289,14 @@ class LhsMatcher:
             for letter in side:
                 node = node.setdefault(letter, {})
             node[None] = node.get(None, ()) + (idx,)
+        # One pass down the trie merges the indexes ending above each end
+        # node into its own.
+        stack = [(self.trie, ())]
+        while stack:
+            node, above = stack.pop()
+            if None in node:
+                above = node[None] = tuple(sorted(above + node[None]))
+            stack.extend((child, above) for letter, child in node.items() if letter is not None)
 
     def first_redex(
         self, letters: Word, rightmost: bool = False, start: int = 0
@@ -299,18 +309,16 @@ class LhsMatcher:
         positions = range(n - 1, -1, -1) if rightmost else range(start, n)
         for pos in positions:
             node = root.get(letters[pos])
-            best = None
+            found = None
             end = pos + 1
             while node is not None:
-                idxs = node.get(None)
-                if idxs is not None and (best is None or idxs[0] < best):
-                    best = idxs[0]
+                found = node.get(None, found)
                 if end == n:
                     break
                 node = node.get(letters[end])
                 end += 1
-            if best is not None:
-                return best, pos
+            if found is not None:
+                return found[0], pos
         return None
 
     def _matches(self, letters: Word) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -322,11 +330,7 @@ class LhsMatcher:
             found = None
             end = pos + 1
             while node is not None:
-                idxs = node.get(None)
-                if idxs is not None:
-                    # Two lengths matching at one position is rare; only
-                    # then do their index lists need merging.
-                    found = idxs if found is None else tuple(sorted(found + idxs))
+                found = node.get(None, found)
                 if end == n:
                     break
                 node = node.get(letters[end])
@@ -524,16 +528,6 @@ def _reach(
             seen.add(nxt)
             frontier.append(nxt)
     return seen
-
-
-def descendants(
-    word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_CAP
-) -> set[Word]:
-    """All words reachable from ``word`` by zero or more reduction steps."""
-    if not word:
-        raise InputError("cannot reduce the empty word")
-    start = _require_known(word, system)
-    return _reach(start, system, None, step_cap, f"descendant search exceeded {step_cap} states")
 
 
 def reduces_to(

@@ -340,41 +340,3 @@ def check_isomorphism_slice(
         t_class_count=len(slice_words),
         image_count=len(images),
     )
-
-
-def oracle_classes(
-    system: RewritingSystem, max_len: int
-) -> tuple[frozenset[Word], ...]:
-    """Partition all words of length <= max_len by undirected rule moves.
-
-    Ground truth for class equality that never consults normal forms.  An
-    under-approximation of the full congruence in general (joins through
-    longer intermediaries are invisible); exact when every rule is
-    length-nonincreasing.
-    """
-    words = list(words_over(system.alphabet, max_len))
-    index = {word: i for i, word in enumerate(words)}
-    parent = list(range(len(words)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for word in words:
-        for result in system.matcher.successors(word):
-            if len(result) <= max_len:
-                union(index[word], index[result])
-
-    groups: dict[int, list[Word]] = {}
-    for word, i in index.items():
-        groups.setdefault(find(i), []).append(word)
-    classes = [frozenset(members) for members in groups.values()]
-    classes.sort(key=lambda cls: min((len(w), w) for w in cls))
-    return tuple(classes)

@@ -3,11 +3,14 @@ from hypothesis import strategies as st
 
 from frs import (
     Alphabet,
+    InputError,
     Presentation,
     RewritingSystem,
     Rule,
     one_step_reductions,
+    words_over,
 )
+from frs.core import DEFAULT_STEP_CAP, _reach, _require_known
 
 
 def w(alphabet, text):
@@ -45,6 +48,51 @@ def all_normal_forms(word, sys, memo=None):
         )
     memo[word] = result
     return result
+
+
+def descendants(word, sys, step_cap=DEFAULT_STEP_CAP):
+    """All words reachable from ``word`` by zero or more reduction steps:
+    the search of ``reduces_to`` without a goal."""
+    if not word:
+        raise InputError("cannot reduce the empty word")
+    start = _require_known(word, sys)
+    return _reach(start, sys, None, step_cap, f"descendant search exceeded {step_cap} states")
+
+
+def oracle_classes(sys, max_len):
+    """Partition all words of length <= max_len by undirected rule moves.
+
+    Ground truth for class equality that never consults normal forms.  An
+    under-approximation of the full congruence in general (joins through
+    longer intermediaries are invisible); exact when every rule is
+    length-nonincreasing.
+    """
+    words = list(words_over(sys.alphabet, max_len))
+    index = {word: i for i, word in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    for word in words:
+        for result in sys.matcher.successors(word):
+            if len(result) <= max_len:
+                union(index[word], index[result])
+
+    groups = {}
+    for word, i in index.items():
+        groups.setdefault(find(i), []).append(word)
+    classes = [frozenset(members) for members in groups.values()]
+    classes.sort(key=lambda cls: min((len(w), w) for w in cls))
+    return tuple(classes)
 
 
 def longest_path_by_enumeration(word, sys):

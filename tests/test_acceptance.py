@@ -21,7 +21,6 @@ from frs import (
     normal_form,
     normalize_q2_q3,
     one_step_reductions,
-    oracle_classes,
     parse_presentation,
     phi_t,
     prepare_presentation,
@@ -33,7 +32,7 @@ from frs import (
 )
 from frs.cli import main
 
-from conftest import rule_set, system, w
+from conftest import oracle_classes, rule_set, system, w
 
 
 def report(number, name, ok):

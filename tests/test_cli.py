@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import frs
-from frs import cli
+from frs import cli, completeness
 from frs.cli import main
 from frs.core import (
     InputError,
@@ -26,6 +26,9 @@ NONCONFLUENT = "alphabet: a b\nrule: a b -> a\nrule: a b -> b\n"
 CYCLE = "alphabet: a b\nrule: a b -> b a\nrule: b a -> a b\n"
 COMM = "alphabet: a b\nrule: b a -> a b\ncomplement: a\n"
 TWO = "alphabet: a b\nrule: a a a -> a\nrule: b b -> b\ncomplement: a ; a a\n"
+IDCOMM = "alphabet: a b\nrule: a a -> a\nrule: b a -> a b\ncomplement: a\n"
+COMM_AB = "alphabet: a b\nrule: b a -> a b\ncomplement: a ; b\n"
+MONO42 = "alphabet: a\nrule: a a a a -> a a\ncomplement: a\n"
 REGENERATE = (
     "input error: the target file has no 'generator:' lines; regenerate it "
     "with 'frs large-sub' or 'frs letter-intro'\n"
@@ -63,6 +66,51 @@ class TestCheck:
             "local confluence: inconclusive at source 'a b a' (step cap 50 exceeded)",
             "verdict: incomplete",
         ]
+
+    def test_undone_image_keeping_rule_prints_the_cycle(self, files, tmp_path, capsys):
+        # b c_a_b -> c_b_a b undoes the D2 rule c_b_a b -> b c_a_b; both
+        # keep the image b a b, so the generator lines prove nothing and
+        # the cycle search reports the cycle, as it does without them.
+        write, _ = files
+        target = tmp_path / "idcomm.t"
+        assert main(["large-sub", write("idcomm.frs", IDCOMM), "-o", str(target)]) == 0
+        text = target.read_text() + "rule: b c_a_b -> c_b_a b\n"
+        bare = "".join(line + "\n" for line in text.splitlines() if not line.startswith("generator:"))
+        capsys.readouterr()
+        outputs = []
+        for name, content in (("undo.t", text), ("bare.t", bare)):
+            assert main(["check", write(name, content)]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == (
+            "termination: counterexample (b c_a_b -> c_b_a b -> b c_a_b)\n"
+            "local confluence: all 4608 critical pairs joined\n"
+            "verdict: incomplete\n"
+        )
+
+    @pytest.mark.parametrize(
+        "source, searches, code",
+        [(IDCOMM, 0, 0), (COMM_AB, 0, 3), (MONO42, 0, 0), (CYCLE, 1, 1)],
+        ids=["idcomm.t", "comm_ab.t", "mono42.t", "cycle"],
+    )
+    def test_generator_lines_answer_the_cycle_search(
+        self, source, searches, code, files, tmp_path, monkeypatch
+    ):
+        write, _ = files
+        path = write("source.frs", source)
+        if "complement:" in source:
+            target = str(tmp_path / "target.t")
+            assert main(["large-sub", path, "-o", target]) == 0
+            path = target
+        calls = []
+        search = completeness._bounded_cycle_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(completeness, "_bounded_cycle_search", counted)
+        assert main(["check", path]) == code
+        assert len(calls) == searches
 
     def test_parse_error_exits_two(self, files, capsys):
         write, _ = files

@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frs import (
     NonTerminationError,
     Presentation,
+    Rule,
     Word,
     build_construction,
+    build_letter_intro,
     check_local_confluence,
     check_termination,
     critical_pairs,
@@ -313,6 +315,93 @@ class TestTermination:
         assert evidence.depth == 5
 
 
+# Systems that no letter measure certifies but whose generator images do:
+# name -> (system, images).  Large-sub outputs of idcomm, mono42, comm_ab
+# and aba, and letter introductions over comm, idcomm and three.
+def pulled_back_targets():
+    targets = {}
+    for name, (letters, rules, complement) in {
+        "idcomm": ("a b", [("aa", "a"), ("ba", "ab")], ["a"]),
+        "mono42": ("a", [("aaaa", "aa")], ["a"]),
+        "comm_ab": CONSTRUCTIONS["comm_ab"],
+        "aba": ("a b", [("aba", "a")], ["a"]),
+    }.items():
+        base = system(letters, *rules)
+        words = tuple(w(base.alphabet, text) for text in complement)
+        construction = build_construction(prepare_presentation(Presentation(base, words)))
+        targets[name] = (construction.r_t, construction.images)
+    for name, letters, rules, w0 in (
+        ("comm s=ab", "a b", [("ba", "ab")], "ab"),
+        ("idcomm s=bb", "a b", [("aa", "a"), ("ba", "ab")], "bb"),
+        ("three s=ac", "a b c", [("ca", "ac"), ("cb", "bc")], "ac"),
+    ):
+        base = system(letters, *rules)
+        result = build_letter_intro(base, w(base.alphabet, w0))
+        targets[name] = (result.r_s, result.images)
+    return targets
+
+
+PULLED_BACK = pulled_back_targets()
+# Cycle searches larger than this are left out of the differential test.
+SEARCH_BUDGET = 20_000
+
+
+class TestPulledBackCertificate:
+    @pytest.mark.parametrize("name", sorted(PULLED_BACK))
+    def test_targets_certified_only_through_their_images(self, name):
+        sys, images = PULLED_BACK[name]
+        assert completeness.find_measure_certificate(sys) is None
+        assert completeness._pulled_back_certificate(sys, images)
+
+    # Without a cycle the search enters every word up to max_len, so its
+    # answer is the count of those words against the cap: the computed
+    # answer must be the search's, at the caps around that count.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(PULLED_BACK)),
+        st.integers(0, 6),
+        # (times n, plus): the caps -1, 0, 1, n - 1, n, n + 1 and the default.
+        st.sampled_from([(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (0, DEFAULT_STEP_CAP)]),
+    )
+    def test_computed_answer_is_the_search_answer(self, name, max_len, cap_of_n):
+        sys, images = PULLED_BACK[name]
+        n = sum(len(sys.alphabet) ** length for length in range(1, max_len + 1))
+        times, plus = cap_of_n
+        cap = times * n + plus
+        assume(min(n, cap) <= SEARCH_BUDGET)
+        assert check_termination(sys, max_len, cap, images=images) == (
+            completeness._bounded_cycle_search(sys, max_len, cap)
+        )
+
+    def test_image_that_neither_drops_nor_is_kept_does_not_certify(self):
+        # a -> s grows the image a to a b: no heavy set makes it drop.
+        sys = system("a b s", ("a", "s"))
+        assert not completeness._pulled_back_certificate(sys, {"s": ("a", "b")})
+
+    def test_one_heavy_set_must_drop_every_rule(self):
+        # s -> b a drops its image a b under {a}, and b a -> s drops b a
+        # under {b}, but no one set drops both: the cycle is still found.
+        sys = system("a b s", ("s", "ba"), ("ba", "s"))
+        images = {"s": ("a", "b")}
+        assert not completeness._pulled_back_certificate(sys, images)
+        evidence = check_termination(sys, images=images)
+        assert evidence.status == COUNTEREXAMPLE
+        assert evidence == check_termination(sys)
+
+    def test_kept_images_need_their_own_certificate(self):
+        # Both rules keep the image b a b, so only a measure of the target
+        # letters could order them, and none does: they undo each other.
+        sys, images = PULLED_BACK["idcomm"]
+        alphabet = sys.alphabet
+        undo = Rule(alphabet.word("b c_a_b"), alphabet.word("c_b_a b"))
+        looping = sys.with_rules(sys.rules + (undo,))
+        assert not completeness._pulled_back_certificate(looping, images)
+        evidence = check_termination(looping, images=images)
+        assert [show(word) for word in evidence.cycle] == [
+            "b c_a_b", "c_b_a b", "b c_a_b"
+        ]
+
+
 class TestLocalConfluence:
     def test_all_joined(self, sys_moves):
         evidence = check_local_confluence(sys_moves)
@@ -496,7 +585,7 @@ def reference_drops_count_first(rule, heavy):
 
 
 def assert_measure_matches_reference(sys):
-    for heavy in completeness._measure_candidates(sys):
+    for heavy in completeness._measure_candidates(sys.alphabet.names()):
         for rule in sys.rules:
             assert completeness._drops_length_first(rule, heavy) == (
                 reference_drops_length_first(rule, heavy)
@@ -521,7 +610,7 @@ def reference_measure_certificate(sys):
     """The in-order certificate search over the reference predicates."""
     if not sys.rules:
         return "no rules"
-    for cand in completeness._measure_candidates(sys):
+    for cand in completeness._measure_candidates(sys.alphabet.names()):
         names = ", ".join(sorted(cand))
         if all(reference_drops_length_first(rule, cand) for rule in sys.rules):
             if not cand:

@@ -17,7 +17,6 @@ from frs import (
     check_termination,
     critical_pairs,
     disorder,
-    descendants,
     is_irreducible,
     normal_form,
     one_step_reductions,
@@ -44,6 +43,7 @@ from frs.property_r import CandidateTuple, IsomorphismReport, PropertyResult, Pr
 
 from conftest import (
     all_normal_forms,
+    descendants,
     longest_path_by_enumeration,
     looping_systems,
     system,

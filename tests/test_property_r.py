@@ -9,11 +9,9 @@ from frs import (
     build_letter_intro,
     check_isomorphism_slice,
     check_p1_to_p6,
-    descendants,
     is_irreducible,
     normal_form,
     one_step_reductions,
-    oracle_classes,
     prepare_presentation,
     reduces_to,
     show,
@@ -24,7 +22,7 @@ from frs import Rule, completeness, property_r
 from frs.core import DEFAULT_STEP_CAP
 from frs.property_r import SWEEP_CHUNK
 
-from conftest import system, w
+from conftest import descendants, oracle_classes, system, w
 
 
 @pytest.fixture
