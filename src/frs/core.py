@@ -14,9 +14,11 @@ position order only).  ``one_step_reductions`` lists every step ordered by
 (position, rule index).  Every redex and factor search walks one trie of
 left-hand sides, the system's :class:`LhsMatcher`, which is built once per
 system on first use.  Normal forms follow its :meth:`~LhsMatcher.walk`, the
-one deterministic reduction; :func:`disorder` and the bounded termination
-check share one cycle-detecting depth-first search over its successors,
-which stops once more than ``step_cap`` states have been entered.
+one deterministic reduction, which :meth:`~LhsMatcher.walk_classes` takes
+for every word up to a length, a class of words at a time; :func:`disorder`
+and the bounded termination check share one cycle-detecting depth-first
+search over its successors, which stops once more than ``step_cap`` states
+have been entered.
 """
 
 from __future__ import annotations
@@ -362,6 +364,94 @@ class LhsMatcher:
             idx, pos = redex
             word = word[:pos] + rhs[idx] + word[pos + len(lhs[idx]):]
             start = max(0, pos - back)
+
+    def walk_classes(
+        self, letters: Iterable[Letter], max_len: int, step_cap: int = DEFAULT_STEP_CAP
+    ) -> Iterator[tuple[int, Word, int, int]]:
+        """The leftmost walks of every word of length 1..``max_len`` over
+        ``letters``, a class of words at a time.  Yields (length, normal
+        form, weight, steps) for each class, level by level: the ``weight``
+        words of the class have that length and normal form, and ``steps``
+        is the most steps that any of them takes.
+
+        Call a step of a walk, rewriting the current word w at position i,
+        *safe* when the trie walk over w[s:] falls off for every s in
+        [max(0, |w| + 1 - maxlen), i].  Lemma: a safe step of w is also the
+        step of w·x, for every word x.  Proof: a redex of w·x that does not
+        lie in w starts at some s with w[s:] on the trie and
+        |w| - s < maxlen, so s > i by safety.  The redexes of w·x at
+        positions <= i are thus those of w: the leftmost is at i, with the
+        same rules there, and w·x steps to w'·x.  The step of w'·x is then
+        safe when that of w' is: its range of s starts later, and
+        (w'·x)[s:] extends w'[s:].  So if the first j steps of the walk of v
+        are safe, the walk of v·x is those j steps with x appended, followed
+        by the walk of w_j·x, w_j being the word after them.  In particular,
+        if every step of the walk of p is safe, the walk of p·a is the walk
+        of p with a appended, followed by the walk of nf(p)·a.
+
+        Each word u of a level thus has a *head* h and a count b: u walks b
+        safe steps and then the walk of h, where h is the word at the first
+        step that is not safe, or the normal form; and u·a walks b steps and
+        then the walk of h·a.  That walk takes the steps of :meth:`walk`,
+        scanning from |h| + 1 - maxlen: a redex of h·a that is not one of h
+        starts there or later, and so does the first redex of h, if any,
+        since the step there is unsafe.  The words of a level that share
+        their head form one class, walked once as h·a with the largest b
+        among them.  One dict of classes, head -> [weight, largest b], is
+        kept per level, and none for the last.  A class with a word that
+        takes more than max(step_cap, 0) steps ends the walker with
+        :class:`NonTerminationError`, at the shortest length that has such
+        a word.
+        """
+        first_redex, trie, lhs, rhs = self.first_redex, self.trie, self.lhs, self.rhs
+        maxlen = self.maxlen
+        back = max(maxlen - 1, 0)
+        limit = max(step_cap, 0)
+        letters = tuple(letters)
+
+        def safe(word: Word, pos: int) -> bool:
+            for s in range(max(0, len(word) + 1 - maxlen), pos + 1):
+                node = trie
+                for letter in word[s:]:
+                    node = node.get(letter)
+                    if node is None:
+                        break
+                else:
+                    return False
+            return True
+
+        level: dict[Word, list[int]] = {(): [1, 0]}
+        for length in range(1, max_len + 1):
+            last = length == max_len
+            heads: dict[Word, list[int]] = {}
+            for head, (weight, before) in level.items():
+                start = max(0, len(head) + 1 - maxlen)
+                for letter in letters:
+                    word, steps, scan = head + (letter,), before, start
+                    child = None
+                    while (redex := first_redex(word, False, scan)) is not None:
+                        idx, pos = redex
+                        if child is None and not last and not safe(word, pos):
+                            child, child_before = word, steps
+                        steps += 1
+                        if steps > limit:
+                            raise NonTerminationError(
+                                f"possible non-termination: {step_cap} reduction steps exceeded"
+                            )
+                        word = word[:pos] + rhs[idx] + word[pos + len(lhs[idx]):]
+                        scan = max(0, pos - back)
+                    yield length, word, weight, steps
+                    if last:
+                        continue
+                    if child is None:
+                        child, child_before = word, steps
+                    entry = heads.get(child)
+                    if entry is None:
+                        heads[child] = [weight, child_before]
+                    else:
+                        entry[0] += weight
+                        entry[1] = max(entry[1], child_before)
+            level = heads
 
     def successors(self, letters: Word) -> list[Word]:
         """Every one-step reduct of ``letters``, in the

@@ -6,6 +6,13 @@ are exhaustive up to length bounds, except where a structural certificate
 decides the property outright (termination of the image-preserving rule
 subset).  Each property reports verified-to-bound, a concrete
 counterexample, or inconclusive when a step cap was hit.
+
+P4 and P6 take the B-words a class at a time
+(:meth:`~frs.core.LhsMatcher.walk_classes`): the words of a class share
+their normal form and their image, so one test passes them all.  When a
+class fails, a walk passes the step cap or a function of the tuple raises,
+the property sweeps its B-words one by one instead (``_sweep``), so every
+counterexample, inconclusive result and error comes from the sweep.
 """
 
 from __future__ import annotations
@@ -112,6 +119,16 @@ def _sweep(words: Iterator[Item], ok: Callable[[Item], bool]) -> tuple[int, Item
     return swept, None
 
 
+def _unless_raised(count: Callable[[], int | None]) -> int | None:
+    """``count()``, or None when it raises.  Nothing is lost: the property
+    then sweeps word by word, meets the same failure and reports it as the
+    sweep does."""
+    try:
+        return count()
+    except Exception:
+        return None
+
+
 def _straightening_path(
     word: Word, target: Word, preserving: LhsMatcher, step_cap: int
 ) -> bool:
@@ -163,6 +180,7 @@ def check_p1_to_p6(
             rhos.append(tup.rho(a_members[i]))
         return rhos[i]
 
+    b_letters = system.alphabet.names()
     # The image-preserving rules, in system order (P3, P6).
     preserved = system.with_rules(r for r in system.rules if tup.phi(r.lhs) == tup.phi(r.rhs))
 
@@ -174,10 +192,13 @@ def check_p1_to_p6(
         witnesses = 0
         successors = base.matcher.successors
         for i, u in enumerate(a_members):
-            reducts = system.matcher.successors(_require_known(rho_of(i), system))
-            targets = {tup.phi(u_prime) for u_prime in reducts}
+            rho_u = _require_known(rho_of(i), system)
             # u was drawn over the base alphabet, so its reducts need no check.
-            for v1 in successors(u):
+            base_reducts = successors(u)
+            if not base_reducts:
+                continue
+            targets = {tup.phi(u_prime) for u_prime in system.matcher.successors(rho_u)}
+            for v1 in base_reducts:
                 witnesses += 1
                 if v1 in targets:
                     continue
@@ -225,8 +246,24 @@ def check_p1_to_p6(
             )
         return PropertyResult("P3", INCONCLUSIVE, bound_b, 0, note=evidence.certificate or "")
 
-    # P4: every B-word reaches one whose image is a representative.
+    # P4: every B-word reaches one whose image is a representative.  The
+    # words of a class share their normal form, so one test of each
+    # distinct normal form passes them all; otherwise the sweep decides.
     def p4() -> PropertyResult:
+        def by_class() -> int | None:
+            passed: set[Word] = set()
+            words = 0
+            for _, nf, weight, _ in system.matcher.walk_classes(b_letters, bound_b, step_cap):
+                if nf not in passed:
+                    if not tup.in_at(tup.phi(nf)):
+                        return None
+                    passed.add(nf)
+                words += weight
+            return words
+
+        if (words := _unless_raised(by_class)) is not None:
+            return PropertyResult("P4", VERIFIED, bound_b, words)
+
         def ok(u_prime: Word) -> bool:
             if tup.in_at(tup.phi(normal_form(u_prime, system, step_cap))):
                 return True
@@ -254,9 +291,25 @@ def check_p1_to_p6(
         return PropertyResult("P5", VERIFIED, bound_a, len(a_members))
 
     # P6: every B-word whose image is a representative reduces to the
-    # canonical form of that image.
+    # canonical form of that image.  Image-preserving steps keep phi, and
+    # phi is a homomorphism, so the words of a class of the image-preserving
+    # walk all have the image of the class's normal form nf; when rho of a
+    # representative image is nf, each word's walk reaches it within the
+    # cap.  Otherwise the sweep decides.
     def p6() -> PropertyResult:
         preserving = preserved.matcher
+
+        def by_class() -> int | None:
+            words = 0
+            for _, nf, weight, _ in preserving.walk_classes(b_letters, bound_b, step_cap):
+                if tup.in_at(image := tup.phi(nf)):
+                    if tup.rho(image) != nf:
+                        return None
+                    words += weight
+            return words
+
+        if (words := _unless_raised(by_class)) is not None:
+            return PropertyResult("P6", VERIFIED, bound_b, words)
 
         def ok(word_and_image: tuple[Word, Word]) -> bool:
             u_prime, image = word_and_image

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from sys import getswitchinterval, setswitchinterval
@@ -871,6 +872,108 @@ class TestWalkAgainstReference:
     def test_random_systems_agree(self, sys, data):
         names = data.draw(st.lists(st.sampled_from(sys.alphabet.names()), min_size=1, max_size=9))
         assert_walk_matches_reference(sys.alphabet.word(names), sys)
+
+
+def classes_word_by_word(sys, max_len, step_cap):
+    """(length, normal form) -> [words, most steps] from the normal form
+    and the walk of each word on its own, below the first length that has a
+    word past ``step_cap`` steps; with that length, or None."""
+    classes = {}
+    for word in words_over(sys.alphabet, max_len):
+        try:
+            nf = normal_form(word, sys, step_cap)
+        except NonTerminationError:
+            return {key: entry for key, entry in classes.items() if key[0] < len(word)}, len(word)
+        entry = classes.setdefault((len(word), nf), [0, 0])
+        entry[0] += 1
+        entry[1] = max(entry[1], sum(1 for _ in sys.matcher.walk(word)) - 1)
+    return classes, None
+
+
+def assert_walk_classes_match_reference(sys, max_len, step_cap):
+    expected, capped_at = classes_word_by_word(sys, max_len, step_cap)
+    classes = {}
+    walker = sys.matcher.walk_classes(sys.alphabet.names(), max_len, step_cap)
+    with pytest.raises(NonTerminationError) if capped_at else contextlib.nullcontext():
+        for length, nf, weight, steps in walker:
+            entry = classes.setdefault((length, nf), [0, 0])
+            entry[0] += weight
+            entry[1] = max(entry[1], steps)
+    if capped_at is not None:
+        # The walker stops within the first length that has a capped word.
+        assert all(length <= capped_at for length, _ in classes)
+        classes = {key: entry for key, entry in classes.items() if key[0] < capped_at}
+    assert classes == expected
+
+
+class TestWalkClassesAgainstReference:
+    """LhsMatcher.walk_classes gives each class the normal form, word count
+    and largest step count of the naive leftmost reduction of its words,
+    and stops at the same step cap hits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(looping_systems(), trie_systems()),
+        st.integers(0, 4),
+        st.sampled_from([-1, 0, 1, 2, 3, 30]),
+    )
+    def test_random_systems_agree(self, sys, max_len, step_cap):
+        assert_walk_classes_match_reference(sys, max_len, step_cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(looping_systems(), trie_systems()), st.integers(0, 4))
+    def test_random_systems_agree_at_the_default_cap(self, sys, max_len):
+        # Right-hand sides cut to their left-hand side's length keep the
+        # loops but not the growth, which would walk words of thousands of
+        # letters up to the cap.
+        sys = sys.with_rules(Rule(rule.lhs, rule.rhs[: len(rule.lhs)]) for rule in sys.rules)
+        assert_walk_classes_match_reference(sys, max_len, DEFAULT_STEP_CAP)
+
+    @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
+    def test_fixture_systems_agree(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        for step_cap in (-1, 0, 1, 2, 3, DEFAULT_STEP_CAP):
+            assert_walk_classes_match_reference(sys, 5, step_cap)
+
+    @pytest.mark.parametrize(
+        "rules",
+        [(("ba", "x"), ("b", "d")), (("abc", "x"), ("b", "d"))],
+        ids=["at-the-step", "before-the-step"],
+    )
+    def test_a_step_that_a_longer_left_hand_side_can_take_over(self, rules):
+        # b -> d rewrites the b of a word that ends there, but a longer
+        # left-hand side starting at or before it may take over once a
+        # letter follows: b a walks to x, not to d a.
+        sys = system("a b c d x", *rules)
+        for step_cap in (0, 1, DEFAULT_STEP_CAP):
+            assert_walk_classes_match_reference(sys, 4, step_cap)
+
+    def test_raw_commutation_construction_agrees(self):
+        # The raw R_T of comm has left-hand sides of two to five letters.
+        base = system("a b", ("ba", "ab"))
+        pres = Presentation(base, (w(base.alphabet, "a"),))
+        target = build_construction(prepare_presentation(pres)).as_candidate_tuple().system
+        assert target.matcher.maxlen == 5
+        for step_cap in (-1, 0, 1, 2, 3, DEFAULT_STEP_CAP):
+            assert_walk_classes_match_reference(target, 4, step_cap)
+
+    def test_words_with_a_safe_walk_share_their_extensions(self):
+        # Under b a -> a b, b a steps safely to a b, so a b x and b a x form
+        # one class: the 8 words of length 3 walk as 6 classes.
+        comm = system("a b", ("ba", "ab"))
+        level_3 = [
+            (show(nf), weight, steps)
+            for length, nf, weight, steps in comm.matcher.walk_classes(("a", "b"), 3)
+            if length == 3
+        ]
+        assert level_3 == [
+            ("a a a", 1, 0),
+            ("a a b", 1, 0),
+            ("a a b", 2, 2),
+            ("a b b", 2, 1),
+            ("a b b", 1, 2),
+            ("b b b", 1, 0),
+        ]
 
 
 class TestSearchesAgainstReference:

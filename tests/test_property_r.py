@@ -5,6 +5,7 @@ from frs import (
     NonTerminationError,
     Presentation,
     PreconditionError,
+    RewriteError,
     build_construction,
     build_letter_intro,
     check_isomorphism_slice,
@@ -111,6 +112,22 @@ def reference_straightening_path(word, target, preserving, step_cap):
         idx, pos = redex
         current = current[:pos] + preserving.rhs[idx] + current[pos + len(preserving.lhs[idx]):]
     return current == target
+
+
+def preserving_matcher(tup):
+    """The matcher of the image-preserving rules, in system order."""
+    return tup.system.with_rules(
+        rule for rule in tup.system.rules if tup.phi(rule.lhs) == tup.phi(rule.rhs)
+    ).matcher
+
+
+def p4_and_p6(tup, bound_b, step_cap):
+    """The P4 and P6 results, or the error that ends the check."""
+    try:
+        report = check_p1_to_p6(tup, 1, bound_b, step_cap)
+    except RewriteError as exc:
+        return type(exc), str(exc)
+    return report.result("P4"), report.result("P6")
 
 
 def wrong_rho_at(tup, word, wrong):
@@ -234,9 +251,7 @@ class TestProperties:
     )
     def test_straightening_path_agrees_with_the_greedy_loop(self, rules, complement):
         tup = construction("a b", *rules, complement=complement)
-        preserving = tup.system.with_rules(
-            rule for rule in tup.system.rules if tup.phi(rule.lhs) == tup.phi(rule.rhs)
-        ).matcher
+        preserving = preserving_matcher(tup)
         found = set()
         for word in words_over(tup.system.alphabet, 4):
             image = tup.phi(word)
@@ -303,7 +318,7 @@ class TestProperties:
         assert res.status == "verified"
         assert res.witness_count > 0
 
-    def test_rho_once_per_representative_and_swept_b_word(self, tuple_comm):
+    def test_rho_once_per_representative_and_p6_class(self, tuple_comm):
         calls = []
 
         def rho(word):
@@ -313,9 +328,16 @@ class TestProperties:
         report = check_p1_to_p6(tuple_comm._replace(rho=rho), 6, 3)
         assert report.overall
         # P1 and P5 share rho(u) for each representative u; P6 takes one
-        # rho(phi(u')) per B-word it sweeps.
-        swept = report.result("P5").witness_count + report.result("P6").witness_count
-        assert len(calls) == swept
+        # rho(phi(nf)) per class of its B-words whose image is in A(T).
+        classes = [
+            nf
+            for _, nf, _, _ in preserving_matcher(tuple_comm).walk_classes(
+                tuple_comm.system.alphabet.names(), 3
+            )
+            if tuple_comm.in_at(tuple_comm.phi(nf))
+        ]
+        assert len(classes) < report.result("P6").witness_count
+        assert len(calls) == report.result("P5").witness_count + len(classes)
 
 
 class TestP1AgainstReference:
@@ -473,3 +495,67 @@ class TestSweepChunks:
             assert res.counterexample == (first, wrong)
         else:
             assert res.note == f"step cap hit at '{capped}'"
+
+
+class TestClassWalkAgainstSweep:
+    """P4 and P6 walk classes of B-words and fall back to the word-by-word
+    sweep; their results are those of the sweep run alone."""
+
+    @pytest.fixture
+    def variants(self, tuple_free, tuple_comm, tuple_two, tuple_threebase, tuple_aa):
+        free = tuple_free.system.alphabet
+        missing = tuple_free.phi(free.word("c_b_a c_b_a b"))
+        raising = tuple_free.phi(free.word("b c_b_a"))
+
+        def in_at_raises(word):
+            if word == raising:
+                raise NonTerminationError(f"step cap hit at '{show(word)}'")
+            return tuple_free.in_at(word)
+
+        aa = tuple_aa.system.alphabet
+        undo = Rule(aa.word("a s"), aa.word("s a"))
+        return {
+            "free": tuple_free,
+            "comm": tuple_comm,
+            "two": tuple_two,
+            "threebase": tuple_threebase,
+            "free, wrong rho": wrong_rho_at(tuple_free, free.word("c_b_a b"), free.word("b")),
+            "free, image left out of A(T)": tuple_free._replace(
+                in_at=lambda word: word != missing and tuple_free.in_at(word)
+            ),
+            "free, in_at raises": tuple_free._replace(in_at=in_at_raises),
+            "free, first rule dropped": drop_rules(
+                tuple_free, lambda rule: rule == tuple_free.system.rules[0]
+            ),
+            "comm, b c_a_b_a dropped": drop_rules(
+                tuple_comm, lambda rule: show(rule.lhs) == "b c_a_b_a"
+            ),
+            "comm, c_b_a dropped": drop_rules(tuple_comm, lambda rule: show(rule.lhs) == "c_b_a"),
+            "aa, C6 dropped": drop_rules(tuple_aa, lambda rule: "C6" in rule.tags),
+            "aa, undo loop": tuple_aa._replace(
+                system=tuple_aa.system.with_rules(tuple_aa.system.rules + (undo,))
+            ),
+        }
+
+    def test_results_equal_the_sweep(self, variants, monkeypatch):
+        grid = [
+            (name, bound_b, step_cap)
+            for name in variants
+            for bound_b in (1, 2, 3, 4)
+            for step_cap in (-1, 0, 1, 2, 3, 4, 5, DEFAULT_STEP_CAP)
+        ]
+        by_class = [p4_and_p6(variants[name], *rest) for name, *rest in grid]
+        monkeypatch.setattr(property_r, "_unless_raised", lambda count: None)
+        for (name, *rest), results in zip(grid, by_class):
+            assert results == p4_and_p6(variants[name], *rest), (name, *rest)
+        statuses = {res.status for results in by_class for res in results if hasattr(res, "status")}
+        assert statuses == {"verified", "counterexample", "inconclusive"}
+
+    @pytest.mark.parametrize("fixture, bound_b", [("tuple_free", 5), ("tuple_comm", 4)])
+    def test_construction_tuples_never_sweep(self, fixture, bound_b, request, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("the class walk fell back to the sweep")
+
+        monkeypatch.setattr(property_r, "_sweep", sweep)
+        report = check_p1_to_p6(request.getfixturevalue(fixture), 2, bound_b)
+        assert report.result("P4").status == report.result("P6").status == "verified"
