@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     DEFAULT_STEP_CAP,
+    Alphabet,
     Letter,
     NonTerminationError,
     RewritingSystem,
@@ -222,6 +223,24 @@ def find_measure_certificate(
     return None
 
 
+def right_drift_letters(images: Mapping[Letter, Word], alphabet: Alphabet) -> frozenset[Letter]:
+    """The generators of right-drift kind, the heavy letters that a
+    termination certificate tries first: every image of length 3, and every
+    image of length 2 whose first letter is a letter of ``alphabet`` that
+    phi fixes (one without an image).  In a large-subsemigroup construction
+    these are the generators of kinds C_R, C_M1 and C_M2."""
+    return frozenset(
+        letter
+        for letter, image in images.items()
+        if len(image) == 3
+        or (
+            len(image) == 2
+            and image[0] in alphabet
+            and images.get(image[0], image[:1]) == image[:1]
+        )
+    )
+
+
 def _pulled_back_certificate(
     system: RewritingSystem, images: Mapping[Letter, Word]
 ) -> bool:
@@ -234,12 +253,10 @@ def _pulled_back_certificate(
     in the length-first measure of its image for one heavy set H of base
     letters, searched as :func:`find_measure_certificate` searches.  The
     rules that keep their image must have a certificate nu of their own,
-    tried first with the generators of right-drift kind as heavy letters:
-    every image of length 3, and every image of length 2 whose first letter
-    is its own image (the kinds C_R, C_M1 and C_M2 of a large-subsemigroup
-    construction).  phi is a homomorphism and both measures are monotone
-    under contexts, so (mu_H(phi(w)), nu(w)), compared lexicographically,
-    drops on every rule in every context: no reduction cycle exists.
+    tried first with the :func:`right_drift_letters` as heavy letters.  phi
+    is a homomorphism and both measures are monotone under contexts, so
+    (mu_H(phi(w)), nu(w)), compared lexicographically, drops on every rule
+    in every context: no reduction cycle exists.
     """
     phi = {letter: images.get(letter, (letter,)) for letter in system.alphabet}
     moved: list[Rule] = []
@@ -256,11 +273,7 @@ def _pulled_back_certificate(
     ):
         return False
     rest = system.with_rules(kept)
-    seed = frozenset(
-        letter
-        for letter, image in phi.items()
-        if len(image) == 3 or (len(image) == 2 and phi.get(image[0]) == image[:1])
-    )
+    seed = right_drift_letters(images, system.alphabet)
     return (
         find_measure_certificate(rest, seed) is not None
         or find_measure_certificate(rest) is not None

@@ -9,16 +9,17 @@ how a word is written: its letter names separated by single spaces.
 
 Reduction contract: a reduction step rewrites the leftmost position at
 which some left-hand side occurs, and among the rules whose left-hand side
-occurs there, the one with the lowest index (``rightmost=True`` flips the
-position order only).  ``one_step_reductions`` lists every step ordered by
-(position, rule index).  Every redex and factor search walks one trie of
-left-hand sides, the system's :class:`LhsMatcher`, which is built once per
-system on first use.  Normal forms follow its :meth:`~LhsMatcher.walk`, the
-one deterministic reduction, which :meth:`~LhsMatcher.walk_classes` takes
-for every word up to a length, a class of words at a time; :func:`disorder`
-and the bounded termination check share one cycle-detecting depth-first
-search over its successors, which stops once more than ``step_cap`` states
-have been entered.
+occurs there, the one with the lowest index.  ``one_step_reductions`` lists
+every step ordered by (position, rule index).  Every redex and factor
+search walks one trie of left-hand sides, the system's
+:class:`LhsMatcher`, which is built once per system on first use.
+Normal forms follow its :meth:`~LhsMatcher.walk`, the one reduction, which
+:meth:`~LhsMatcher.walk_classes` takes for every word up to a length, a
+class of words at a time; :func:`disorder` and the bounded termination
+check share one cycle-detecting depth-first search over its successors,
+which stops once more than ``step_cap`` states have been entered.  The
+program has no other reduction order: the paper's systems are complete,
+and the normal form of a complete system does not depend on the order.
 """
 
 from __future__ import annotations
@@ -300,16 +301,12 @@ class LhsMatcher:
                 above = node[None] = tuple(sorted(above + node[None]))
             stack.extend((child, above) for letter, child in node.items() if letter is not None)
 
-    def first_redex(
-        self, letters: Word, rightmost: bool = False, start: int = 0
-    ) -> tuple[int, int] | None:
-        """(rule index, position) of the first redex: leftmost position
-        (rightmost with ``rightmost=True``), then lowest rule index.  A
-        leftmost scan begins at ``start``; the caller knows that no redex
-        starts before it.  A rightmost scan ignores ``start``."""
+    def first_redex(self, letters: Word, start: int = 0) -> tuple[int, int] | None:
+        """(rule index, position) of the first redex: leftmost position,
+        then lowest rule index.  The scan begins at ``start``; the caller
+        knows that no redex starts before it."""
         root, n = self.trie, len(letters)
-        positions = range(n - 1, -1, -1) if rightmost else range(start, n)
-        for pos in positions:
+        for pos in range(start, n):
             node = root.get(letters[pos])
             found = None
             end = pos + 1
@@ -344,12 +341,12 @@ class LhsMatcher:
         """Every (position, rule index) occurrence, in that order."""
         return [(pos, idx) for pos, idxs in self._matches(letters) for idx in idxs]
 
-    def walk(self, word: Word, rightmost: bool = False) -> Iterator[Word]:
-        """``word``, then each word of its deterministic reduction: every
-        step rewrites the first redex (see :meth:`first_redex`).  Ends at
-        the normal form, or never if the reduction does not terminate.
+    def walk(self, word: Word) -> Iterator[Word]:
+        """``word``, then each word of its leftmost reduction: every step
+        rewrites the first redex (see :meth:`first_redex`).  Ends at the
+        normal form, or never if the reduction does not terminate.
 
-        After a leftmost rewrite at ``pos`` the scan resumes at
+        After a rewrite at ``pos`` the scan resumes at
         ``pos - maxlen + 1``: no redex started before ``pos``, so a redex
         of the new word that starts earlier would have to reach into the
         rewritten part."""
@@ -358,7 +355,7 @@ class LhsMatcher:
         start = 0
         while True:
             yield word
-            redex = first_redex(word, rightmost, start)
+            redex = first_redex(word, start)
             if redex is None:
                 return
             idx, pos = redex
@@ -429,7 +426,7 @@ class LhsMatcher:
                 for letter in letters:
                     word, steps, scan = head + (letter,), before, start
                     child = None
-                    while (redex := first_redex(word, False, scan)) is not None:
+                    while (redex := first_redex(word, scan)) is not None:
                         idx, pos = redex
                         if child is None and not last and not safe(word, pos):
                             child, child_before = word, steps
@@ -501,18 +498,14 @@ def is_irreducible(word: Word, system: RewritingSystem) -> bool:
 
 
 def normal_form(
-    word: Word,
-    system: RewritingSystem,
-    step_cap: int = DEFAULT_STEP_CAP,
-    rightmost: bool = False,
+    word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_CAP
 ) -> Word:
     """Reduce ``word`` to an irreducible descendant: the end of the
     matcher's :meth:`~LhsMatcher.walk`.
 
     The strategy is deterministic: leftmost occurrence, ties broken by
-    lowest rule index (``rightmost=True`` flips the position order; it
-    exists so tests can cross-check strategy independence).  For a complete
-    system the result does not depend on the strategy.
+    lowest rule index.  For a complete system the result does not depend
+    on the strategy.
 
     When ``step_cap`` steps do not reach a normal form (the word after the
     last of them is still reducible), the :class:`NonTerminationError`
@@ -523,11 +516,11 @@ def normal_form(
     start = _require_known(word, system)
     walk = system.matcher.walk
     limit = max(step_cap, 0)  # a cap below 0 allows no step, as 0 does
-    for steps, current in enumerate(walk(start, rightmost)):
+    for steps, current in enumerate(walk(start)):
         if steps > limit:
             raise NonTerminationError(
                 f"possible non-termination: {step_cap} reduction steps exceeded",
-                lambda: tuple(itertools.islice(walk(start, rightmost), limit + 1)),
+                lambda: tuple(itertools.islice(walk(start), limit + 1)),
             )
     return current
 
@@ -595,15 +588,15 @@ def disorder(word: Word, system: RewritingSystem, step_cap: int = DEFAULT_STEP_C
 def _reach(
     start: Word,
     system: RewritingSystem,
-    goal: Callable[[Word], bool] | None,
+    goal: Callable[[Word], bool],
     step_cap: int,
     cap_message: str,
-) -> set[Word] | None:
-    """Depth-first search of the reduction graph from ``start``.  Returns
-    None as soon as a reached state other than ``start`` passes ``goal``;
-    otherwise the set of every state reachable from ``start``.  Adding a
-    state beyond ``step_cap`` raises :class:`NonTerminationError` with
-    ``cap_message``.  The caller has validated ``start``."""
+) -> bool:
+    """Depth-first search of the reduction graph from ``start``: whether a
+    reachable state other than ``start`` passes ``goal``.  It answers as
+    soon as one does.  Adding a state beyond ``step_cap`` raises
+    :class:`NonTerminationError` with ``cap_message``.  The caller has
+    validated ``start``."""
     successors = system.matcher.successors
     seen = {start}
     frontier = [start]
@@ -611,13 +604,13 @@ def _reach(
         for nxt in successors(frontier.pop()):
             if nxt in seen:
                 continue
-            if goal is not None and goal(nxt):
-                return None
+            if goal(nxt):
+                return True
             if len(seen) >= step_cap:
                 raise NonTerminationError(cap_message)
             seen.add(nxt)
             frontier.append(nxt)
-    return seen
+    return False
 
 
 def reduces_to(
@@ -632,25 +625,16 @@ def reduces_to(
     if not word:
         raise InputError("cannot reduce the empty word")
     start = _require_known(word, system)
-    return (
-        _reach(
-            start,
-            system,
-            target.__eq__,
-            step_cap,
-            f"reachability search exceeded {step_cap} states",
-        )
-        is None
+    return _reach(
+        start, system, target.__eq__, step_cap, f"reachability search exceeded {step_cap} states"
     )
 
 
-def words_over(
-    letters: Iterable[Letter], max_len: int, min_len: int = 1
-) -> Iterator[Word]:
-    """All words over the given letters with min_len <= length <= max_len,
-    in (length, letter-order) sequence."""
+def words_over(letters: Iterable[Letter], max_len: int) -> Iterator[Word]:
+    """All words over the given letters with 1 <= length <= max_len, in
+    (length, letter-order) sequence."""
     pool = tuple(letters)
-    for length in range(min_len, max_len + 1):
+    for length in range(1, max_len + 1):
         yield from itertools.product(pool, repeat=length)
 
 
@@ -673,7 +657,7 @@ def irreducible_words(system: RewritingSystem, max_len: int) -> Iterator[Word]:
         for prefix in level:
             for letter in letters:
                 word = prefix + (letter,)
-                if first_redex(word, False, start) is None:
+                if first_redex(word, start) is None:
                     nxt.append(word)
                     yield word
         level = nxt

@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
+from .completeness import right_drift_letters
 from .core import (
     DEFAULT_STEP_CAP,
     Alphabet,
@@ -48,8 +49,6 @@ from .property_r import CandidateTuple
 D1, D2 = "D1", "D2"
 
 C_R, C_L1, C_L2, C_M1, C_M2 = "C_R", "C_L1", "C_L2", "C_M1", "C_M2"
-
-RIGHT_DRIFT_KINDS = frozenset({C_R, C_M1, C_M2})
 
 
 class ConstructionError(PreconditionError):
@@ -132,20 +131,15 @@ class LargeSubConstruction:
     def _a_s(self) -> frozenset[Letter]:
         return frozenset(self.classification.a_s)
 
-    def heavy_letters(self) -> frozenset[Letter]:
-        return frozenset(
-            c.letter for c in self.c_letters if c.kind in RIGHT_DRIFT_KINDS
-        )
-
-    def as_candidate_tuple(self, system: RewritingSystem | None = None) -> CandidateTuple:
+    def as_candidate_tuple(self) -> CandidateTuple:
         return CandidateTuple(
             base=self.presentation.system,
-            system=self.r_t if system is None else system,
+            system=self.r_t,
             phi=lambda word: phi_t(word, self),
             rho=lambda word: rho_t(word, self),
             in_at=lambda word: in_AT(word, self.presentation),
             in_t=lambda word: in_T(word, self.presentation),
-            heavy=self.heavy_letters(),
+            heavy=right_drift_letters(self.images, self.b_alphabet),
         )
 
 
@@ -400,19 +394,17 @@ def rho_t(
 
 
 def build_construction(
-    presentation: Presentation,
-    step_cap: int = DEFAULT_STEP_CAP,
-    closure_bound: int = 6,
+    presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP
 ) -> LargeSubConstruction:
     """Run the whole construction for a prepared (Q1-Q3) presentation.
 
     The bounded subsemigroup-closure check runs first: with a finite
     complement one cannot decide closure outright, so products of
-    representatives are tested up to ``closure_bound`` and any violation is
-    rejected as a precondition failure.
+    representatives are tested up to the check's default length and any
+    violation is rejected as a precondition failure.
     """
     _require_prepared(presentation, step_cap)
-    violations = check_subsemigroup_closed(presentation, closure_bound, step_cap)
+    violations = check_subsemigroup_closed(presentation, step_cap=step_cap)
     if violations:
         u, v = violations[0]
         raise PreconditionError(

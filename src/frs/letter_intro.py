@@ -161,28 +161,33 @@ def build_letter_intro(
         emitter.emit(rho(rule.lhs), rho(rule.rhs), C1)
     # C2: the naming rule itself.
     emitter.emit(w0, (s,), C2)
-    # C3: w0 overlapping a lhs from the left (a nonempty prefix of the lhs
-    # is a suffix of w0); the assembled word is w0's remainder + lhs.
+    # The overlap lengths k of w0 with each lhs, ascending: from the left
+    # (a nonempty prefix of the lhs is a suffix of w0) and from the right
+    # (a nonempty suffix of the lhs is a prefix of w0).
+    n = len(w0)
+    overlaps = []
     for rule in system.rules:
         lhs = rule.lhs
-        for k in range(1, min(len(lhs), len(w0)) + 1):
-            if w0[len(w0) - k:] == lhs[:k]:
-                close(w0[: len(w0) - k] + lhs, C3)
+        lengths = range(1, min(len(lhs), n) + 1)
+        left = [k for k in lengths if w0[n - k:] == lhs[:k]]
+        right = [k for k in lengths if w0[:k] == lhs[len(lhs) - k:]]
+        overlaps.append((lhs, left, right))
+    # C3: w0 overlapping a lhs from the left; the assembled word is w0's
+    # remainder + lhs.
+    for lhs, left, _ in overlaps:
+        for k in left:
+            close(w0[: n - k] + lhs, C3)
     # C4: mirror image, w0 overlapping a lhs from the right.
-    for rule in system.rules:
-        lhs = rule.lhs
-        for k in range(1, min(len(lhs), len(w0)) + 1):
-            if w0[:k] == lhs[len(lhs) - k:]:
-                close(lhs + w0[k:], C4)
-    # C5: two w0 occurrences straddling both ends of one lhs.
-    for rule in system.rules:
-        lhs = rule.lhs
-        for i in range(1, min(len(lhs), len(w0)) + 1):
-            if w0[len(w0) - i:] != lhs[:i]:
-                continue
-            for j in range(1, min(len(lhs) - i, len(w0)) + 1):
-                if w0[:j] == lhs[len(lhs) - j:]:
-                    close(w0[: len(w0) - i] + lhs + w0[j:], C5)
+    for lhs, _, right in overlaps:
+        for k in right:
+            close(lhs + w0[k:], C4)
+    # C5: two w0 occurrences straddling both ends of one lhs, disjoint
+    # within it.
+    for lhs, left, right in overlaps:
+        for i in left:
+            for j in right:
+                if j <= len(lhs) - i:
+                    close(w0[: n - i] + lhs + w0[j:], C5)
     # C6: one commutation rule per self-overlap of w0.
     for x1, _x2, x3 in self_overlaps(w0):
         emitter.emit((s, *x3), (*x1, s), C6)

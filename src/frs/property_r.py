@@ -203,7 +203,7 @@ def check_p1_to_p6(
                 if v1 in targets:
                     continue
                 cap = f"P1 search from '{show(v1)}' exceeded {step_cap} states"
-                if targets and _reach(v1, base, targets.__contains__, step_cap, cap) is None:
+                if targets and _reach(v1, base, targets.__contains__, step_cap, cap):
                     continue
                 return PropertyResult("P1", COUNTEREXAMPLE, bound_a, witnesses, (u, v1))
         return PropertyResult("P1", VERIFIED, bound_a, witnesses)
@@ -268,14 +268,13 @@ def check_p1_to_p6(
             if tup.in_at(tup.phi(normal_form(u_prime, system, step_cap))):
                 return True
             # normal_form has validated u_prime.
-            found = _reach(
+            return _reach(
                 u_prime,
                 system,
                 lambda word: tup.in_at(tup.phi(word)),
                 step_cap,
                 f"P4 search from '{show(u_prime)}' exceeded {step_cap} states",
             )
-            return found is None
 
         swept, bad = _sweep(words_over(system.alphabet, bound_b), ok)
         if bad is not None:

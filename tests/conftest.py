@@ -4,13 +4,14 @@ from hypothesis import strategies as st
 from frs import (
     Alphabet,
     InputError,
+    NonTerminationError,
     Presentation,
     RewritingSystem,
     Rule,
     one_step_reductions,
     words_over,
 )
-from frs.core import DEFAULT_STEP_CAP, _reach, _require_known
+from frs.core import DEFAULT_STEP_CAP, _require_known
 
 
 def w(alphabet, text):
@@ -50,13 +51,61 @@ def all_normal_forms(word, sys, memo=None):
     return result
 
 
+# Reference kernel: the plain scan over every rule at every position that
+# the trie of LhsMatcher replaced.  It also reduces rightmost first, the
+# other order: on a complete system that order ends at the same normal
+# form as the program's leftmost one.
+def naive_first_redex(word, sys, rightmost=False, start=0):
+    positions = range(len(word) - 1, -1, -1) if rightmost else range(start, len(word))
+    for pos in positions:
+        for idx, rule in enumerate(sys.rules):
+            k = len(rule.lhs)
+            if pos + k <= len(word) and word[pos: pos + k] == rule.lhs:
+                return idx, pos
+    return None
+
+
+def naive_apply(word, sys, idx, pos):
+    rule = sys.rules[idx]
+    return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
+
+
+def naive_normal_form(word, sys, step_cap=DEFAULT_STEP_CAP, rightmost=False):
+    trace = [word]
+    while (redex := naive_first_redex(trace[-1], sys, rightmost)) is not None:
+        if len(trace) > step_cap:
+            raise NonTerminationError("step cap exceeded", tuple(trace))
+        trace.append(naive_apply(trace[-1], sys, *redex))
+    return trace[-1]
+
+
+def naive_trace(word, sys, limit):
+    """The first ``limit`` words of the naive leftmost reduction from
+    ``word``, fewer if it reaches a normal form."""
+    trace = [word]
+    while len(trace) < limit and (redex := naive_first_redex(trace[-1], sys)):
+        trace.append(naive_apply(trace[-1], sys, *redex))
+    return trace
+
+
 def descendants(word, sys, step_cap=DEFAULT_STEP_CAP):
-    """All words reachable from ``word`` by zero or more reduction steps:
-    the search of ``reduces_to`` without a goal."""
+    """All words reachable from ``word`` by zero or more reduction steps,
+    searched depth first over the matcher's successors; adding a word
+    beyond ``step_cap`` raises."""
     if not word:
         raise InputError("cannot reduce the empty word")
     start = _require_known(word, sys)
-    return _reach(start, sys, None, step_cap, f"descendant search exceeded {step_cap} states")
+    successors = sys.matcher.successors
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in successors(frontier.pop()):
+            if nxt not in seen:
+                if len(seen) >= step_cap:
+                    raise NonTerminationError(f"descendant search exceeded {step_cap} states")
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def oracle_classes(sys, max_len):

@@ -540,7 +540,10 @@ class TestGolden:
     its refusal, a termination cycle, an unjoinable critical pair, the
     mismatches and counterexample of a sabotaged target, a complement that
     is not closed under products, and a termination cycle that does not
-    pass through the word its search started from."""
+    pass through the word its search started from.  Last come a letter
+    introduction that emits the C3, C4 and C5 families, a sweep whose
+    P1, P2 and P4 stop at a step cap of 1, and a normal form past its
+    step cap."""
 
     INPUTS = {
         "comm.frs": COMM,
@@ -554,6 +557,8 @@ class TestGolden:
         "open.frs": "alphabet: a b c\nrule: a b b -> c\ncomplement: c\n",
         # The search from x enters the cycle y -> z -> y one step in.
         "xyz.frs": "alphabet: x y z\nrule: x -> y\nrule: y -> z\nrule: z -> y\n",
+        # b a overlaps a b a from both ends.
+        "aba.frs": "alphabet: a b\nrule: a b a -> a\n",
     }
     COMMANDS = [
         ["large-sub", "comm.frs", "-o", "comm.t"],
@@ -573,8 +578,12 @@ class TestGolden:
         ["verify-tuple", "free.frs", "sab.frs"],
         ["large-sub", "open.frs", "-o", "open.t"],
         ["check", "xyz.frs"],
+        ["letter-intro", "aba.frs", "--w0", "b a", "-o", "aba.li"],
+        ["verify-tuple", "comm.frs", "comm.t", "--bound-a", "4", "--bound-b", "2",
+         "--step-cap", "1"],
+        ["nf", "cycle.frs", "--word", "a b", "--step-cap", "3"],
     ]
-    TARGETS = ["comm.t", "comm.ti", "two.t", "two.ti", "two.li"]
+    TARGETS = ["comm.t", "comm.ti", "two.t", "two.ti", "two.li", "aba.li"]
 
     @staticmethod
     def run(directory, capsys, monkeypatch):

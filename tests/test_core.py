@@ -47,6 +47,10 @@ from conftest import (
     descendants,
     longest_path_by_enumeration,
     looping_systems,
+    naive_apply,
+    naive_first_redex,
+    naive_normal_form,
+    naive_trace,
     system,
     w,
 )
@@ -55,45 +59,9 @@ from conftest import (
 SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
 
 
-# Reference kernel: the plain scan over every rule at every position that
-# the hashed left-hand-side matcher replaced.
-def naive_first_redex(word, sys, rightmost=False, start=0):
-    positions = range(len(word) - 1, -1, -1) if rightmost else range(start, len(word))
-    for pos in positions:
-        for idx, rule in enumerate(sys.rules):
-            k = len(rule.lhs)
-            if pos + k <= len(word) and word[pos: pos + k] == rule.lhs:
-                return idx, pos
-    return None
-
-
-def naive_apply(word, sys, idx, pos):
-    rule = sys.rules[idx]
-    return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
-
-
-def naive_normal_form(word, sys, step_cap, rightmost=False):
-    trace = [word]
-    while (redex := naive_first_redex(trace[-1], sys, rightmost)) is not None:
-        if len(trace) > step_cap:
-            raise NonTerminationError("step cap exceeded", tuple(trace))
-        trace.append(naive_apply(trace[-1], sys, *redex))
-    return trace[-1]
-
-
-def naive_trace(word, sys, rightmost, limit):
-    """The first ``limit`` words of the naive leftmost (or rightmost)
-    reduction from ``word``, fewer if it reaches a normal form."""
-    trace = [word]
-    while len(trace) < limit and (redex := naive_first_redex(trace[-1], sys, rightmost)):
-        trace.append(naive_apply(trace[-1], sys, *redex))
-    return trace
-
-
 def assert_walk_matches_reference(word, sys, limit=30):
-    for rightmost in (False, True):
-        walked = list(itertools.islice(sys.matcher.walk(word, rightmost), limit))
-        assert walked == naive_trace(word, sys, rightmost, limit)
+    walked = list(itertools.islice(sys.matcher.walk(word), limit))
+    assert walked == naive_trace(word, sys, limit)
 
 
 def naive_one_step_reductions(word, sys):
@@ -118,10 +86,9 @@ def outcome(reduce, *args, **kwargs):
 
 
 def assert_kernel_matches_reference(word, sys, step_cap=DEFAULT_STEP_CAP):
-    for rightmost in (False, True):
-        assert outcome(normal_form, word, sys, step_cap, rightmost=rightmost) == outcome(
-            naive_normal_form, word, sys, step_cap, rightmost=rightmost
-        )
+    assert outcome(normal_form, word, sys, step_cap) == outcome(
+        naive_normal_form, word, sys, step_cap
+    )
     assert one_step_reductions(word, sys) == naive_one_step_reductions(word, sys)
     assert is_irreducible(word, sys) == naive_is_irreducible(word, sys)
 
@@ -634,6 +601,11 @@ class TestIrreducibleWords:
         assert list(irreducible_words(sys, max_len)) == reference_irreducible_words(sys, max_len)
 
 
+# The cap cases also ran the rightmost order once; the leftmost ones keep
+# the ids they had then.
+LEFTMOST_IDS = "False-{}".format
+
+
 class TestNormalForm:
     def test_all_paths_converge(self, sys_aaa):
         assert normal_form(w(sys_aaa.alphabet, "aaaaa"), sys_aaa) == w(
@@ -655,14 +627,13 @@ class TestNormalForm:
             normal_form(w(loop.alphabet, "a"), loop, step_cap=5)
         assert len(err.value.trace) == 6
 
-    @pytest.mark.parametrize("steps", [1, 2, 3, 5])
-    @pytest.mark.parametrize("rightmost", [False, True])
-    def test_a_normal_form_exactly_the_cap_away_is_reached(self, steps, rightmost):
-        # b^k a needs k steps of b a -> a b to reach a b^k, either way round.
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5], ids=LEFTMOST_IDS)
+    def test_a_normal_form_exactly_the_cap_away_is_reached(self, steps):
+        # b^k a needs k steps of b a -> a b to reach a b^k.
         comm = system("a b", ("ba", "ab"))
         word = comm.alphabet.word(["b"] * steps + ["a"])
         expected = comm.alphabet.word(["a"] + ["b"] * steps)
-        assert normal_form(word, comm, step_cap=steps, rightmost=rightmost) == expected
+        assert normal_form(word, comm, step_cap=steps) == expected
 
     def test_a_cap_below_zero_allows_no_step(self):
         comm = system("a b", ("ba", "ab"))
@@ -671,13 +642,12 @@ class TestNormalForm:
             normal_form(w(comm.alphabet, "ba"), comm, step_cap=-1)
         assert err.value.trace == (w(comm.alphabet, "ba"),)
 
-    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
-    @pytest.mark.parametrize("rightmost", [False, True])
-    def test_a_normal_form_one_step_past_the_cap_raises(self, cap, rightmost):
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5], ids=LEFTMOST_IDS)
+    def test_a_normal_form_one_step_past_the_cap_raises(self, cap):
         comm = system("a b", ("ba", "ab"))
         word = comm.alphabet.word(["b"] * (cap + 1) + ["a"])
         with pytest.raises(NonTerminationError) as err:
-            normal_form(word, comm, step_cap=cap, rightmost=rightmost)
+            normal_form(word, comm, step_cap=cap)
         assert str(err.value) == f"possible non-termination: {cap} reduction steps exceeded"
         trace = err.value.trace
         assert len(trace) == cap + 1 and trace[0] == word
@@ -686,25 +656,24 @@ class TestNormalForm:
     def test_every_fixture_word_agrees_with_the_reference_at_its_own_distance(
         self, sys_moves, sys_aaa
     ):
-        # At a cap equal to the leftmost (or rightmost) path length the
-        # normal form is reached; one less, the cap is hit.
+        # At a cap equal to the leftmost path length the normal form is
+        # reached; one less, the cap is hit.
         for sys in (sys_moves, sys_aaa):
             for word in words_over(sys.alphabet, 6):
-                for rightmost in (False, True):
-                    steps = 0
-                    current = word
-                    while (redex := naive_first_redex(current, sys, rightmost)) is not None:
-                        current = naive_apply(current, sys, *redex)
-                        steps += 1
-                    if steps:
-                        assert normal_form(word, sys, steps, rightmost) == current
-                        with pytest.raises(NonTerminationError):
-                            normal_form(word, sys, steps - 1, rightmost)
-                    assert_kernel_matches_reference(word, sys, step_cap=max(steps, 1))
+                steps = 0
+                current = word
+                while (redex := naive_first_redex(current, sys)) is not None:
+                    current = naive_apply(current, sys, *redex)
+                    steps += 1
+                if steps:
+                    assert normal_form(word, sys, steps) == current
+                    with pytest.raises(NonTerminationError):
+                        normal_form(word, sys, steps - 1)
+                assert_kernel_matches_reference(word, sys, step_cap=max(steps, 1))
 
     def test_strategy_independent_on_complete_system(self, sys_moves):
         for word in words_over(sys_moves.alphabet, 7):
-            assert normal_form(word, sys_moves) == normal_form(
+            assert normal_form(word, sys_moves) == naive_normal_form(
                 word, sys_moves, rightmost=True
             )
 
@@ -834,12 +803,10 @@ class TestTrieAgainstReference:
         word = sys.alphabet.word(names)
         letters, matcher = tuple(word), sys.matcher
         assert matcher.maxlen == max(len(rule.lhs) for rule in sys.rules)
-        rightmost = naive_first_redex(word, sys, rightmost=True)
         for start in range(len(word) + 1):
-            assert matcher.first_redex(letters, False, start) == naive_first_redex(
+            assert matcher.first_redex(letters, start) == naive_first_redex(
                 word, sys, start=start
             )
-            assert matcher.first_redex(letters, True, start) == rightmost
         reference = naive_one_step_reductions(word, sys)
         assert matcher.redexes(letters) == [
             (step.position, step.rule_index) for step, _ in reference
@@ -859,7 +826,7 @@ class TestTrieAgainstReference:
 
 class TestWalkAgainstReference:
     """LhsMatcher.walk, with its resume offset, follows the naive leftmost
-    and rightmost reductions word for word."""
+    reduction word for word."""
 
     @pytest.mark.parametrize("fixture", SYSTEM_FIXTURES)
     def test_fixture_words_agree(self, fixture, request):

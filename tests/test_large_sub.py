@@ -29,8 +29,9 @@ from frs import (
     verify_complete,
     words_over,
 )
+from frs.completeness import right_drift_letters
 from frs.core import DEFAULT_STEP_CAP
-from frs.large_sub import ConstructionError, build_b_alphabet
+from frs.large_sub import C_M1, C_M2, C_R, ConstructionError, build_b_alphabet
 
 from conftest import rule_set, system, w
 
@@ -44,10 +45,18 @@ LADDER_SHAPES = {
     "mono42": ("a", [("aaaa", "aa")], ["a"]),
     "comm_aa": ("a b", [("ba", "ab")], ["a", "aa"]),
 }
+# The other five inputs of the benchmark ladder.
+MORE_LADDER_SHAPES = {
+    "three": ("a b c", [("ca", "ac"), ("cb", "bc")], ["a", "b"]),
+    "free": ("a b", [], ["a"]),
+    "aaa": ("a", [("aaa", "a")], ["a"]),
+    "comm_ab": ("a b", [("ba", "ab")], ["a", "b"]),
+    "free3": ("a b c", [], ["a"]),
+}
 
 
 def ladder_presentation(shape):
-    letters, rules, complement = LADDER_SHAPES[shape]
+    letters, rules, complement = {**LADDER_SHAPES, **MORE_LADDER_SHAPES}[shape]
     sys = system(letters, *rules)
     words = tuple(w(sys.alphabet, text) for text in complement)
     return prepare_presentation(Presentation(sys, words))
@@ -312,6 +321,14 @@ class TestBAlphabet:
             for c in cons.c_letters:
                 assert 2 <= len(c.image) <= 3
 
+    @pytest.mark.parametrize("shape", sorted({**LADDER_SHAPES, **MORE_LADDER_SHAPES}))
+    def test_right_drift_letters_are_the_right_drift_kinds(self, shape):
+        # The image shapes pick the generators of kinds C_R, C_M1 and C_M2.
+        cons = build_construction(ladder_presentation(shape))
+        kinds = {c.letter for c in cons.c_letters if c.kind in (C_R, C_M1, C_M2)}
+        assert right_drift_letters(cons.images, cons.b_alphabet) == kinds
+        assert cons.as_candidate_tuple().heavy == kinds
+
 
 class TestPhiRho:
     def test_phi_concatenates_images(self, cons_free):
@@ -372,7 +389,7 @@ class TestPhiRho:
 
     def test_rho_shape_all_but_last_light(self, cons_free, cons_aaa):
         for cons in (cons_free, cons_aaa):
-            heavy = cons.heavy_letters()
+            heavy = right_drift_letters(cons.images, cons.b_alphabet)
             base = cons.presentation.system.alphabet
             for word in words_over(base, 8):
                 if in_AT(word, cons.presentation):
@@ -380,7 +397,7 @@ class TestPhiRho:
                     assert all(letter not in heavy for letter in image[:-1])
 
     def test_straight_words_round_trip(self, cons_free):
-        heavy = cons_free.heavy_letters()
+        heavy = right_drift_letters(cons_free.images, cons_free.b_alphabet)
         for word in words_over(cons_free.b_alphabet, 5):
             if any(letter in heavy for letter in word[:-1]):
                 continue
@@ -414,7 +431,7 @@ class TestConstruction:
 
     def test_no_rewrite_starts_with_a_light_letter(self, cons_free, cons_aaa):
         for cons in (cons_free, cons_aaa):
-            heavy = cons.heavy_letters()
+            heavy = right_drift_letters(cons.images, cons.b_alphabet)
             for rule in cons.r_t.rules:
                 if "D2" in rule.tags:
                     assert rule.lhs[0] in heavy
@@ -452,7 +469,7 @@ class TestRuleLaws:
                 assert reduces_to(left, right, base)
 
     def test_d2_preserves_image_and_drops_measure(self, cons_free):
-        heavy = cons_free.heavy_letters()
+        heavy = right_drift_letters(cons_free.images, cons_free.b_alphabet)
 
         def measure(word):
             count = sum(1 for letter in word if letter in heavy)

@@ -1,14 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from frs import (
     Alphabet,
     InputError,
+    NonTerminationError,
     PreconditionError,
     Word,
     build_letter_intro,
     is_irreducible,
+    normal_form,
     reduces_to,
     rho_s,
     self_overlaps,
@@ -18,7 +21,9 @@ from frs import (
     words_over,
 )
 
-from conftest import rule_set, system, w
+from frs.core import RuleEmitter
+
+from conftest import looping_systems, rule_set, system, w
 
 S = "s"
 
@@ -108,7 +113,7 @@ class TestSelfOverlaps:
         assert [(show(x), show(y), show(z)) for x, y, z in overlaps] == [("a b", "a", "b a")]
 
     def test_factorization_laws(self, free_ab):
-        for word in words_over(free_ab.alphabet, 6, min_len=2):
+        for word in (u for u in words_over(free_ab.alphabet, 6) if len(u) >= 2):
             for x1, x2, x3 in self_overlaps(word):
                 assert x1 + x2 == word == x2 + x3
                 assert len(x1) == len(x3)
@@ -171,6 +176,62 @@ class TestBuild:
         }
 
 
+def reference_letter_intro_rules(system, w0, step_cap):
+    """The rules of build_letter_intro as they were when C3, C4 and C5
+    each tested the overlaps of w0 with every left-hand side anew."""
+    s = system.alphabet.fresh_name(S)
+    emitter = RuleEmitter()
+
+    def close(assembled, family):
+        reduced = normal_form(assembled, system, step_cap)
+        emitter.emit(rho_s(assembled, w0, s), rho_s(reduced, w0, s), family)
+
+    for rule in system.rules:
+        emitter.emit(rho_s(rule.lhs, w0, s), rho_s(rule.rhs, w0, s), "C1")
+    emitter.emit(w0, (s,), "C2")
+    for rule in system.rules:
+        lhs = rule.lhs
+        for k in range(1, min(len(lhs), len(w0)) + 1):
+            if w0[len(w0) - k:] == lhs[:k]:
+                close(w0[: len(w0) - k] + lhs, "C3")
+    for rule in system.rules:
+        lhs = rule.lhs
+        for k in range(1, min(len(lhs), len(w0)) + 1):
+            if w0[:k] == lhs[len(lhs) - k:]:
+                close(lhs + w0[k:], "C4")
+    for rule in system.rules:
+        lhs = rule.lhs
+        for i in range(1, min(len(lhs), len(w0)) + 1):
+            if w0[len(w0) - i:] != lhs[:i]:
+                continue
+            for j in range(1, min(len(lhs) - i, len(w0)) + 1):
+                if w0[:j] == lhs[len(lhs) - j:]:
+                    close(w0[: len(w0) - i] + lhs + w0[j:], "C5")
+    for x1, _x2, x3 in self_overlaps(w0):
+        emitter.emit((s, *x3), (*x1, s), "C6")
+    return emitter.rules()
+
+
+def rules_or_error(build, *args):
+    """The rules with their tags, or the message of the step-cap hit."""
+    try:
+        return [(rule.lhs, rule.rhs, rule.tags) for rule in build(*args)]
+    except NonTerminationError as err:
+        return str(err)
+
+
+class TestBuildAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(looping_systems(), st.lists(st.sampled_from("abc"), min_size=2, max_size=4), st.data())
+    def test_same_rules_in_the_same_order(self, sys, names, data):
+        w0 = sys.alphabet.word(names)
+        assume(is_irreducible(w0, sys))
+        step_cap = data.draw(st.sampled_from([0, 1, 3, 30]))
+        assert rules_or_error(
+            lambda: build_letter_intro(sys, w0, S, step_cap).r_s.rules
+        ) == rules_or_error(reference_letter_intro_rules, sys, w0, step_cap)
+
+
 def _fixtures(free_a, free_ab):
     return [
         build_letter_intro(free_a, w(free_a.alphabet, "aa")),
@@ -214,7 +275,7 @@ class TestConstructionLaws:
         # If rho splits off the last factor of a triple product, it also
         # splits the corresponding pair product.
         for result in _fixtures(free_a, free_ab)[:3]:
-            for word in words_over(result.base.alphabet, 9, min_len=3):
+            for word in (u for u in words_over(result.base.alphabet, 9) if len(u) >= 3):
                 rho_word = result.rho(word)
                 for i in range(1, len(word) - 1):
                     for j in range(i + 1, len(word)):
@@ -228,7 +289,7 @@ class TestConstructionLaws:
         for result in _fixtures(free_a, free_ab)[:3]:
             letters = result.base.alphabet
             s_word = Word((result.new_letter,))
-            for word in words_over(letters, 8, min_len=2):
+            for word in (u for u in words_over(letters, 8) if len(u) >= 2):
                 for cut in range(1, len(word)):
                     x1, x2 = word[:cut], word[cut:]
                     if result.rho(word) == result.rho(x1) + result.rho(x2):
