@@ -540,10 +540,12 @@ class TestGolden:
     its refusal, a termination cycle, an unjoinable critical pair, the
     mismatches and counterexample of a sabotaged target, a complement that
     is not closed under products, and a termination cycle that does not
-    pass through the word its search started from.  Last come a letter
+    pass through the word its search started from.  Then come a letter
     introduction that emits the C3, C4 and C5 families, a sweep whose
     P1, P2 and P4 stop at a step cap of 1, and a normal form past its
-    step cap."""
+    step cap.  Last, the letter introduction on aba is verified at the
+    default bounds, where P1 and P5 are proved from its short words, and
+    at ``--bound-a 5``, its short-word length, where they are swept."""
 
     INPUTS = {
         "comm.frs": COMM,
@@ -582,6 +584,8 @@ class TestGolden:
         ["verify-tuple", "comm.frs", "comm.t", "--bound-a", "4", "--bound-b", "2",
          "--step-cap", "1"],
         ["nf", "cycle.frs", "--word", "a b", "--step-cap", "3"],
+        ["verify-tuple", "aba.frs", "aba.li"],
+        ["verify-tuple", "aba.frs", "aba.li", "--bound-a", "5"],
     ]
     TARGETS = ["comm.t", "comm.ti", "two.t", "two.ti", "two.li", "aba.li"]
 
