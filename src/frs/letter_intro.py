@@ -39,7 +39,28 @@ def rho_s(word: Word, w0: Word, s: Letter) -> Word:
     suffix occurrence of ``w0`` into the single letter ``s``.
 
     Total and deterministic on words over A; the empty word maps to itself.
-    Letters are compared by name.
+    Letters are compared by name.  Expanding each s back into w0 gives the
+    word again: phi(rho_s(u)) = u for every A-word u, so P5 holds at every
+    length.
+
+    Lemma (P1 from short words).  Call w0 borderless when no nonempty
+    proper prefix of it is also a suffix.  Two occurrences of a borderless
+    w0 never overlap, so rho_s replaces every occurrence by s, and
+    rho_s(x y) = rho_s(x) rho_s(y) whenever no occurrence straddles the cut
+    between x and y.  Let L = maxlen(R) + 2(|w0| - 1), R the base rules.
+    If P1 holds on every A-word of length <= L, it holds on every A-word.
+
+    Proof.  Let u = x l y reduce to v1 = x r y by a base rule l -> r.  Widen
+    the window of l to the ends of the occurrences of w0, if any, that
+    straddle its two edges.  This splits u = x1 f y2 with f = x2 l y1 and
+    |f| <= L.  No occurrence straddles a cut: a new edge ends an
+    occurrence, and a second occurrence across it would overlap that one.
+    Every A-word is a representative, and f reduces to g = x2 r y1, so by
+    P1 on f some one-step reduct f' of rho_s(f) has g ->* phi(f').  By
+    context closure (Book & Otto, String-Rewriting Systems, 1993, ch. 2),
+    rho_s(u) = rho_s(x1) rho_s(f) rho_s(y2) -> rho_s(x1) f' rho_s(y2).
+    phi is a homomorphism and phi(rho_s(x)) = x, so the image of that
+    reduct is x1 phi(f') y2, and v1 = x1 g y2 ->* x1 phi(f') y2.
     """
     if len(w0) < 2:
         raise PreconditionError("the named word must have length > 1")
@@ -103,23 +124,33 @@ class LetterIntroResult:
         """The generator table phi substitutes: the fresh letter names w0."""
         return {self.new_letter: self.w0}
 
+    @cached_property
+    def borderless(self) -> bool:
+        """Whether no nonempty proper prefix of w0 is also a suffix, so
+        that P1 follows from short words (see :func:`rho_s`)."""
+        return not self_overlaps(self.w0)
+
     def rho(self, word: Word) -> Word:
         return rho_s(word, self.w0, self.new_letter)
 
     def phi(self, word: Word) -> Word:
         return substitute(word, self.images)
 
+    def in_at(self, word: Word) -> bool:
+        """Every A-word represents an element of the target semigroup
+        here, so both membership predicates are trivially true."""
+        return True
+
     def as_candidate_tuple(self) -> CandidateTuple:
-        # Every A-word represents an element of the target semigroup here,
-        # so both membership predicates are trivially true.
         return CandidateTuple(
             base=self.base,
             system=self.r_s,
             phi=self.phi,
             rho=self.rho,
-            in_at=lambda word: True,
-            in_t=lambda word: True,
+            in_at=self.in_at,
+            in_t=self.in_at,
             heavy=frozenset({self.new_letter}),
+            letter_intro=self,
         )
 
 

@@ -13,12 +13,21 @@ their normal form and their image, so one test passes them all.  When a
 class fails, a walk passes the step cap or a function of the tuple raises,
 the property sweeps its B-words one by one instead (``_sweep``), so every
 counterexample, inconclusive result and error comes from the sweep.
+
+P1 and P5 of a letter introduction with a borderless named word are
+proved at every length by the A-words of length <= L (the lemma at
+:func:`frs.letter_intro.rho_s`), when L is below the A-bound and the
+tuple's rho, phi and representative set are still the letter
+introduction's own.  The property then reports the witness count of the
+sweep to the A-bound, with a note naming the short words.  When a short
+word fails or passes the step cap, the property sweeps every A-word, so
+again every counterexample and inconclusive result comes from the sweep.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TypeVar
 
 from . import completeness
 from .core import (
@@ -40,6 +49,9 @@ from .core import (
 )
 from .parallel import pmap
 
+if TYPE_CHECKING:
+    from .letter_intro import LetterIntroResult
+
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE = "inconclusive"
@@ -60,8 +72,10 @@ class CandidateTuple(NamedTuple):
     in the representative set, and ``in_t`` decides whether an A-word's
     class lies in the target subsemigroup.  ``heavy`` optionally names the
     letters whose rightward drift certifies termination of the
-    image-preserving rules.  A variant with some fields replaced is built
-    with ``tup._replace(field=value)``.
+    image-preserving rules.  ``letter_intro`` is the letter introduction
+    that built the tuple, if one did; P1 and P5 may then be proved from
+    short words (see :func:`_short_words`).  A variant with some fields
+    replaced is built with ``tup._replace(field=value)``.
     """
 
     base: RewritingSystem
@@ -71,6 +85,7 @@ class CandidateTuple(NamedTuple):
     in_at: Callable[[Word], bool]
     in_t: Callable[[Word], bool]
     heavy: frozenset[Letter] = frozenset()
+    letter_intro: LetterIntroResult | None = None
 
 
 class PropertyResult(NamedTuple):
@@ -119,7 +134,7 @@ def _sweep(words: Iterator[Item], ok: Callable[[Item], bool]) -> tuple[int, Item
     return swept, None
 
 
-def _unless_raised(count: Callable[[], int | None]) -> int | None:
+def _unless_raised(count: Callable[[], Item | None]) -> Item | None:
     """``count()``, or None when it raises.  Nothing is lost: the property
     then sweeps word by word, meets the same failure and reports it as the
     sweep does."""
@@ -127,6 +142,38 @@ def _unless_raised(count: Callable[[], int | None]) -> int | None:
         return count()
     except Exception:
         return None
+
+
+def _short_words(tup: CandidateTuple, bound_a: int) -> tuple[int, int] | None:
+    """(count, L) when the A-words of length <= L, ``count`` of them, prove
+    P1 and P5 at every length: the tuple is a letter introduction's own
+    (its rho, phi and in_at are unchanged), the named word w0 is
+    borderless, and L = maxlen(base) + 2(|w0| - 1) is below ``bound_a``.
+    The proof is at :func:`frs.letter_intro.rho_s`.  None otherwise.
+    """
+    intro = tup.letter_intro
+    if intro is None or (tup.rho, tup.phi, tup.in_at) != (intro.rho, intro.phi, intro.in_at):
+        return None
+    if not intro.borderless:
+        return None
+    base = tup.base
+    length = max((len(rule.lhs) for rule in base.rules), default=0) + 2 * (len(intro.w0) - 1)
+    if length >= bound_a:
+        return None
+    size = len(base.alphabet)
+    return sum(size**n for n in range(1, length + 1)), length
+
+
+def _p1_witnesses(base: RewritingSystem, bound_a: int) -> int:
+    """The witnesses of a P1 sweep over every A-word of length <= bound_a
+    that verifies: one per base redex, that is per word, rule and position
+    of the rule's left-hand side."""
+    size = len(base.alphabet)
+    return sum(
+        (n - len(rule.lhs) + 1) * size ** (n - len(rule.lhs))
+        for rule in base.rules
+        for n in range(len(rule.lhs), bound_a + 1)
+    )
 
 
 def _straightening_path(
@@ -149,8 +196,11 @@ def check_p1_to_p6(
 ) -> PropertyRReport:
     """Verify the six properties at the given bounds.
 
-    bound_a limits the A-side sweeps (P1, P5), bound_b the B-side sweeps
-    (P3, P4, P6); P2 is per-rule and needs no bound.
+    bound_a limits the A-side properties (P1, P5), bound_b the B-side ones
+    (P3, P4, P6); P2 is per-rule and needs no bound.  P1 and P5 of a
+    letter introduction may be proved at every length by the A-words up to
+    a shorter length (see the module docstring); they still report
+    bound_a and the witness count of the sweep to it.
     """
     base, system = tup.base, tup.system
     results: list[PropertyResult] = []
@@ -184,14 +234,34 @@ def check_p1_to_p6(
     # The image-preserving rules, in system order (P3, P6).
     preserved = system.with_rules(r for r in system.rules if tup.phi(r.lhs) == tup.phi(r.rhs))
 
+    # P1 and P5 check the first ``count`` representatives.  They check the
+    # short words first when those prove every length, and report the
+    # witness count of the sweep; a failure, step-cap hit or error on a
+    # short word sweeps them all.
+    short = _short_words(tup, bound_a)
+
+    def every_length(
+        check: Callable[[int], PropertyResult], witnesses: Callable[[], int]
+    ) -> Callable[[], PropertyResult]:
+        def run() -> PropertyResult:
+            if short is not None:
+                count, length = short
+                res = _unless_raised(lambda: check(count))
+                if res is not None and res.status == VERIFIED:
+                    note = f"every length: {count} words of length <= {length}"
+                    return res._replace(witness_count=witnesses(), note=note)
+            return check(len(a_members))
+
+        return run
+
     # P1: each reduction out of a representative is mirrored by one step of
     # the candidate system, landing phi-above a descendant.  One search from
     # each base reduct v1 looks for the images of all of the candidate's
     # reducts at once; with no candidate reduct there is nothing to search.
-    def p1() -> PropertyResult:
+    def p1(count: int) -> PropertyResult:
         witnesses = 0
         successors = base.matcher.successors
-        for i, u in enumerate(a_members):
+        for i, u in enumerate(a_members[:count]):
             rho_u = _require_known(rho_of(i), system)
             # u was drawn over the base alphabet, so its reducts need no check.
             base_reducts = successors(u)
@@ -282,8 +352,8 @@ def check_p1_to_p6(
         return PropertyResult("P4", VERIFIED, bound_b, swept)
 
     # P5: rho is a section of phi on the representative set.
-    def p5() -> PropertyResult:
-        for i, u in enumerate(a_members):
+    def p5(count: int) -> PropertyResult:
+        for i, u in enumerate(a_members[:count]):
             image = tup.phi(rho_of(i))
             if image != u:
                 return PropertyResult("P5", COUNTEREXAMPLE, bound_a, 0, (u, image))
@@ -333,7 +403,15 @@ def check_p1_to_p6(
 
     # The bound each property is swept to, also when a step cap stops it.
     bounds = (bound_a, 0, bound_b, bound_b, bound_a, bound_b)
-    for name, bound, check in zip(PROPERTY_NAMES, bounds, (p1, p2, p3, p4, p5, p6)):
+    checks = (
+        every_length(p1, lambda: _p1_witnesses(base, bound_a)),
+        p2,
+        p3,
+        p4,
+        every_length(p5, lambda: len(a_members)),
+        p6,
+    )
+    for name, bound, check in zip(PROPERTY_NAMES, bounds, checks):
         try:
             results.append(check())
         except NonTerminationError as exc:

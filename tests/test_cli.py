@@ -28,6 +28,7 @@ COMM = "alphabet: a b\nrule: b a -> a b\ncomplement: a\n"
 TWO = "alphabet: a b\nrule: a a a -> a\nrule: b b -> b\ncomplement: a ; a a\n"
 IDCOMM = "alphabet: a b\nrule: a a -> a\nrule: b a -> a b\ncomplement: a\n"
 COMM_AB = "alphabet: a b\nrule: b a -> a b\ncomplement: a ; b\n"
+THREEBASE = "alphabet: a b c\nrule: c a -> a c\nrule: c b -> b c\n"
 MONO42 = "alphabet: a\nrule: a a a a -> a a\ncomplement: a\n"
 REGENERATE = (
     "input error: the target file has no 'generator:' lines; regenerate it "
@@ -364,6 +365,31 @@ class TestVerifyCommands:
             "P5: verified (bound 4, 29 witnesses)",
             # Every straightening path of a P6 word takes at most two steps.
             "P6: verified (bound 3, 258 witnesses)",
+            "overall: not verified",
+        ]
+
+    def test_short_words_prove_p1_where_the_sweep_hits_the_step_cap(
+        self, files, tmp_path, capsys
+    ):
+        # Swept word by word, P1 is inconclusive: the search from
+        # 'c a c a c b' exceeds 2 states.  The words of length <= 4 prove
+        # it at every length within that cap.  P4 stays inconclusive.
+        write, _ = files
+        src = write("threebase.frs", THREEBASE)
+        out = str(tmp_path / "threebase.li")
+        assert main(["letter-intro", src, "--w0", "a b", "-o", out]) == 0
+        capsys.readouterr()
+        args = ["--bound-a", "6", "--bound-b", "3", "--step-cap", "2"]
+        assert main(["verify-tuple", src, out, *args]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "P1: verified (bound 6, 1094 witnesses) [every length: 120 words of length <= 4]",
+            "P2: verified (bound 0, 4 witnesses)",
+            "P3: verified (bound 3, 1 witnesses) [length-nonincreasing; on length "
+            "ties the letters {s} are eliminated or move right]",
+            "P4: inconclusive (bound 3) [possible non-termination: 2 reduction "
+            "steps exceeded]",
+            "P5: verified (bound 6, 1092 witnesses) [every length: 120 words of length <= 4]",
+            "P6: verified (bound 3, 84 witnesses)",
             "overall: not verified",
         ]
 

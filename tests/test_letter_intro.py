@@ -100,6 +100,36 @@ class TestPhi:
         assert show(substitute(Word((a, S, b)), {"s": w(free_ab.alphabet, "aa")})) == "a a a b"
 
 
+A_WORDS = st.lists(st.sampled_from("abc"), max_size=10).map(tuple)
+NAMED_WORDS = st.lists(st.sampled_from("abc"), min_size=2, max_size=4).map(tuple)
+
+
+class TestShortWordLemma:
+    """The parts of the lemma at rho_s that prove P1 and P5 of a letter
+    introduction from its short words."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(NAMED_WORDS, A_WORDS, A_WORDS)
+    def test_rho_factors_over_a_cut_that_splits_no_occurrence(self, w0, x, y):
+        assume(not self_overlaps(w0))
+        word, k = x + y, len(w0)
+        straddling = range(max(0, len(x) - k + 1), len(x))
+        assume(all(word[i : i + k] != w0 for i in straddling))
+        assert rho_s(word, w0, S) == rho_s(x, w0, S) + rho_s(y, w0, S)
+
+    @settings(max_examples=300, deadline=None)
+    @given(NAMED_WORDS, A_WORDS)
+    def test_every_occurrence_of_a_borderless_word_is_replaced(self, w0, word):
+        assume(not self_overlaps(w0))
+        occurrences = sum(word[i : i + len(w0)] == w0 for i in range(len(word)))
+        assert rho_s(word, w0, S).count(S) == occurrences
+
+    @settings(max_examples=300, deadline=None)
+    @given(NAMED_WORDS, A_WORDS)
+    def test_phi_undoes_rho(self, w0, word):
+        assert substitute(rho_s(word, w0, S), {S: w0}) == word
+
+
 class TestSelfOverlaps:
     def test_no_border(self, free_ab):
         assert self_overlaps(w(free_ab.alphabet, "ab")) == []

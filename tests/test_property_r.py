@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frs import (
+    Alphabet,
     CandidateTuple,
     NonTerminationError,
     Presentation,
     PreconditionError,
     RewriteError,
+    RewritingSystem,
     build_construction,
     build_letter_intro,
     check_isomorphism_slice,
@@ -559,3 +562,122 @@ class TestClassWalkAgainstSweep:
         monkeypatch.setattr(property_r, "_sweep", sweep)
         report = check_p1_to_p6(request.getfixturevalue(fixture), 2, bound_b)
         assert report.result("P4").status == report.result("P6").status == "verified"
+
+
+def letter_intro_tuple(letters, *rules, w0):
+    base = system(letters, *rules)
+    return build_letter_intro(base, w(base.alphabet, w0)).as_candidate_tuple()
+
+
+def p1_and_p5(tup, bound_a, step_cap=DEFAULT_STEP_CAP):
+    report = check_p1_to_p6(tup, bound_a, 1, step_cap)
+    return report.result("P1"), report.result("P5")
+
+
+def swept(tup):
+    """``tup`` with an in_at that is not the letter introduction's own, so
+    that P1 and P5 sweep every A-word."""
+    return tup._replace(in_at=lambda word: True)
+
+
+class TestShortWordsAgainstSweep:
+    """P1 and P5 of a letter introduction with a borderless named word are
+    proved by the A-words of length <= L = maxlen(base) + 2(|w0| - 1), with
+    the witness counts of the sweep; every other tuple is swept."""
+
+    # name: (letters, rules, w0, L)
+    BORDERLESS = {
+        "threebase": ("a b c", (("ca", "ac"), ("cb", "bc")), "ab", 4),
+        "aba": ("a b", (("aba", "a"),), "ba", 5),
+        "idcomm": ("a b", (("aa", "a"), ("ba", "ab")), "ab", 4),
+        "comm3": ("a b c", (("ba", "ab"), ("ca", "ac"), ("cb", "bc")), "abc", 6),
+    }
+
+    @pytest.mark.parametrize("name", BORDERLESS)
+    def test_results_equal_the_sweep(self, name):
+        letters, rules, w0, short_length = self.BORDERLESS[name]
+        tup = letter_intro_tuple(letters, *rules, w0=w0)
+        count = sum(len(letters.split()) ** n for n in range(1, short_length + 1))
+        note = f"every length: {count} words of length <= {short_length}"
+        for bound_a in range(short_length + 1, 8):
+            by_lemma, by_sweep = p1_and_p5(tup, bound_a), p1_and_p5(swept(tup), bound_a)
+            assert [res.status for res in by_sweep] == ["verified", "verified"]
+            assert by_lemma == tuple(res._replace(note=note) for res in by_sweep), bound_a
+
+    @pytest.mark.parametrize("name", BORDERLESS)
+    def test_bound_of_at_most_the_short_length_sweeps(self, name):
+        letters, rules, w0, short_length = self.BORDERLESS[name]
+        tup = letter_intro_tuple(letters, *rules, w0=w0)
+        for bound_a in (short_length - 1, short_length):
+            assert p1_and_p5(tup, bound_a) == p1_and_p5(swept(tup), bound_a)
+            assert all(res.note == "" for res in p1_and_p5(tup, bound_a))
+
+    @pytest.mark.parametrize("w0, bound_a", [("aa", 6), ("aba", 7)])
+    def test_bordered_named_word_sweeps(self, w0, bound_a):
+        tup = letter_intro_tuple("a b c", ("ca", "ac"), ("cb", "bc"), w0=w0)
+        assert not tup.letter_intro.borderless
+        results = p1_and_p5(tup, bound_a)
+        assert results == p1_and_p5(swept(tup), bound_a)
+        assert [res.status for res in results] == ["verified", "verified"]
+        assert all(res.note == "" for res in results)
+
+    def test_dropped_c4_rule_is_a_counterexample_of_the_sweep(self, tuple_threebase):
+        # Without c s -> s c, rho(c a b) = c s is irreducible: a short word
+        # fails, and the sweep reports it.
+        system = tuple_threebase.system
+        sabotaged = tuple_threebase._replace(
+            system=system.with_rules(rule for rule in system.rules if "C4" not in rule.tags)
+        )
+        p1, p5 = p1_and_p5(sabotaged, 8)
+        assert p1 == p1_and_p5(swept(sabotaged), 8)[0]
+        assert p1.status == "counterexample"
+        assert [show(word) for word in p1.counterexample] == ["c a b", "a c b"]
+        # P5 does not read the system.
+        assert p5.note == "every length: 120 words of length <= 4"
+
+    def test_rho_wrong_beyond_the_short_length_is_caught(self, tuple_threebase):
+        # Right on the words of length <= 4 that would prove the lemma for
+        # the tuple's own rho, wrong (reversed) on longer words.
+        rho = tuple_threebase.rho
+        sabotaged = tuple_threebase._replace(
+            rho=lambda word: rho(word if len(word) <= 4 else word[::-1])
+        )
+        p1, p5 = p1_and_p5(sabotaged, 6)
+        assert p5.status == "counterexample"
+        assert [show(word) for word in p5.counterexample] == ["a a a a b", "b a a a a"]
+        assert (p1, p5) == p1_and_p5(swept(sabotaged), 6)
+        assert p1.note == ""
+
+    def test_step_cap_on_a_short_word_sweeps(self, tuple_threebase):
+        # Every short word passes a step cap of 2, so P1 is proved at every
+        # length, where the sweep stops at the cap on a word of length 6.
+        by_lemma = p1_and_p5(tuple_threebase, 6, 2)
+        by_sweep = p1_and_p5(swept(tuple_threebase), 6, 2)
+        assert by_sweep[0] == property_r.PropertyResult(
+            "P1", "inconclusive", 6, note="P1 search from 'c a c a c b' exceeded 2 states"
+        )
+        assert by_lemma[0] == property_r.PropertyResult(
+            "P1", "verified", 6, 1094, note="every length: 120 words of length <= 4"
+        )
+        # A cap of 0 stops a short word's search, so the sweep decides.
+        p1 = p1_and_p5(tuple_threebase, 6, 0)[0]
+        assert p1 == p1_and_p5(swept(tuple_threebase), 6, 0)[0]
+        assert p1.status == "inconclusive"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        letters=st.integers(1, 3),
+        lhss=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=3),
+        bound_a=st.integers(1, 9),
+    )
+    def test_p1_witness_count_is_the_sweep_count(self, letters, lhss, bound_a):
+        # Only the left-hand sides count: one witness per word, rule and
+        # position of the rule's lhs; two rules may share a lhs.
+        alphabet = Alphabet("abc"[:letters])
+        names = alphabet.names()
+        lhs_words = [tuple(names[i % letters] for i in lhs) for lhs in lhss]
+        base = RewritingSystem(alphabet, tuple(Rule(lhs, lhs) for lhs in lhs_words))
+        sweep = sum(
+            len(one_step_reductions(word, base)) for word in words_over(alphabet, bound_a)
+        )
+        assert property_r._p1_witnesses(base, bound_a) == sweep
