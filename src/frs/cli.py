@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import completeness, property_r
+from . import completeness, large_sub, letter_intro, property_r
 from .core import (
+    DEFAULT_SEARCH_LEN,
     DEFAULT_STEP_CAP,
     InputError,
     InternalError,
@@ -22,13 +23,6 @@ from .core import (
     show,
 )
 from .fileformat import parse_presentation, serialize_presentation
-from .large_sub import (
-    LargeSubConstruction,
-    build_construction,
-    classify_letters,
-    generator_letters,
-)
-from .letter_intro import LetterIntroResult, build_letter_intro
 from .pipeline import (
     Presentation,
     normalize_q2_q3,
@@ -37,7 +31,6 @@ from .pipeline import (
     satisfies_q2,
     satisfies_q3,
 )
-from .property_r import CandidateTuple, check_isomorphism_slice, check_p1_to_p6
 
 OK, FAILED, BAD_INPUT, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -115,7 +108,7 @@ def _cmd_letter_intro(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
     _require_complete(presentation.system, args.max_len, args.step_cap, "the input system")
     w0 = _word_from(args.w0, presentation.system)
-    result = build_letter_intro(presentation.system, w0, args.name, args.step_cap)
+    result = letter_intro.build_letter_intro(presentation.system, w0, args.name, args.step_cap)
     generators = tuple(result.images.items())
     _write(args.output, Presentation(result.r_s, presentation.complement, generators))
     print(
@@ -154,7 +147,7 @@ def _cmd_large_sub(args: argparse.Namespace) -> int:
     if presentation.complement is None:
         raise InputError("the input file must declare a complement")
     prepared = _prepared(presentation, args.step_cap)
-    construction = build_construction(prepared, args.step_cap)
+    construction = large_sub.build_construction(prepared, args.step_cap)
     system = construction.r_t
     if args.interreduce:
         system = normalize_q2_q3(system, args.step_cap)
@@ -171,7 +164,7 @@ def _cmd_large_sub(args: argparse.Namespace) -> int:
 
 def _candidate_tuple(
     s_pres: Presentation, t_pres: Presentation, step_cap: int
-) -> CandidateTuple:
+) -> property_r.CandidateTuple:
     """The tuple (B, R_T, A(T), phi, rho) of a target written by
     ``large-sub`` (the source declares a complement) or ``letter-intro``.
 
@@ -184,15 +177,15 @@ def _candidate_tuple(
             "the target file has no 'generator:' lines; regenerate it with "
             "'frs large-sub' or 'frs letter-intro'"
         )
-    large_sub = bool(s_pres.complement)
-    source = _prepared(s_pres, step_cap) if large_sub else s_pres
+    from_large_sub = bool(s_pres.complement)
+    source = _prepared(s_pres, step_cap) if from_large_sub else s_pres
     images = {name: source.system.alphabet.word(image) for name, image in t_pres.generators}
-    if large_sub:
-        classification = classify_letters(source, step_cap)
-        b_alphabet, c_letters = generator_letters(classification, images)
+    if from_large_sub:
+        classification = large_sub.classify_letters(source, step_cap)
+        b_alphabet, c_letters = large_sub.generator_letters(classification, images)
     else:
         _require_complete(
-            source.system, completeness.DEFAULT_SEARCH_LEN, step_cap, "the source system"
+            source.system, DEFAULT_SEARCH_LEN, step_cap, "the source system"
         )
         if len(images) != 1:
             raise InputError("a letter introduction target has exactly one 'generator:' line")
@@ -204,17 +197,21 @@ def _candidate_tuple(
             "source letters plus the generators"
         )
     system = RewritingSystem(b_alphabet, t_pres.system.rules)
-    if large_sub:
-        construction = LargeSubConstruction(source, classification, c_letters, b_alphabet, system)
+    if from_large_sub:
+        construction = large_sub.LargeSubConstruction(
+            source, classification, c_letters, b_alphabet, system
+        )
         return construction.as_candidate_tuple()
     ((s_name, w0),) = images.items()
-    result = LetterIntroResult(b_alphabet.get(s_name), w0, b_alphabet, system, source.system)
+    result = letter_intro.LetterIntroResult(
+        b_alphabet.get(s_name), w0, b_alphabet, system, source.system
+    )
     return result.as_candidate_tuple()
 
 
 def _cmd_verify_tuple(args: argparse.Namespace) -> int:
     tup = _candidate_tuple(_load(args.s_file), _load(args.t_file), args.step_cap)
-    report = check_p1_to_p6(tup, args.bound_a, args.bound_b, args.step_cap)
+    report = property_r.check_p1_to_p6(tup, args.bound_a, args.bound_b, args.step_cap)
     for res in report.results:
         line = f"{res.name}: {res.status}"
         if res.status == property_r.VERIFIED:
@@ -236,7 +233,7 @@ def _cmd_verify_tuple(args: argparse.Namespace) -> int:
 
 def _cmd_verify_iso(args: argparse.Namespace) -> int:
     tup = _candidate_tuple(_load(args.s_file), _load(args.t_file), args.step_cap)
-    report = check_isomorphism_slice(tup, args.bound, args.step_cap)
+    report = property_r.check_isomorphism_slice(tup, args.bound, args.step_cap)
     print(f"slice bound: {report.slice_bound}")
     print(f"T-classes in slice: {report.t_class_count}")
     print(f"distinct images: {report.image_count}")
@@ -261,7 +258,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="completeness report for a system")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=completeness.DEFAULT_SEARCH_LEN)
+    p.add_argument("--max-len", type=int, default=DEFAULT_SEARCH_LEN)
     common(p)
     p.set_defaults(func=_cmd_check)
 
@@ -275,7 +272,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--w0", required=True, help="the word to name")
     p.add_argument("--name", default="s", help="preferred fresh letter name")
-    p.add_argument("--max-len", type=int, default=completeness.DEFAULT_SEARCH_LEN)
+    p.add_argument("--max-len", type=int, default=DEFAULT_SEARCH_LEN)
     p.add_argument("-o", "--output", required=True)
     common(p)
     p.set_defaults(func=_cmd_letter_intro)

@@ -25,6 +25,7 @@ import itertools
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
+    DEFAULT_SEARCH_LEN,
     DEFAULT_STEP_CAP,
     Alphabet,
     Letter,
@@ -37,8 +38,6 @@ from .core import (
     substitute,
     words_over,
 )
-
-DEFAULT_SEARCH_LEN = 6
 
 SUFFIX_PREFIX = "suffix-prefix"
 EMBEDDING = "embedding"
@@ -103,26 +102,23 @@ def _overlaps(
             by_prefix.setdefault(lj[:k], []).append(j)
     for i, li in enumerate(lhs):
         len_i = len(li)
-        partners: set[int] = set()
+        # Partner j -> the lengths k of the suffix-prefix overlaps, and the
+        # positions at which lhs j embeds in lhs i (once for an equal lhs).
+        overlaps: dict[int, list[int]] = {}
+        embeddings: dict[int, list[int]] = {}
         for k in range(1, len_i):
-            partners.update(by_prefix.get(li[len_i - k:], ()))
-        partners.update(j for _, j in matcher.redexes(li))
-        for j in sorted(partners):
+            for j in by_prefix.get(li[len_i - k:], ()):
+                overlaps.setdefault(j, []).append(k)
+        for pos, j in matcher.redexes(li):
+            if j != i and (len(lhs[j]) < len_i or i < j):
+                embeddings.setdefault(j, []).append(pos)
+        for j in sorted(overlaps.keys() | embeddings.keys()):
             lj = lhs[j]
-            len_j = len(lj)
-            for k in range(1, min(len_i, len_j)):
-                if li[len_i - k:] == lj[:k]:
-                    tail = lj[k:]
-                    yield li + tail, rhs[i] + tail, li[: len_i - k] + rhs[j], SUFFIX_PREFIX, (i, j)
-            if i == j or len_j > len_i:
-                continue
-            if li == lj:
-                if i < j:
-                    yield li, rhs[i], rhs[j], EMBEDDING, (i, j)
-                continue
-            for pos in range(len_i - len_j + 1):
-                if li[pos: pos + len_j] == lj:
-                    yield li, rhs[i], li[:pos] + rhs[j] + li[pos + len_j:], EMBEDDING, (i, j)
+            for k in overlaps.get(j, ()):
+                tail = lj[k:]
+                yield li + tail, rhs[i] + tail, li[: len_i - k] + rhs[j], SUFFIX_PREFIX, (i, j)
+            for pos in embeddings.get(j, ()):
+                yield li, rhs[i], li[:pos] + rhs[j] + li[pos + len(lj):], EMBEDDING, (i, j)
 
 
 def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
@@ -142,26 +138,59 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     return [CriticalPair(*overlap) for overlap in _overlaps(system)]
 
 
-def _measure(word: Word, heavy: frozenset[Letter]) -> tuple[int, int, int]:
-    """(length, heavy count, heavy right-distance sum) of ``word``."""
-    n = len(word)
-    distances = [n - 1 - pos for pos, letter in enumerate(word) if letter in heavy]
-    return n, len(distances), sum(distances)
+class _Deltas(NamedTuple):
+    """How far a rule's right-hand side falls below its left-hand side in
+    the measure (length, heavy count, heavy right-distance sum): the drop
+    in length, and per letter whose count or right-distance sum changes,
+    (letter, count drop, right-distance drop).  The heavy parts of the
+    measure are sums over the heavy letters, so a heavy set's drops are
+    sums of its letters' drops."""
+
+    length: int
+    letters: tuple[tuple[Letter, int, int], ...]
 
 
-def _drops_length_first(rule: Rule, heavy: frozenset[Letter]) -> bool:
+def _deltas(lhs: Word, rhs: Word) -> _Deltas:
+    count: dict[Letter, int] = {}
+    distance: dict[Letter, int] = {}
+    for word, sign in ((lhs, 1), (rhs, -1)):
+        last = len(word) - 1
+        for pos, letter in enumerate(word):
+            count[letter] = count.get(letter, 0) + sign
+            distance[letter] = distance.get(letter, 0) + sign * (last - pos)
+    letters = tuple(
+        (letter, count[letter], distance[letter])
+        for letter in count
+        if count[letter] or distance[letter]
+    )
+    return _Deltas(len(lhs) - len(rhs), letters)
+
+
+def _heavy_drops(deltas: _Deltas, heavy: frozenset[Letter]) -> tuple[int, int]:
+    """The drops in heavy count and heavy right-distance sum."""
+    count = distance = 0
+    for letter, count_drop, distance_drop in deltas.letters:
+        if letter in heavy:
+            count += count_drop
+            distance += distance_drop
+    return count, distance
+
+
+def _drops_length_first(deltas: _Deltas, heavy: frozenset[Letter]) -> bool:
     # The measure, lexicographic.  Stable under contexts: length-equal
     # replacements leave every other letter's distance to the right end
     # unchanged.
-    return _measure(rule.rhs, heavy) < _measure(rule.lhs, heavy)
+    if deltas.length:
+        return deltas.length > 0
+    count, distance = _heavy_drops(deltas, heavy)
+    return count > 0 or count == 0 and distance > 0
 
 
-def _drops_count_first(rule: Rule, heavy: frozenset[Letter]) -> bool:
+def _drops_count_first(deltas: _Deltas, heavy: frozenset[Letter]) -> bool:
     # (heavy count, heavy right-distance sum), lexicographic; the tie case
     # additionally needs equal lengths so the context weights cancel.
-    nl, cl, wl = _measure(rule.lhs, heavy)
-    nr, cr, wr = _measure(rule.rhs, heavy)
-    return cr < cl or (cr == cl and nr == nl and wr < wl)
+    count, distance = _heavy_drops(deltas, heavy)
+    return count > 0 or count == 0 and deltas.length == 0 and distance > 0
 
 
 def _measure_candidates(letters: Iterable[Letter]) -> list[frozenset[Letter]]:
@@ -179,8 +208,8 @@ def _measure_candidates(letters: Iterable[Letter]) -> list[frozenset[Letter]]:
 
 
 def _all_drop(
-    rules: list[Rule],
-    drops: Callable[[Rule, frozenset[Letter]], bool],
+    rules: list[_Deltas],
+    drops: Callable[[_Deltas, frozenset[Letter]], bool],
     heavy: frozenset[Letter],
 ) -> bool:
     """True iff every rule drops under ``heavy``; otherwise the first rule
@@ -205,19 +234,20 @@ def find_measure_certificate(
     )
     # A rule that fails one candidate tends to fail the next: it is moved
     # to the front of ``rules``, so the next test of every rule starts there.
-    rules = list(system.rules)
+    rules = [_deltas(rule.lhs, rule.rhs) for rule in system.rules]
+    # A rule that grows fails the length-first test under every heavy set.
+    length_first = all(rule.length >= 0 for rule in rules)
     for cand in candidates:
-        names = ", ".join(sorted(cand))
-        if _all_drop(rules, _drops_length_first, cand):
+        if length_first and _all_drop(rules, _drops_length_first, cand):
             if not cand:
                 return "all rules strictly length-reducing"
             return (
                 "length-nonincreasing; on length ties the letters "
-                f"{{{names}}} are eliminated or move right"
+                f"{{{', '.join(sorted(cand))}}} are eliminated or move right"
             )
         if cand and _all_drop(rules, _drops_count_first, cand):
             return (
-                f"letters {{{names}}} are eliminated, or keep their count "
+                f"letters {{{', '.join(sorted(cand))}}} are eliminated, or keep their count "
                 "and move right at constant length"
             )
     return None
@@ -259,16 +289,16 @@ def _pulled_back_certificate(
     in every context: no reduction cycle exists.
     """
     phi = {letter: images.get(letter, (letter,)) for letter in system.alphabet}
-    moved: list[Rule] = []
+    moved: list[_Deltas] = []
     kept: list[Rule] = []
     for rule in system.rules:
         lhs, rhs = substitute(rule.lhs, phi), substitute(rule.rhs, phi)
         if lhs == rhs:
             kept.append(rule)
         else:
-            moved.append(Rule(lhs, rhs))
+            moved.append(_deltas(lhs, rhs))
     base = dict.fromkeys(letter for image in phi.values() for letter in image)
-    if not any(
+    if any(rule.length < 0 for rule in moved) or not any(
         _all_drop(moved, _drops_length_first, heavy) for heavy in _measure_candidates(base)
     ):
         return False

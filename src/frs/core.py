@@ -32,6 +32,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 LETTER_NAME = re.compile(r"[A-Za-z0-9_']+\Z")
 
 DEFAULT_STEP_CAP = 10_000
+# Words up to this length are searched for reduction cycles by default.
+DEFAULT_SEARCH_LEN = 6
 
 
 class RewriteError(Exception):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .completeness import right_drift_letters
+from . import completeness, property_r
 from .core import (
     DEFAULT_STEP_CAP,
     Alphabet,
@@ -44,7 +44,6 @@ from .pipeline import (
     satisfies_q2,
     satisfies_q3,
 )
-from .property_r import CandidateTuple
 
 D1, D2 = "D1", "D2"
 
@@ -131,15 +130,15 @@ class LargeSubConstruction:
     def _a_s(self) -> frozenset[Letter]:
         return frozenset(self.classification.a_s)
 
-    def as_candidate_tuple(self) -> CandidateTuple:
-        return CandidateTuple(
+    def as_candidate_tuple(self) -> property_r.CandidateTuple:
+        return property_r.CandidateTuple(
             base=self.presentation.system,
             system=self.r_t,
             phi=lambda word: phi_t(word, self),
             rho=lambda word: rho_t(word, self),
             in_at=lambda word: in_AT(word, self.presentation),
             in_t=lambda word: in_T(word, self.presentation),
-            heavy=right_drift_letters(self.images, self.b_alphabet),
+            heavy=completeness.right_drift_letters(self.images, self.b_alphabet),
         )
 
 

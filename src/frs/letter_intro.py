@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from . import property_r
 from .core import (
     DEFAULT_STEP_CAP,
     Alphabet,
@@ -29,7 +30,6 @@ from .core import (
     show,
     substitute,
 )
-from .property_r import CandidateTuple
 
 C1, C2, C3, C4, C5, C6 = "C1", "C2", "C3", "C4", "C5", "C6"
 
@@ -141,8 +141,8 @@ class LetterIntroResult:
         here, so both membership predicates are trivially true."""
         return True
 
-    def as_candidate_tuple(self) -> CandidateTuple:
-        return CandidateTuple(
+    def as_candidate_tuple(self) -> property_r.CandidateTuple:
+        return property_r.CandidateTuple(
             base=self.base,
             system=self.r_s,
             phi=self.phi,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from . import completeness
+from . import completeness, letter_intro
 from .core import (
     DEFAULT_STEP_CAP,
     InputError,
@@ -28,7 +28,6 @@ from .core import (
     normal_form,
     show,
 )
-from .letter_intro import build_letter_intro
 
 
 class Presentation:
@@ -133,7 +132,7 @@ def letterize_complement(
         long_words = [word for word in complement if len(word) > 1]
         if not long_words:
             return Presentation(system, complement)
-        result = build_letter_intro(system, long_words[0], step_cap=step_cap)
+        result = letter_intro.build_letter_intro(system, long_words[0], step_cap=step_cap)
         system = result.r_s
         renamed = tuple(normal_form(word, system, step_cap) for word in complement)
         complement = canonicalize_complement(

@@ -555,6 +555,127 @@ def test_traced_benchmark_finds_every_probed_name():
     assert (result.returncode, result.stdout, result.stderr) == (0, "ok\n", "")
 
 
+COMM_AA = "alphabet: a b\nrule: b a -> a b\ncomplement: a ; a a\n"
+# The modules that every process runs: each command reads a file.
+LOADED_FIRST = {"__init__", "cli", "core", "fileformat", "pipeline"}
+# Runs an frs command and prints, last, the frs modules whose code ran.
+MODULES_RUN = """
+import os, sys
+
+ran = set()
+
+def record(event, args):
+    if event == "exec":
+        ran.add(getattr(args[0], "co_filename", ""))
+
+sys.addaudithook(record)
+from frs.cli import main
+
+code = main(sys.argv[1:])
+package = os.path.dirname(sys.modules["frs"].__file__)
+print(" ".join(sorted(
+    os.path.basename(name)[: -len(".py")] for name in ran if os.path.dirname(name) == package
+)))
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """Sources and the targets built from them, by name."""
+    root = tmp_path_factory.mktemp("commands")
+    paths = {}
+    for name, text in (("comm", COMM), ("comm_aa", COMM_AA), ("threebase", THREEBASE)):
+        paths[name] = root / f"{name}.frs"
+        paths[name].write_text(text)
+    for name, args in (
+        ("comm.t", ["large-sub", paths["comm"]]),
+        ("comm_aa.p", ["prepare", paths["comm_aa"]]),
+        ("threebase.t", ["letter-intro", paths["threebase"], "--w0", "a b"]),
+    ):
+        paths[name] = root / name
+        assert main([*map(str, args), "-o", str(paths[name])]) == 0
+    paths["out"] = root / "out"
+    return paths
+
+
+class TestModulesRun:
+    """A command runs the frs modules it uses and no other: the rest are
+    registered, but their code never runs.  ``nf`` runs only the modules
+    that every process runs, so building the parser loads none."""
+
+    @pytest.mark.parametrize(
+        "args, added",
+        [
+            (["nf", "comm", "--word", "b a"], set()),
+            (["check", "threebase.t"], {"completeness"}),
+            (["large-sub", "comm_aa.p", "-o", "out"], {"large_sub"}),
+            (["large-sub", "comm_aa", "-o", "out"], {"completeness", "large_sub", "letter_intro"}),
+            (["prepare", "comm_aa", "-o", "out"], {"completeness", "letter_intro"}),
+            (
+                ["letter-intro", "threebase", "--w0", "a b", "-o", "out"],
+                {"completeness", "letter_intro"},
+            ),
+            (
+                ["verify-tuple", "threebase", "threebase.t"],
+                {"completeness", "letter_intro", "parallel", "property_r"},
+            ),
+            (
+                ["verify-tuple", "comm", "comm.t", "--bound-a", "4", "--bound-b", "3"],
+                {"completeness", "large_sub", "parallel", "property_r"},
+            ),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_command_runs_only_the_modules_it_uses(self, args, added, command_files):
+        argv = [str(command_files.get(arg, arg)) for arg in args]
+        env = dict(os.environ, PYTHONPATH=str(Path(frs.__file__).parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-c", MODULES_RUN, *argv], env=env, capture_output=True, text=True
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert set(result.stdout.splitlines()[-1].split()) == LOADED_FIRST | added
+
+
+# The public names of the package, as they were when it imported every
+# module at once.
+PUBLIC_NAMES = {
+    "Alphabet", "CLetter", "CandidateTuple", "CompletenessReport", "ConstructionError",
+    "CriticalPair", "InputError", "InternalError", "IsomorphismReport",
+    "LargeSubConstruction", "LetterClassification", "LetterIntroResult",
+    "NonTerminationError", "ParseError", "PreconditionError", "Presentation",
+    "PropertyRReport", "ReductionStep", "RewriteError", "RewritingSystem", "Rule", "Word",
+    "build_b_alphabet", "build_construction", "build_f_sets", "build_letter_intro",
+    "canonicalize_complement", "check_isomorphism_slice", "check_local_confluence",
+    "check_p1_to_p6", "check_subsemigroup_closed", "check_termination", "classify_letters",
+    "completeness", "core", "critical_pairs", "disorder", "fileformat", "in_AT", "in_T",
+    "is_irreducible", "large_sub", "letter_intro", "letterize_complement", "normal_form",
+    "normalize_q2_q3", "one_step_reductions", "parallel", "parse_presentation", "phi_t",
+    "pipeline", "prepare_presentation", "property_r", "reduces_to", "rho_s", "rho_t",
+    "self_overlaps", "serialize_presentation", "show", "substitute", "verify_complete",
+    "words_over",
+}
+MODULE_DUNDERS = {
+    "__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+    "__name__", "__package__", "__path__", "__spec__",
+}
+
+
+def test_package_names_are_those_of_eager_imports():
+    # In a fresh interpreter: this one has imported frs.cli, which dir()
+    # then lists as any imported submodule.
+    env = dict(os.environ, PYTHONPATH=str(Path(frs.__file__).parent.parent))
+    probe = "import frs; print(' '.join(frs.__all__)); print(' '.join(dir(frs)))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    all_line, dir_line = result.stdout.splitlines()
+    assert set(all_line.split()) == PUBLIC_NAMES
+    assert set(dir_line.split()) == PUBLIC_NAMES | MODULE_DUNDERS
+    for name in PUBLIC_NAMES:
+        namespace = {}
+        exec(f"from frs import {name}", namespace)
+        assert namespace[name] is getattr(frs, name)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -7,6 +7,7 @@ from frs import (
     Alphabet,
     NonTerminationError,
     Presentation,
+    RewritingSystem,
     Rule,
     Word,
     build_construction,
@@ -15,9 +16,11 @@ from frs import (
     check_termination,
     critical_pairs,
     normal_form,
+    normalize_q2_q3,
     one_step_reductions,
     prepare_presentation,
     show,
+    substitute,
     verify_complete,
     words_over,
 )
@@ -38,6 +41,7 @@ from frs.core import DEFAULT_STEP_CAP, LhsMatcher
 
 from conftest import looping_systems, naive_normal_form, system, w
 from test_core import small_systems, trie_systems
+from test_large_sub import LADDER_SHAPES, MORE_LADDER_SHAPES, ladder_presentation
 
 SYSTEM_FIXTURES = ["sys_aaa", "sys_moves", "sys_nonconfluent", "free_a", "free_ab"]
 
@@ -596,10 +600,11 @@ def reference_drops_count_first(rule, heavy):
 def assert_measure_matches_reference(sys):
     for heavy in completeness._measure_candidates(sys.alphabet.names()):
         for rule in sys.rules:
-            assert completeness._drops_length_first(rule, heavy) == (
+            deltas = completeness._deltas(rule.lhs, rule.rhs)
+            assert completeness._drops_length_first(deltas, heavy) == (
                 reference_drops_length_first(rule, heavy)
             ), (rule, heavy)
-            assert completeness._drops_count_first(rule, heavy) == (
+            assert completeness._drops_count_first(deltas, heavy) == (
                 reference_drops_count_first(rule, heavy)
             ), (rule, heavy)
 
@@ -615,11 +620,16 @@ class TestMeasureAgainstReference:
         assert_measure_matches_reference(sys)
 
 
-def reference_measure_certificate(sys):
+def reference_measure_certificate(sys, heavy=None):
     """The in-order certificate search over the reference predicates."""
     if not sys.rules:
         return "no rules"
-    for cand in completeness._measure_candidates(sys.alphabet.names()):
+    candidates = (
+        [frozenset(heavy)]
+        if heavy is not None
+        else completeness._measure_candidates(sys.alphabet.names())
+    )
+    for cand in candidates:
         names = ", ".join(sorted(cand))
         if all(reference_drops_length_first(rule, cand) for rule in sys.rules):
             if not cand:
@@ -634,6 +644,95 @@ def reference_measure_certificate(sys):
                 "and move right at constant length"
             )
     return None
+
+
+def reference_pulled_back_certificate(sys, images):
+    """The pulled-back search over the image rules themselves and the
+    reference predicates."""
+    phi = {letter: images.get(letter, (letter,)) for letter in sys.alphabet}
+    moved, kept = [], []
+    for rule in sys.rules:
+        lhs, rhs = substitute(rule.lhs, phi), substitute(rule.rhs, phi)
+        if lhs == rhs:
+            kept.append(rule)
+        else:
+            moved.append(Rule(lhs, rhs))
+    base = dict.fromkeys(letter for image in phi.values() for letter in image)
+    if not any(
+        all(reference_drops_length_first(rule, heavy) for rule in moved)
+        for heavy in completeness._measure_candidates(base)
+    ):
+        return False
+    rest = sys.with_rules(kept)
+    seed = completeness.right_drift_letters(images, sys.alphabet)
+    return (
+        reference_measure_certificate(rest, seed) is not None
+        or reference_measure_certificate(rest) is not None
+    )
+
+
+@st.composite
+def wide_measure_systems(draw):
+    """Rules over four to seven letters, in shuffled order: commutations
+    y x -> x y, which only a heavy set that holds y and not x orders,
+    mixed with length-reducing and length-increasing rules."""
+    letters = [f"x{i}" for i in range(draw(st.integers(4, 7)))]
+    letter = st.sampled_from(letters)
+    pairs = [
+        ([y, x], [x, y])
+        for x, y in draw(
+            st.lists(st.tuples(letter, letter).filter(lambda xy: xy[0] != xy[1]), max_size=6)
+        )
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        lhs = draw(st.lists(letter, min_size=2, max_size=4))
+        pairs.append((lhs, draw(st.lists(letter, min_size=1, max_size=len(lhs) - 1))))
+    for _ in range(draw(st.integers(0, 2))):
+        lhs = draw(st.lists(letter, min_size=1, max_size=2))
+        pairs.append((lhs, draw(st.lists(letter, min_size=len(lhs) + 1, max_size=3))))
+    assume(pairs)
+    alphabet = Alphabet(letters)
+    rules = [Rule(alphabet.word(lhs), alphabet.word(rhs)) for lhs, rhs in pairs]
+    return RewritingSystem(alphabet, tuple(draw(st.permutations(rules))))
+
+
+# The large-sub output of every input of the benchmark ladder, raw and
+# interreduced: (system, images).
+def ladder_targets():
+    targets = {}
+    for shape in sorted({**LADDER_SHAPES, **MORE_LADDER_SHAPES}):
+        construction = build_construction(ladder_presentation(shape))
+        targets[shape] = (construction.r_t, construction.images)
+        targets[f"{shape} interreduced"] = (normalize_q2_q3(construction.r_t), construction.images)
+    return targets
+
+
+class TestMeasureSearchAgainstReference:
+    """The search over each rule's measure drops, computed once per rule,
+    returns what the in-order search over the reference predicates
+    returns, certificate strings included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_measure_systems())
+    def test_wide_alphabets_agree(self, sys):
+        assert completeness.find_measure_certificate(sys) == reference_measure_certificate(sys)
+        for name in sys.alphabet.names()[:2]:
+            heavy = frozenset({name})
+            assert completeness.find_measure_certificate(sys, heavy) == (
+                reference_measure_certificate(sys, heavy)
+            )
+
+    def test_ladder_pulled_back_certificates_agree(self):
+        targets = ladder_targets()
+        assert len(targets) == 24
+        found = {
+            name: completeness._pulled_back_certificate(sys, images)
+            for name, (sys, images) in targets.items()
+        }
+        assert found == {
+            name: reference_pulled_back_certificate(sys, images)
+            for name, (sys, images) in targets.items()
+        }
 
 
 def assert_join_matches_reference(sys, step_cap=DEFAULT_STEP_CAP):
