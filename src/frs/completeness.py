@@ -193,18 +193,21 @@ def _drops_count_first(deltas: _Deltas, heavy: frozenset[Letter]) -> bool:
     return count > 0 or count == 0 and deltas.length == 0 and distance > 0
 
 
-def _measure_candidates(letters: Iterable[Letter]) -> list[frozenset[Letter]]:
-    """The heavy-letter sets to try, smallest first: every subset of up to
-    14 letters, only the empty set and the singletons above that."""
+def _measure_candidates(
+    letters: Iterable[Letter], seed: frozenset[Letter] = frozenset()
+) -> Iterator[frozenset[Letter]]:
+    """The heavy-letter sets to try, each once: ``seed`` first, at any
+    alphabet size, then the empty set, the singletons, and every larger
+    subset while there are at most 14 letters, smallest first."""
+    yield seed
     letters = tuple(letters)
-    candidates: list[frozenset[Letter]] = [frozenset()]
-    candidates += [frozenset({letter}) for letter in letters]
-    if len(letters) <= 14:
-        # Exhaustive subset search stays cheap at desk scale.
-        for size in range(2, len(letters) + 1):
-            for combo in itertools.combinations(letters, size):
-                candidates.append(frozenset(combo))
-    return candidates
+    # Exhaustive subset search stays cheap at desk scale.
+    largest = len(letters) if len(letters) <= 14 else 1
+    for size in range(largest + 1):
+        for combo in itertools.combinations(letters, size):
+            cand = frozenset(combo)
+            if cand != seed:
+                yield cand
 
 
 def _all_drop(
@@ -222,22 +225,19 @@ def _all_drop(
 
 
 def find_measure_certificate(
-    system: RewritingSystem, heavy: frozenset[Letter] | None = None
+    system: RewritingSystem, seed: frozenset[Letter] = frozenset()
 ) -> str | None:
-    """Search for a reduction-order certificate; returns its description."""
+    """Search for a reduction-order certificate, trying the heavy sets of
+    :func:`_measure_candidates` in turn, ``seed`` first; returns the
+    description of the first that certifies."""
     if not system.rules:
         return "no rules"
-    candidates = (
-        [frozenset(heavy)]
-        if heavy is not None
-        else _measure_candidates(system.alphabet.names())
-    )
     # A rule that fails one candidate tends to fail the next: it is moved
     # to the front of ``rules``, so the next test of every rule starts there.
     rules = [_deltas(rule.lhs, rule.rhs) for rule in system.rules]
     # A rule that grows fails the length-first test under every heavy set.
     length_first = all(rule.length >= 0 for rule in rules)
-    for cand in candidates:
+    for cand in _measure_candidates(system.alphabet.names(), seed):
         if length_first and _all_drop(rules, _drops_length_first, cand):
             if not cand:
                 return "all rules strictly length-reducing"
@@ -283,7 +283,7 @@ def _pulled_back_certificate(
     in the length-first measure of its image for one heavy set H of base
     letters, searched as :func:`find_measure_certificate` searches.  The
     rules that keep their image must have a certificate nu of their own,
-    tried first with the :func:`right_drift_letters` as heavy letters.  phi
+    found by one search seeded with the :func:`right_drift_letters`.  phi
     is a homomorphism and both measures are monotone under contexts, so
     (mu_H(phi(w)), nu(w)), compared lexicographically, drops on every rule
     in every context: no reduction cycle exists.
@@ -302,12 +302,8 @@ def _pulled_back_certificate(
         _all_drop(moved, _drops_length_first, heavy) for heavy in _measure_candidates(base)
     ):
         return False
-    rest = system.with_rules(kept)
     seed = right_drift_letters(images, system.alphabet)
-    return (
-        find_measure_certificate(rest, seed) is not None
-        or find_measure_certificate(rest) is not None
-    )
+    return find_measure_certificate(system.with_rules(kept), seed) is not None
 
 
 def _cap_message(step_cap: int) -> str:
@@ -358,14 +354,16 @@ def check_termination(
     system: RewritingSystem,
     max_len: int = DEFAULT_SEARCH_LEN,
     step_cap: int = DEFAULT_STEP_CAP,
-    heavy: frozenset[Letter] | None = None,
+    seed: frozenset[Letter] = frozenset(),
     images: Mapping[Letter, Word] | None = None,
 ) -> TerminationEvidence:
     """Three-tier termination check.
 
-    1. every rule strictly length-reducing -> certified;
-    2. a lexicographic heavy-letter measure (declared via ``heavy``, or
-       found by searching letter subsets) strictly decreases -> certified;
+    1. every rule strictly length-reducing -> certified (tried first
+       unless ``seed`` is a nonempty set);
+    2. a lexicographic heavy-letter measure strictly decreases ->
+       certified; :func:`find_measure_certificate` searches the heavy
+       sets, ``seed`` first;
     3. exhaustive cycle search over words of length <= max_len ->
        bounded_verified, or a concrete cycle as counterexample; unknown
        when more than ``step_cap`` states are entered.
@@ -378,7 +376,7 @@ def check_termination(
     max(step_cap, 0) such words, and bounded_verified otherwise.  A cycle
     is only ever reported by the search.
     """
-    certificate = find_measure_certificate(system, heavy)
+    certificate = find_measure_certificate(system, seed)
     if certificate is not None:
         return TerminationEvidence(CERTIFIED, certificate=certificate)
     if images and _pulled_back_certificate(system, images):

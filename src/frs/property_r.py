@@ -70,12 +70,13 @@ class CandidateTuple(NamedTuple):
     ``phi`` maps B-words to A-words homomorphically, ``rho`` sends members
     of the representative set back to B-words, ``in_at`` decides membership
     in the representative set, and ``in_t`` decides whether an A-word's
-    class lies in the target subsemigroup.  ``heavy`` optionally names the
-    letters whose rightward drift certifies termination of the
-    image-preserving rules.  ``letter_intro`` is the letter introduction
-    that built the tuple, if one did; P1 and P5 may then be proved from
-    short words (see :func:`_short_words`).  A variant with some fields
-    replaced is built with ``tup._replace(field=value)``.
+    class lies in the target subsemigroup.  ``heavy`` is the letter set
+    that P3's certificate search tries first: the letters whose rightward
+    drift should certify termination of the image-preserving rules.
+    ``letter_intro`` is the letter introduction that built the tuple, if
+    one did; P1 and P5 may then be proved from short words (see
+    :func:`_short_words`).  A variant with some fields replaced is built
+    with ``tup._replace(field=value)``.
     """
 
     base: RewritingSystem
@@ -289,19 +290,11 @@ def check_p1_to_p6(
         return PropertyResult("P2", VERIFIED, 0, len(system.rules))
 
     # P3: no infinite chain of image-preserving steps; checked as
-    # termination of the image-preserving rule subset.  When the declared
-    # heavy letters certify nothing, only the certificate search is retried
-    # over every letter set: the cycle search would repeat itself.
+    # termination of the image-preserving rule subset.  The certificate
+    # search tries the tuple's heavy set first and then every other letter
+    # set; only when none certifies does the cycle search run.
     def p3() -> PropertyResult:
-        evidence = completeness.check_termination(
-            preserved, max_len=bound_b, step_cap=step_cap, heavy=tup.heavy or None
-        )
-        if not evidence.holds() and tup.heavy:
-            certificate = completeness.find_measure_certificate(preserved)
-            if certificate is not None:
-                evidence = completeness.TerminationEvidence(
-                    completeness.CERTIFIED, certificate=certificate
-                )
+        evidence = completeness.check_termination(preserved, bound_b, step_cap, seed=tup.heavy)
         if evidence.status == completeness.COUNTEREXAMPLE:
             return PropertyResult(
                 "P3", COUNTEREXAMPLE, bound_b, 0, evidence.cycle

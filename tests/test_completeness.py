@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -308,8 +309,8 @@ class TestTermination:
         assert [show(word) for word in evidence.cycle] == ["a", "b", "a"]
 
     def test_declared_heavy_set_used(self, sys_moves):
-        heavy = frozenset({sys_moves.alphabet.get("s")})
-        assert check_termination(sys_moves, heavy=heavy).status == "certified"
+        seed = frozenset({sys_moves.alphabet.get("s")})
+        assert check_termination(sys_moves, seed=seed).status == "certified"
 
     def test_bounded_verification_when_no_certificate(self):
         # The second rule grows words, so no built-in measure certifies;
@@ -620,15 +621,23 @@ class TestMeasureAgainstReference:
         assert_measure_matches_reference(sys)
 
 
-def reference_measure_certificate(sys, heavy=None):
+def reference_candidates(letters, seed):
+    """The heavy sets in search order, as a list: ``seed``, then the empty
+    set, the singletons and, on at most 14 letters, every larger subset by
+    size, without the seed."""
+    letters = list(letters)
+    subsets = [frozenset()] + [frozenset({letter}) for letter in letters]
+    if len(letters) <= 14:
+        for size in range(2, len(letters) + 1):
+            subsets += [frozenset(combo) for combo in itertools.combinations(letters, size)]
+    return [seed] + [subset for subset in subsets if subset != seed]
+
+
+def reference_measure_certificate(sys, seed=frozenset()):
     """The in-order certificate search over the reference predicates."""
     if not sys.rules:
         return "no rules"
-    candidates = (
-        [frozenset(heavy)]
-        if heavy is not None
-        else completeness._measure_candidates(sys.alphabet.names())
-    )
+    candidates = reference_candidates(sys.alphabet.names(), seed)
     for cand in candidates:
         names = ", ".join(sorted(cand))
         if all(reference_drops_length_first(rule, cand) for rule in sys.rules):
@@ -663,12 +672,8 @@ def reference_pulled_back_certificate(sys, images):
         for heavy in completeness._measure_candidates(base)
     ):
         return False
-    rest = sys.with_rules(kept)
     seed = completeness.right_drift_letters(images, sys.alphabet)
-    return (
-        reference_measure_certificate(rest, seed) is not None
-        or reference_measure_certificate(rest) is not None
-    )
+    return reference_measure_certificate(sys.with_rules(kept), seed) is not None
 
 
 @st.composite
@@ -713,14 +718,50 @@ class TestMeasureSearchAgainstReference:
     returns, certificate strings included."""
 
     @settings(max_examples=300, deadline=None)
-    @given(wide_measure_systems())
-    def test_wide_alphabets_agree(self, sys):
-        assert completeness.find_measure_certificate(sys) == reference_measure_certificate(sys)
-        for name in sys.alphabet.names()[:2]:
-            heavy = frozenset({name})
-            assert completeness.find_measure_certificate(sys, heavy) == (
-                reference_measure_certificate(sys, heavy)
+    @given(wide_measure_systems(), st.data())
+    def test_wide_alphabets_agree(self, sys, data):
+        found = completeness.find_measure_certificate(sys)
+        assert found == reference_measure_certificate(sys)
+        assert found == completeness.find_measure_certificate(sys, frozenset())
+        names = sys.alphabet.names()
+        for _ in range(3):
+            seed = frozenset(data.draw(st.lists(st.sampled_from(names), max_size=3)))
+            assert completeness.find_measure_certificate(sys, seed) == (
+                reference_measure_certificate(sys, seed)
             )
+
+    @pytest.mark.parametrize("letters", [2, 5, 12, 20])
+    @pytest.mark.parametrize("seed_size", [0, 1, 3])
+    def test_candidates_are_the_reference_order(self, letters, seed_size):
+        names = [f"x{i}" for i in range(letters)]
+        seed = frozenset(names[1 : 1 + seed_size])
+        assert list(completeness._measure_candidates(names, seed)) == (
+            reference_candidates(names, seed)
+        )
+
+    def test_certifying_seed_is_the_only_candidate_tested(self, monkeypatch):
+        # y x0 -> x0 y for y = x1..x11, over twenty letters: a heavy set
+        # orders these rules only if it holds all eleven y's, and the seed
+        # is that set.  No set of the empty set and singletons, all that is
+        # searched above 14 letters, certifies them.
+        names = [f"x{i}" for i in range(20)]
+        alphabet = Alphabet(names)
+        rules = tuple(
+            Rule(alphabet.word([y, "x0"]), alphabet.word(["x0", y])) for y in names[1:12]
+        )
+        sys = RewritingSystem(alphabet, rules)
+        seed = frozenset(names[1:12])
+        tested = []
+        all_drop = completeness._all_drop
+
+        def counted(rules, drops, heavy):
+            tested.append(heavy)
+            return all_drop(rules, drops, heavy)
+
+        monkeypatch.setattr(completeness, "_all_drop", counted)
+        certificate = completeness.find_measure_certificate(sys, seed)
+        assert certificate is not None and set(tested) == {seed}
+        assert completeness.find_measure_certificate(sys) is None
 
     def test_ladder_pulled_back_certificates_agree(self):
         targets = ladder_targets()

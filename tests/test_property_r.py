@@ -27,6 +27,7 @@ from frs.core import DEFAULT_STEP_CAP
 from frs.property_r import SWEEP_CHUNK
 
 from conftest import descendants, oracle_classes, system, w
+from test_large_sub import ladder_presentation
 
 
 @pytest.fixture
@@ -117,11 +118,29 @@ def reference_straightening_path(word, target, preserving, step_cap):
     return current == target
 
 
-def preserving_matcher(tup):
-    """The matcher of the image-preserving rules, in system order."""
+def preserving_system(tup):
+    """The image-preserving rules, in system order."""
     return tup.system.with_rules(
         rule for rule in tup.system.rules if tup.phi(rule.lhs) == tup.phi(rule.rhs)
-    ).matcher
+    )
+
+
+def preserving_matcher(tup):
+    """The matcher of the image-preserving rules, in system order."""
+    return preserving_system(tup).matcher
+
+
+def count_cycle_searches(monkeypatch):
+    """The argument tuples of every bounded cycle search run from now on."""
+    calls = []
+    search = completeness._bounded_cycle_search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(completeness, "_bounded_cycle_search", counted)
+    return calls
 
 
 def p4_and_p6(tup, bound_b, step_cap):
@@ -218,22 +237,43 @@ class TestProperties:
     def test_p3_runs_the_cycle_search_once(self, tuple_aa, monkeypatch):
         # a s -> s a undoes s a -> a s, and both keep the image, so neither
         # the declared heavy letter s nor any other letter set certifies
-        # the image-preserving rules; only the certificate search is retried.
+        # the image-preserving rules; the cycle search runs once, after the
+        # certificate search.
         alphabet = tuple_aa.system.alphabet
         undo = Rule(alphabet.word("a s"), alphabet.word("s a"))
         looping = tuple_aa._replace(system=tuple_aa.system.with_rules(tuple_aa.system.rules + (undo,)))
-        calls = []
-        search = completeness._bounded_cycle_search
-
-        def counted(*args):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(completeness, "_bounded_cycle_search", counted)
+        calls = count_cycle_searches(monkeypatch)
         res = check_p1_to_p6(looping, 4, 3).result("P3")
         assert len(calls) == 1
         assert res.status == "counterexample"
         assert [show(word) for word in res.counterexample] == ["a s", "s a", "a s"]
+
+    def test_p3_searches_past_a_failing_heavy_set(self, tuple_aa, monkeypatch):
+        # Under {a}, s a -> a s moves a to the left, so the declared set
+        # certifies nothing; the singleton {s} does, and the cycle search
+        # never runs.
+        calls = count_cycle_searches(monkeypatch)
+        res = check_p1_to_p6(tuple_aa._replace(heavy=frozenset({"a"})), 4, 3).result("P3")
+        assert calls == []
+        assert (res.status, res.witness_count) == ("verified", 2)
+        assert res.note == (
+            "length-nonincreasing; on length ties the letters {s} are eliminated or move right"
+        )
+
+    # The right-drift seed of three is 14 of 21 letters, that of comm_aa 11
+    # of 17: above 14 letters only the empty set and the singletons are
+    # listed, and none of them certifies, so P3 holds by its seed alone.
+    @pytest.mark.parametrize("shape, letters, seed_size", [("three", 21, 14), ("comm_aa", 17, 11)])
+    def test_p3_tries_the_seed_beyond_the_subset_cut(self, shape, letters, seed_size):
+        tup = build_construction(ladder_presentation(shape)).as_candidate_tuple()
+        assert (len(tup.system.alphabet), len(tup.heavy)) == (letters, seed_size)
+        res = check_p1_to_p6(tup, 1, 1).result("P3")
+        assert res.status == "verified"
+        assert res.note == (
+            f"letters {{{', '.join(sorted(tup.heavy))}}} are eliminated, or keep their count "
+            "and move right at constant length"
+        )
+        assert completeness.find_measure_certificate(preserving_system(tup)) is None
 
 
     def test_straightening_path_of_exactly_the_cap_is_found(self):
