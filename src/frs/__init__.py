@@ -1,8 +1,9 @@
 """Finite complete rewriting systems for semigroups: construction and
 verification of presentations for large subsemigroups.
 
-Modules load on first use.  ``core``, ``pipeline`` and ``fileformat`` load
-with the package, since every command reads a file.  ``completeness``,
+Modules load on first use.  Only ``core`` and ``fileformat``, which holds
+the ``Presentation`` record and reads and writes its files, load with the
+package, since every command reads a file.  ``completeness``, ``pipeline``,
 ``large_sub``, ``letter_intro``, ``property_r`` and ``parallel`` are package
 attributes and entries of ``sys.modules`` from the start, but each one runs
 only when one of its attributes is first looked up, so a command pays only
@@ -13,6 +14,28 @@ imports: ``from frs import verify_complete`` loads ``completeness`` then.
 import importlib.util as _util
 import sys as _sys
 
+from .core import (
+    Alphabet,
+    InputError,
+    InternalError,
+    NonTerminationError,
+    PreconditionError,
+    ReductionStep,
+    RewriteError,
+    RewritingSystem,
+    Rule,
+    Word,
+    disorder,
+    is_irreducible,
+    normal_form,
+    one_step_reductions,
+    reduces_to,
+    show,
+    substitute,
+    words_over,
+)
+from .fileformat import ParseError, Presentation, parse_presentation, serialize_presentation
+
 # The names each lazily loaded module serves from the package.
 _LAZY_EXPORTS = {
     "completeness": (
@@ -22,6 +45,13 @@ _LAZY_EXPORTS = {
         "check_termination",
         "critical_pairs",
         "verify_complete",
+    ),
+    "pipeline": (
+        "canonicalize_complement",
+        "check_subsemigroup_closed",
+        "letterize_complement",
+        "normalize_q2_q3",
+        "prepare_presentation",
     ),
     "letter_intro": ("LetterIntroResult", "build_letter_intro", "rho_s", "self_overlaps"),
     "large_sub": (
@@ -61,40 +91,8 @@ def _load_on_first_use(module: str) -> object:
     return lazy
 
 
-# Registered before the eager imports below, so that their
-# ``from . import completeness`` finds the lazy module and does not load it.
 for _module in _LAZY_EXPORTS:
     globals()[_module] = _load_on_first_use(_module)
-
-from .core import (  # noqa: E402
-    Alphabet,
-    InputError,
-    InternalError,
-    NonTerminationError,
-    PreconditionError,
-    ReductionStep,
-    RewriteError,
-    RewritingSystem,
-    Rule,
-    Word,
-    disorder,
-    is_irreducible,
-    normal_form,
-    one_step_reductions,
-    reduces_to,
-    show,
-    substitute,
-    words_over,
-)
-from .pipeline import (  # noqa: E402
-    Presentation,
-    canonicalize_complement,
-    check_subsemigroup_closed,
-    letterize_complement,
-    normalize_q2_q3,
-    prepare_presentation,
-)
-from .fileformat import ParseError, parse_presentation, serialize_presentation  # noqa: E402
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_SOURCE))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import completeness, large_sub, letter_intro, property_r
+from . import completeness, large_sub, letter_intro, pipeline, property_r
 from .core import (
     DEFAULT_SEARCH_LEN,
     DEFAULT_STEP_CAP,
@@ -22,15 +22,7 @@ from .core import (
     normal_form,
     show,
 )
-from .fileformat import parse_presentation, serialize_presentation
-from .pipeline import (
-    Presentation,
-    normalize_q2_q3,
-    prepare_presentation,
-    satisfies_q1,
-    satisfies_q2,
-    satisfies_q3,
-)
+from .fileformat import Presentation, parse_presentation, serialize_presentation
 
 OK, FAILED, BAD_INPUT, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -122,7 +114,7 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
     if presentation.complement is None:
         raise InputError("the input file must declare a complement")
-    prepared = prepare_presentation(presentation, args.step_cap)
+    prepared = pipeline.prepare_presentation(presentation, args.step_cap)
     _write(args.output, prepared)
     print(
         f"prepared presentation with {len(prepared.system.alphabet)} letters, "
@@ -134,12 +126,12 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 def _prepared(presentation: Presentation, step_cap: int) -> Presentation:
     if (
-        satisfies_q1(presentation, step_cap)
-        and satisfies_q2(presentation.system)
-        and satisfies_q3(presentation.system)
+        pipeline.satisfies_q1(presentation, step_cap)
+        and pipeline.satisfies_q2(presentation.system)
+        and pipeline.satisfies_q3(presentation.system)
     ):
         return presentation
-    return prepare_presentation(presentation, step_cap)
+    return pipeline.prepare_presentation(presentation, step_cap)
 
 
 def _cmd_large_sub(args: argparse.Namespace) -> int:
@@ -150,7 +142,7 @@ def _cmd_large_sub(args: argparse.Namespace) -> int:
     construction = large_sub.build_construction(prepared, args.step_cap)
     system = construction.r_t
     if args.interreduce:
-        system = normalize_q2_q3(system, args.step_cap)
+        system = pipeline.normalize_q2_q3(system, args.step_cap)
     _write(args.output, Presentation(system, generators=tuple(construction.images.items())))
     d1 = sum(1 for rule in system.rules if "D1" in rule.tags)
     d2 = sum(1 for rule in system.rules if "D2" in rule.tags)

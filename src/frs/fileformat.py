@@ -13,16 +13,99 @@ alphabet (so not checked against this one's).  Serialization is canonical:
 alphabet sorted by name, then generators and rules in stored order, one
 declaration per line; parsing a canonical file and serializing it again
 reproduces it byte for byte.
+
+``Presentation`` is the record a file holds, and every command starts from
+one.  It lives here, with its parser and writer, so that reading a file
+loads no ``frs`` module other than ``core``.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
-from .core import LETTER_NAME, Alphabet, InputError, RewritingSystem, Rule, Word, show
-from .pipeline import Presentation
+from .core import (
+    LETTER_NAME,
+    Alphabet,
+    InputError,
+    PreconditionError,
+    RewritingSystem,
+    Rule,
+    Word,
+    _read_only,
+    show,
+)
 
 _TOKEN = re.compile(r"\S+")
+
+
+class Presentation:
+    """A rewriting system, optionally with a complement declaration (the
+    representative words of the finitely many classes outside the target
+    subsemigroup) and, if generated, its generators' images under phi as
+    source letter names."""
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        system: RewritingSystem,
+        complement: tuple[Word, ...] | None = None,
+        generators: tuple[tuple[str, tuple[str, ...]], ...] = (),
+    ):
+        if complement is not None:
+            for word in complement:
+                for letter in word:
+                    if letter not in system.alphabet:
+                        raise InputError(
+                            f"complement word '{show(word)}' uses letter "
+                            f"{letter!r} outside the alphabet"
+                        )
+        self.__dict__.update(system=system, complement=complement, generators=generators)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = ("system", "complement", "generators")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    def __repr__(self) -> str:
+        return (
+            f"Presentation(system={self.system!r}, complement={self.complement!r}, "
+            f"generators={self.generators!r})"
+        )
+
+    @cached_property
+    def membership(self) -> "Membership":
+        """The complement sets and membership tables, built on first use.
+
+        The cache lives in the instance dict and takes no part in
+        ``__eq__``, like :attr:`RewritingSystem.matcher`.
+        """
+        if self.complement is None:
+            raise PreconditionError(
+                "the presentation has no complement declaration, so membership "
+                "in T and in the representative set is undefined"
+            )
+        return Membership(self.complement)
+
+
+class Membership:
+    """What membership tests read from one presentation's complement.
+
+    ``complement_words`` is the set of complement words and
+    ``complement_letters`` the set of their first letters (the complement
+    letters, under Q1).  ``factor_ok`` maps a step cap to the table of
+    ``large_sub.in_AT``'s factor test, keyed by tuples of letters; entries
+    are only ever added, and only for tests that finished within that cap.
+    """
+
+    __slots__ = ("complement_words", "complement_letters", "factor_ok")
+
+    def __init__(self, complement: tuple[Word, ...]):
+        self.complement_words = frozenset(complement)
+        self.complement_letters = frozenset(word[0] for word in complement if word)
+        self.factor_ok: dict[int, dict[Word, bool]] = {}
 
 
 class ParseError(InputError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from . import completeness, property_r
+from . import completeness, pipeline, property_r
 from .core import (
     DEFAULT_STEP_CAP,
     Alphabet,
@@ -32,18 +32,11 @@ from .core import (
     RuleEmitter,
     Word,
     _read_only,
-    is_irreducible,
     normal_form,
     show,
     substitute,
 )
-from .pipeline import (
-    Presentation,
-    check_subsemigroup_closed,
-    satisfies_q1,
-    satisfies_q2,
-    satisfies_q3,
-)
+from .fileformat import Presentation
 
 D1, D2 = "D1", "D2"
 
@@ -143,12 +136,13 @@ class LargeSubConstruction:
 
 
 def _require_prepared(presentation: Presentation, step_cap: int) -> None:
-    if not satisfies_q1(presentation, step_cap):
+    if not pipeline.satisfies_q1(presentation, step_cap):
         raise PreconditionError(
             "the presentation must satisfy Q1: every complement class a "
             "single irreducible letter (run the preparation pipeline first)"
         )
-    if not satisfies_q2(presentation.system) or not satisfies_q3(presentation.system):
+    system = presentation.system
+    if not pipeline.satisfies_q2(system) or not pipeline.satisfies_q3(system):
         raise PreconditionError(
             "the presentation must be interreduced (Q2 and Q3); run the "
             "preparation pipeline first"
@@ -403,7 +397,7 @@ def build_construction(
     violation is rejected as a precondition failure.
     """
     _require_prepared(presentation, step_cap)
-    violations = check_subsemigroup_closed(presentation, step_cap=step_cap)
+    violations = pipeline.check_subsemigroup_closed(presentation, step_cap=step_cap)
     if violations:
         u, v = violations[0]
         raise PreconditionError(
@@ -441,8 +435,8 @@ def build_construction(
             prefix.append(letter)
             u_prime = tuple(prefix)
             image = phi_t(u_prime, construction)
-            if not is_irreducible(image, system):
-                reduced = normal_form(image, system, step_cap)
+            reduced = normal_form(image, system, step_cap)
+            if reduced != image:
                 emitter.emit(u_prime, rho_t(reduced, construction, step_cap=step_cap), D1)
             extend(prefix, total)
             prefix.pop()

@@ -6,11 +6,12 @@ reducible by another rule).
 Each long complement word is eliminated by one letter-introduction round;
 the complement is re-normalized after every round because naming a word
 can change the normal forms of the remaining representatives.
+
+The ``Presentation`` record that every stage takes and returns is defined
+in ``fileformat``, which reads and writes it; it is imported from there.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from . import completeness, letter_intro
 from .core import (
@@ -22,81 +23,11 @@ from .core import (
     RewritingSystem,
     Rule,
     Word,
-    _read_only,
     irreducible_words,
     is_irreducible,
     normal_form,
-    show,
 )
-
-
-class Presentation:
-    """A rewriting system, optionally with a complement declaration (the
-    representative words of the finitely many classes outside the target
-    subsemigroup) and, if generated, its generators' images under phi as
-    source letter names."""
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(
-        self,
-        system: RewritingSystem,
-        complement: tuple[Word, ...] | None = None,
-        generators: tuple[tuple[str, tuple[str, ...]], ...] = (),
-    ):
-        if complement is not None:
-            for word in complement:
-                for letter in word:
-                    if letter not in system.alphabet:
-                        raise InputError(
-                            f"complement word '{show(word)}' uses letter "
-                            f"{letter!r} outside the alphabet"
-                        )
-        self.__dict__.update(system=system, complement=complement, generators=generators)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = ("system", "complement", "generators")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
-
-    def __repr__(self) -> str:
-        return (
-            f"Presentation(system={self.system!r}, complement={self.complement!r}, "
-            f"generators={self.generators!r})"
-        )
-
-    @cached_property
-    def membership(self) -> "Membership":
-        """The complement sets and membership tables, built on first use.
-
-        The cache lives in the instance dict and takes no part in
-        ``__eq__``, like :attr:`RewritingSystem.matcher`.
-        """
-        if self.complement is None:
-            raise PreconditionError(
-                "the presentation has no complement declaration, so membership "
-                "in T and in the representative set is undefined"
-            )
-        return Membership(self.complement)
-
-
-class Membership:
-    """What membership tests read from one presentation's complement.
-
-    ``complement_words`` is the set of complement words and
-    ``complement_letters`` the set of their first letters (the complement
-    letters, under Q1).  ``factor_ok`` maps a step cap to the table of
-    ``large_sub.in_AT``'s factor test, keyed by tuples of letters; entries
-    are only ever added, and only for tests that finished within that cap.
-    """
-
-    __slots__ = ("complement_words", "complement_letters", "factor_ok")
-
-    def __init__(self, complement: tuple[Word, ...]):
-        self.complement_words = frozenset(complement)
-        self.complement_letters = frozenset(word[0] for word in complement if word)
-        self.factor_ok: dict[int, dict[Word, bool]] = {}
+from .fileformat import Presentation
 
 
 def canonicalize_complement(
@@ -213,7 +144,7 @@ def check_subsemigroup_closed(
     for u in reps:
         for v in reps:
             if len(u) + len(v) > max_len:
-                continue
+                break  # reps run by length, so every later v is too long as well
             if normal_form(u + v, system, step_cap) in complement:
                 violations.append((u, v))
     return violations

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -557,7 +558,7 @@ def test_traced_benchmark_finds_every_probed_name():
 
 COMM_AA = "alphabet: a b\nrule: b a -> a b\ncomplement: a ; a a\n"
 # The modules that every process runs: each command reads a file.
-LOADED_FIRST = {"__init__", "cli", "core", "fileformat", "pipeline"}
+LOADED_FIRST = {"__init__", "cli", "core", "fileformat"}
 # Runs an frs command and prints, last, the frs modules whose code ran.
 MODULES_RUN = """
 import os, sys
@@ -609,9 +610,12 @@ class TestModulesRun:
         [
             (["nf", "comm", "--word", "b a"], set()),
             (["check", "threebase.t"], {"completeness"}),
-            (["large-sub", "comm_aa.p", "-o", "out"], {"large_sub"}),
-            (["large-sub", "comm_aa", "-o", "out"], {"completeness", "large_sub", "letter_intro"}),
-            (["prepare", "comm_aa", "-o", "out"], {"completeness", "letter_intro"}),
+            (["large-sub", "comm_aa.p", "-o", "out"], {"large_sub", "pipeline"}),
+            (
+                ["large-sub", "comm_aa", "-o", "out"],
+                {"completeness", "large_sub", "letter_intro", "pipeline"},
+            ),
+            (["prepare", "comm_aa", "-o", "out"], {"completeness", "letter_intro", "pipeline"}),
             (
                 ["letter-intro", "threebase", "--w0", "a b", "-o", "out"],
                 {"completeness", "letter_intro"},
@@ -622,7 +626,11 @@ class TestModulesRun:
             ),
             (
                 ["verify-tuple", "comm", "comm.t", "--bound-a", "4", "--bound-b", "3"],
-                {"completeness", "large_sub", "parallel", "property_r"},
+                {"completeness", "large_sub", "parallel", "pipeline", "property_r"},
+            ),
+            (
+                ["verify-iso", "comm", "comm.t", "--bound", "3"],
+                {"completeness", "large_sub", "parallel", "pipeline", "property_r"},
             ),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else None,
@@ -635,6 +643,13 @@ class TestModulesRun:
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert set(result.stdout.splitlines()[-1].split()) == LOADED_FIRST | added
+
+    def test_file_format_imports_only_core(self):
+        # Every process runs fileformat, so whatever frs module it imported
+        # would run in every process too.
+        tree = ast.parse(Path(frs.fileformat.__file__).read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert {node.module for node in imports if node.level} == {"core"}
 
 
 # The public names of the package, as they were when it imported every

@@ -271,7 +271,8 @@ class TestSubsemigroupCheck:
 
 
 # The filter over every word that the irreducible-word walk of
-# check_subsemigroup_closed replaced.
+# check_subsemigroup_closed replaced, and the loop over every pair of
+# representatives that its early break replaced.
 def reference_subsemigroup_closed(presentation, max_len=6, step_cap=DEFAULT_STEP_CAP):
     complement = set(canonicalize_complement(presentation, step_cap))
     system = presentation.system
@@ -289,12 +290,13 @@ def reference_subsemigroup_closed(presentation, max_len=6, step_cap=DEFAULT_STEP
     ]
 
 
-# The ladder's inputs (comm, two, comm_ab, three) and one that is not closed.
+# The ladder's inputs (comm, two, comm_ab, three, free3) and one that is not closed.
 LADDER_SHAPES = {
     "comm": ("a b", [("ba", "ab")], ["a"]),
     "two": ("a b", [("aaa", "a"), ("bb", "b")], ["a", "aa"]),
     "comm_ab": ("a b", [("ba", "ab")], ["a", "b"]),
     "three": ("a b c", [("ca", "ac"), ("cb", "bc")], ["a", "b"]),
+    "free3": ("a b c", [], ["a"]),
     "not_closed": ("a b", [], ["ab"]),
 }
 
@@ -316,3 +318,17 @@ class TestSubsemigroupCheckAgainstReference:
         violations = check_subsemigroup_closed(prepared, max_len)
         assert violations == reference_subsemigroup_closed(prepared, max_len)
         assert bool(violations) == (name == "not_closed" and max_len > 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([[], [("ba", "ab")], [("aa", "a"), ("bb", "b")]]),
+        st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=3),
+        st.integers(0, 6),
+    )
+    def test_complete_systems_with_any_complement_agree(self, rules, complement, max_len):
+        # Unprepared complements: long and overlapping words, most of them
+        # not closed under products.
+        pres = present(system("a b", *rules), *complement)
+        assert check_subsemigroup_closed(pres, max_len) == (
+            reference_subsemigroup_closed(pres, max_len)
+        )
