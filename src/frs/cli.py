@@ -72,15 +72,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     conf = report.local_confluence
     if conf.status == completeness.ALL_JOINED:
         print(f"local confluence: all {conf.joined_count} critical pairs joined")
-    elif conf.counterexample is not None:
+    else:
         pair = conf.counterexample
         if conf.status == completeness.INCONCLUSIVE:
             detail = f"step cap {args.step_cap} exceeded"
         else:
             detail = f"{show(conf.left_nf)} vs {show(conf.right_nf)}"
         print(f"local confluence: {conf.status} at source '{show(pair.source)}' ({detail})")
-    else:
-        print(f"local confluence: {conf.status}")
     print(f"verdict: {report.verdict}")
     if report.verdict == completeness.COMPLETE:
         return OK
@@ -126,7 +124,7 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 def _prepared(presentation: Presentation, step_cap: int) -> Presentation:
     if (
-        pipeline.satisfies_q1(presentation, step_cap)
+        pipeline.satisfies_q1(presentation)
         and pipeline.satisfies_q2(presentation.system)
         and pipeline.satisfies_q3(presentation.system)
     ):

@@ -255,14 +255,15 @@ def find_measure_certificate(
 
 def right_drift_letters(images: Mapping[Letter, Word], alphabet: Alphabet) -> frozenset[Letter]:
     """The generators of right-drift kind, the heavy letters that a
-    termination certificate tries first: every image of length 3, and every
-    image of length 2 whose first letter is a letter of ``alphabet`` that
-    phi fixes (one without an image).  In a large-subsemigroup construction
-    these are the generators of kinds C_R, C_M1 and C_M2."""
+    termination certificate tries first: every image of 3 or more letters,
+    and every image of length 2 whose first letter is a letter of
+    ``alphabet`` that phi fixes (one without an image).  In a
+    large-subsemigroup construction these are the generators of kinds C_R,
+    C_M1 and C_M2; in a letter introduction, the fresh letter."""
     return frozenset(
         letter
         for letter, image in images.items()
-        if len(image) == 3
+        if len(image) >= 3
         or (
             len(image) == 2
             and image[0] in alphabet
@@ -279,28 +280,31 @@ def _pulled_back_certificate(
     letter without one to itself; the base letters are the letters of the
     images so defined.
 
-    Every rule must either keep its image, phi(lhs) == phi(rhs), or drop
-    in the length-first measure of its image for one heavy set H of base
-    letters, searched as :func:`find_measure_certificate` searches.  The
+    Every rule must either keep its image, phi(lhs) == phi(rhs), or move
+    it.  The images of the moving rules, a system over the base letters,
+    must have a certificate mu of :func:`find_measure_certificate`; the
     rules that keep their image must have a certificate nu of their own,
     found by one search seeded with the :func:`right_drift_letters`.  phi
     is a homomorphism and both measures are monotone under contexts, so
-    (mu_H(phi(w)), nu(w)), compared lexicographically, drops on every rule
+    (mu(phi(w)), nu(w)), compared lexicographically, drops on every rule
     in every context: no reduction cycle exists.
+
+    A certificate only decides whether :func:`check_termination` searches:
+    on a system without a reduction cycle the answer it computes is the
+    one the bounded search returns, so which certificate is found, and
+    whether one is, never changes the reported evidence.
     """
     phi = {letter: images.get(letter, (letter,)) for letter in system.alphabet}
-    moved: list[_Deltas] = []
+    moved: list[Rule] = []
     kept: list[Rule] = []
     for rule in system.rules:
         lhs, rhs = substitute(rule.lhs, phi), substitute(rule.rhs, phi)
         if lhs == rhs:
             kept.append(rule)
         else:
-            moved.append(_deltas(lhs, rhs))
-    base = dict.fromkeys(letter for image in phi.values() for letter in image)
-    if any(rule.length < 0 for rule in moved) or not any(
-        _all_drop(moved, _drops_length_first, heavy) for heavy in _measure_candidates(base)
-    ):
+            moved.append(Rule(lhs, rhs))
+    base = Alphabet(dict.fromkeys(letter for image in phi.values() for letter in image))
+    if find_measure_certificate(RewritingSystem(base, tuple(moved))) is None:
         return False
     seed = right_drift_letters(images, system.alphabet)
     return find_measure_certificate(system.with_rules(kept), seed) is not None

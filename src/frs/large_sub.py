@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from . import completeness, pipeline, property_r
+from . import pipeline, property_r
 from .core import (
     DEFAULT_STEP_CAP,
     Alphabet,
@@ -127,16 +127,15 @@ class LargeSubConstruction:
         return property_r.CandidateTuple(
             base=self.presentation.system,
             system=self.r_t,
-            phi=lambda word: phi_t(word, self),
+            images=self.images,
             rho=lambda word: rho_t(word, self),
             in_at=lambda word: in_AT(word, self.presentation),
             in_t=lambda word: in_T(word, self.presentation),
-            heavy=completeness.right_drift_letters(self.images, self.b_alphabet),
         )
 
 
-def _require_prepared(presentation: Presentation, step_cap: int) -> None:
-    if not pipeline.satisfies_q1(presentation, step_cap):
+def _require_prepared(presentation: Presentation) -> None:
+    if not pipeline.satisfies_q1(presentation):
         raise PreconditionError(
             "the presentation must satisfy Q1: every complement class a "
             "single irreducible letter (run the preparation pipeline first)"
@@ -153,7 +152,7 @@ def classify_letters(
     presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP
 ) -> LetterClassification:
     """Partition the alphabet by where each letter's class lives."""
-    _require_prepared(presentation, step_cap)
+    _require_prepared(presentation)
     complement = presentation.membership.complement_letters
     a1, a_s, excluded = [], [], []
     for letter in presentation.system.alphabet:
@@ -396,7 +395,7 @@ def build_construction(
     representatives are tested up to the check's default length and any
     violation is rejected as a precondition failure.
     """
-    _require_prepared(presentation, step_cap)
+    _require_prepared(presentation)
     violations = pipeline.check_subsemigroup_closed(presentation, step_cap=step_cap)
     if violations:
         u, v = violations[0]

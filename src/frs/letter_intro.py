@@ -145,11 +145,10 @@ class LetterIntroResult:
         return property_r.CandidateTuple(
             base=self.base,
             system=self.r_s,
-            phi=self.phi,
+            images=self.images,
             rho=self.rho,
             in_at=self.in_at,
             in_t=self.in_at,
-            heavy=frozenset({self.new_letter}),
             letter_intro=self,
         )
 

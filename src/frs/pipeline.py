@@ -107,7 +107,7 @@ def _reducible_by_other(matcher: LhsMatcher, idx: int) -> bool:
     return any(j != idx for _, j in matcher.redexes(matcher.lhs[idx]))
 
 
-def satisfies_q1(presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP) -> bool:
+def satisfies_q1(presentation: Presentation) -> bool:
     """Every complement class is a single irreducible alphabet letter."""
     if not presentation.complement:
         return False
@@ -186,7 +186,7 @@ def prepare_presentation(
     _verify_stage(interreduced, "interreduce", step_cap)
 
     final = Presentation(interreduced, letterized.complement)
-    if not satisfies_q1(final, step_cap):
+    if not satisfies_q1(final):
         raise InternalError(
             "interreduction disturbed the complement letters; this "
             "interaction is unsupported and indicates a bug"

@@ -27,7 +27,7 @@ again every counterexample and inconclusive result comes from the sweep.
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, TypeVar
 
 from . import completeness
 from .core import (
@@ -45,6 +45,7 @@ from .core import (
     _reach,
     _require_known,
     show,
+    substitute,
     words_over,
 )
 from .parallel import pmap
@@ -67,26 +68,27 @@ Item = TypeVar("Item")
 class CandidateTuple(NamedTuple):
     """A candidate 5-tuple relative to a base system.
 
-    ``phi`` maps B-words to A-words homomorphically, ``rho`` sends members
-    of the representative set back to B-words, ``in_at`` decides membership
-    in the representative set, and ``in_t`` decides whether an A-word's
-    class lies in the target subsemigroup.  ``heavy`` is the letter set
-    that P3's certificate search tries first: the letters whose rightward
-    drift should certify termination of the image-preserving rules.
-    ``letter_intro`` is the letter introduction that built the tuple, if
-    one did; P1 and P5 may then be proved from short words (see
-    :func:`_short_words`).  A variant with some fields replaced is built
-    with ``tup._replace(field=value)``.
+    ``images`` is phi's generator table: each B-letter with an image maps
+    to that A-word, and every other letter to itself; :meth:`phi` extends
+    it to B-words, so phi is a homomorphism.  ``rho`` sends members of the
+    representative set back to B-words, ``in_at`` decides membership in
+    the representative set, and ``in_t`` decides whether an A-word's class
+    lies in the target subsemigroup.  ``letter_intro`` is the letter
+    introduction that built the tuple, if one did; P1 and P5 may then be
+    proved from short words (see :func:`_short_words`).  A variant with
+    some fields replaced is built with ``tup._replace(field=value)``.
     """
 
     base: RewritingSystem
     system: RewritingSystem
-    phi: Callable[[Word], Word]
+    images: Mapping[Letter, Word]
     rho: Callable[[Word], Word]
     in_at: Callable[[Word], bool]
     in_t: Callable[[Word], bool]
-    heavy: frozenset[Letter] = frozenset()
     letter_intro: LetterIntroResult | None = None
+
+    def phi(self, word: Word) -> Word:
+        return substitute(word, self.images)
 
 
 class PropertyResult(NamedTuple):
@@ -148,12 +150,12 @@ def _unless_raised(count: Callable[[], Item | None]) -> Item | None:
 def _short_words(tup: CandidateTuple, bound_a: int) -> tuple[int, int] | None:
     """(count, L) when the A-words of length <= L, ``count`` of them, prove
     P1 and P5 at every length: the tuple is a letter introduction's own
-    (its rho, phi and in_at are unchanged), the named word w0 is
+    (equal images, the same rho and in_at), the named word w0 is
     borderless, and L = maxlen(base) + 2(|w0| - 1) is below ``bound_a``.
     The proof is at :func:`frs.letter_intro.rho_s`.  None otherwise.
     """
     intro = tup.letter_intro
-    if intro is None or (tup.rho, tup.phi, tup.in_at) != (intro.rho, intro.phi, intro.in_at):
+    if intro is None or (tup.images, tup.rho, tup.in_at) != (intro.images, intro.rho, intro.in_at):
         return None
     if not intro.borderless:
         return None
@@ -291,10 +293,11 @@ def check_p1_to_p6(
 
     # P3: no infinite chain of image-preserving steps; checked as
     # termination of the image-preserving rule subset.  The certificate
-    # search tries the tuple's heavy set first and then every other letter
-    # set; only when none certifies does the cycle search run.
+    # search tries the right-drift letters of phi's images first, then every
+    # other letter set; only when none certifies does the cycle search run.
     def p3() -> PropertyResult:
-        evidence = completeness.check_termination(preserved, bound_b, step_cap, seed=tup.heavy)
+        seed = completeness.right_drift_letters(tup.images, system.alphabet)
+        evidence = completeness.check_termination(preserved, bound_b, step_cap, seed=seed)
         if evidence.status == completeness.COUNTEREXAMPLE:
             return PropertyResult(
                 "P3", COUNTEREXAMPLE, bound_b, 0, evidence.cycle

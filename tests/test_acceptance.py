@@ -162,8 +162,7 @@ def test_criterion_5_property_suite(built):
 
     def sabotage(tup, rules):
         return CandidateTuple(
-            tup.base, tup.system.with_rules(rules), tup.phi, tup.rho,
-            tup.in_at, tup.in_t, tup.heavy,
+            tup.base, tup.system.with_rules(rules), tup.images, tup.rho, tup.in_at, tup.in_t,
         )
 
     aa = built["intro_aa"].as_candidate_tuple()

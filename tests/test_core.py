@@ -357,6 +357,7 @@ def record_cases():
     c_letter_fields = ("C_R", a_b, ab.get("b"))
     c_letter = CLetter(*c_letter_fields)
     result = PropertyResult("P4", "counterexample", 3, 5, (ba,), "note")
+    intro = LetterIntroResult(ab.get("b"), a_b, ab, comm, comm)
     return [
         (ReductionStep, ("rule_index", "position"), {}, (1, 2)),
         (Rule, ("lhs", "rhs", "tags"), {"tags": ()}, (ba, a_b, ("D1",))),
@@ -381,8 +382,8 @@ def record_cases():
         (Presentation, ("system", "complement", "generators"),
          {"complement": None, "generators": ()},
          (comm, (a,), (("c", ("a", "b")),))),
-        (CandidateTuple, ("base", "system", "phi", "rho", "in_at", "in_t", "heavy"),
-         {"heavy": frozenset()}, (comm, comm, str, repr, bool, callable, frozenset({"a"}))),
+        (CandidateTuple, ("base", "system", "images", "rho", "in_at", "in_t", "letter_intro"),
+         {"letter_intro": None}, (comm, comm, {"b": a_b}, repr, bool, callable, intro)),
         (PropertyResult, ("name", "status", "bound", "witness_count", "counterexample", "note"),
          {"witness_count": 0, "counterexample": None, "note": ""},
          ("P4", "counterexample", 3, 5, (ba,), "note")),

@@ -327,7 +327,6 @@ class TestBAlphabet:
         cons = build_construction(ladder_presentation(shape))
         kinds = {c.letter for c in cons.c_letters if c.kind in (C_R, C_M1, C_M2)}
         assert right_drift_letters(cons.images, cons.b_alphabet) == kinds
-        assert cons.as_candidate_tuple().heavy == kinds
 
 
 class TestPhiRho:

@@ -21,6 +21,7 @@ from frs import (
     words_over,
 )
 
+from frs.completeness import right_drift_letters
 from frs.core import RuleEmitter
 
 from conftest import looping_systems, rule_set, system, w
@@ -98,6 +99,13 @@ class TestPhi:
     def test_concatenates_images(self, free_ab):
         a, b = free_ab.alphabet.get("a"), free_ab.alphabet.get("b")
         assert show(substitute(Word((a, S, b)), {"s": w(free_ab.alphabet, "aa")})) == "a a a b"
+
+    @pytest.mark.parametrize("w0", ["ab", "aba", "abab", "aabb", "abbab"])
+    def test_the_fresh_letter_is_the_right_drift_seed(self, free_ab, w0):
+        # P3 seeds its certificate search with the right-drift letters of
+        # phi's images: the fresh letter, whatever the length of w0.
+        result = build_letter_intro(free_ab, w(free_ab.alphabet, w0))
+        assert right_drift_letters(result.images, result.b_alphabet) == {S}
 
 
 A_WORDS = st.lists(st.sampled_from("abc"), max_size=10).map(tuple)

@@ -161,8 +161,7 @@ def wrong_rho_at(tup, word, wrong):
 def drop_rules(tup, predicate):
     kept = tuple(rule for rule in tup.system.rules if not predicate(rule))
     return CandidateTuple(
-        tup.base, tup.system.with_rules(kept), tup.phi, tup.rho,
-        tup.in_at, tup.in_t, tup.heavy,
+        tup.base, tup.system.with_rules(kept), tup.images, tup.rho, tup.in_at, tup.in_t,
     )
 
 
@@ -192,8 +191,7 @@ class TestProperties:
             + [type(tuple_aa.system.rules[0])(alphabet.word("s a"), alphabet.word("s s"))]
         )
         sabotaged = CandidateTuple(
-            tuple_aa.base, bad, tuple_aa.phi, tuple_aa.rho,
-            tuple_aa.in_at, tuple_aa.in_t, tuple_aa.heavy,
+            tuple_aa.base, bad, tuple_aa.images, tuple_aa.rho, tuple_aa.in_at, tuple_aa.in_t,
         )
         report = check_p1_to_p6(sabotaged, 6, 4)
         assert report.result("P2").status == "counterexample"
@@ -208,8 +206,8 @@ class TestProperties:
 
     def test_invalid_membership_predicate_rejected(self, tuple_aa):
         broken = CandidateTuple(
-            tuple_aa.base, tuple_aa.system, tuple_aa.phi, tuple_aa.rho,
-            in_at=lambda word: False, in_t=tuple_aa.in_t, heavy=tuple_aa.heavy,
+            tuple_aa.base, tuple_aa.system, tuple_aa.images, tuple_aa.rho,
+            in_at=lambda word: False, in_t=tuple_aa.in_t,
         )
         with pytest.raises(PreconditionError):
             check_p1_to_p6(broken, 6, 4)
@@ -236,7 +234,7 @@ class TestProperties:
 
     def test_p3_runs_the_cycle_search_once(self, tuple_aa, monkeypatch):
         # a s -> s a undoes s a -> a s, and both keep the image, so neither
-        # the declared heavy letter s nor any other letter set certifies
+        # the right-drift letter s nor any other letter set certifies
         # the image-preserving rules; the cycle search runs once, after the
         # certificate search.
         alphabet = tuple_aa.system.alphabet
@@ -249,14 +247,15 @@ class TestProperties:
         assert [show(word) for word in res.counterexample] == ["a s", "s a", "a s"]
 
     def test_p3_searches_past_a_failing_heavy_set(self, tuple_aa, monkeypatch):
-        # Under {a}, s a -> a s moves a to the left, so the declared set
-        # certifies nothing; the singleton {s} does, and the cycle search
-        # never runs.
+        # Under {a}, s a -> a s moves a to the left, so the seed certifies
+        # nothing; the singleton {s} does, and the cycle search never runs.
         calls = count_cycle_searches(monkeypatch)
-        res = check_p1_to_p6(tuple_aa._replace(heavy=frozenset({"a"})), 4, 3).result("P3")
+        preserved = preserving_system(tuple_aa)
+        assert len(preserved.rules) == 2
+        res = completeness.check_termination(preserved, 3, seed=frozenset({"a"}))
         assert calls == []
-        assert (res.status, res.witness_count) == ("verified", 2)
-        assert res.note == (
+        assert res.status == "certified"
+        assert res.certificate == (
             "length-nonincreasing; on length ties the letters {s} are eliminated or move right"
         )
 
@@ -266,11 +265,12 @@ class TestProperties:
     @pytest.mark.parametrize("shape, letters, seed_size", [("three", 21, 14), ("comm_aa", 17, 11)])
     def test_p3_tries_the_seed_beyond_the_subset_cut(self, shape, letters, seed_size):
         tup = build_construction(ladder_presentation(shape)).as_candidate_tuple()
-        assert (len(tup.system.alphabet), len(tup.heavy)) == (letters, seed_size)
+        seed = completeness.right_drift_letters(tup.images, tup.system.alphabet)
+        assert (len(tup.system.alphabet), len(seed)) == (letters, seed_size)
         res = check_p1_to_p6(tup, 1, 1).result("P3")
         assert res.status == "verified"
         assert res.note == (
-            f"letters {{{', '.join(sorted(tup.heavy))}}} are eliminated, or keep their count "
+            f"letters {{{', '.join(sorted(seed))}}} are eliminated, or keep their count "
             "and move right at constant length"
         )
         assert completeness.find_measure_certificate(preserving_system(tup)) is None
