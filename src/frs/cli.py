@@ -122,21 +122,11 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
     return OK
 
 
-def _prepared(presentation: Presentation, step_cap: int) -> Presentation:
-    if (
-        pipeline.satisfies_q1(presentation)
-        and pipeline.satisfies_q2(presentation.system)
-        and pipeline.satisfies_q3(presentation.system)
-    ):
-        return presentation
-    return pipeline.prepare_presentation(presentation, step_cap)
-
-
 def _cmd_large_sub(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
     if presentation.complement is None:
         raise InputError("the input file must declare a complement")
-    prepared = _prepared(presentation, args.step_cap)
+    prepared = pipeline.prepare_presentation(presentation, args.step_cap)
     construction = large_sub.build_construction(prepared, args.step_cap)
     system = construction.r_t
     if args.interreduce:
@@ -159,7 +149,9 @@ def _candidate_tuple(
     ``large-sub`` (the source declares a complement) or ``letter-intro``.
 
     phi comes from the target's generator lines and rho from the source
-    and those images.  B lists the usable source letters in source order,
+    and those images.  A source with a complement is prepared as
+    ``large-sub`` prepares it, so one that is not verified complete is
+    refused.  B lists the usable source letters in source order,
     then the generators in file order, as the construction does.
     """
     if not t_pres.generators:
@@ -168,7 +160,7 @@ def _candidate_tuple(
             "'frs large-sub' or 'frs letter-intro'"
         )
     from_large_sub = bool(s_pres.complement)
-    source = _prepared(s_pres, step_cap) if from_large_sub else s_pres
+    source = pipeline.prepare_presentation(s_pres, step_cap) if from_large_sub else s_pres
     images = {name: source.system.alphabet.word(image) for name, image in t_pres.generators}
     if from_large_sub:
         classification = large_sub.classify_letters(source, step_cap)

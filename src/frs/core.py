@@ -34,6 +34,9 @@ LETTER_NAME = re.compile(r"[A-Za-z0-9_']+\Z")
 DEFAULT_STEP_CAP = 10_000
 # Words up to this length are searched for reduction cycles by default.
 DEFAULT_SEARCH_LEN = 6
+# A normal form walk looks for a repeated word only past this many steps
+# (a power of two).
+_QUIET_STEPS = 16
 
 
 class RewriteError(Exception):
@@ -512,18 +515,32 @@ def normal_form(
     When ``step_cap`` steps do not reach a normal form (the word after the
     last of them is still reducible), the :class:`NonTerminationError`
     walks the steps again from the start when its trace is first read.
+
+    Each word of the walk determines the next (the resume position of
+    :meth:`~LhsMatcher.walk` only skips positions that hold no redex), so
+    a word that comes back means the walk never ends, and the error is
+    raised at once, as it would be at the cap.  Brent's test finds such a
+    repeat: from step ``_QUIET_STEPS`` on, each word is compared with the
+    word at the last step whose number is a power of two.  A shorter walk,
+    as nearly all are, only counts its steps.
     """
     if not word:
         raise InputError("the empty word is not a rewriting input")
     start = _require_known(word, system)
     walk = system.matcher.walk
     limit = max(step_cap, 0)  # a cap below 0 allows no step, as 0 does
+    watch = limit + 1 if limit < _QUIET_STEPS else _QUIET_STEPS  # the next step looked at
+    mark = None
     for steps, current in enumerate(walk(start)):
-        if steps > limit:
-            raise NonTerminationError(
-                f"possible non-termination: {step_cap} reduction steps exceeded",
-                lambda: tuple(itertools.islice(walk(start), limit + 1)),
-            )
+        if steps >= watch:
+            if steps > limit or current == mark:
+                raise NonTerminationError(
+                    f"possible non-termination: {step_cap} reduction steps exceeded",
+                    lambda: tuple(itertools.islice(walk(start), limit + 1)),
+                )
+            if not steps & (steps - 1):  # a power of two, as _QUIET_STEPS is
+                mark = current
+            watch = steps + 1
     return current
 
 

@@ -390,12 +390,16 @@ def build_construction(
 ) -> LargeSubConstruction:
     """Run the whole construction for a prepared (Q1-Q3) presentation.
 
-    The bounded subsemigroup-closure check runs first: with a finite
+    The presentation is taken as given: its completeness is not checked
+    here (the command line prepares every source with
+    :func:`pipeline.prepare_presentation`, which verifies it).  The
+    letter classification runs first, and with it the Q1-Q3 gate.  The
+    bounded subsemigroup-closure check comes next: with a finite
     complement one cannot decide closure outright, so products of
     representatives are tested up to the check's default length and any
     violation is rejected as a precondition failure.
     """
-    _require_prepared(presentation)
+    classification = classify_letters(presentation, step_cap)
     violations = pipeline.check_subsemigroup_closed(presentation, step_cap=step_cap)
     if violations:
         u, v = violations[0]
@@ -404,7 +408,6 @@ def build_construction(
             f"T-representatives '{show(u)}' and '{show(v)}' lands in the complement"
         )
 
-    classification = classify_letters(presentation, step_cap)
     f_sets = build_f_sets(classification, presentation, step_cap)
     b_alphabet, c_letters = build_b_alphabet(
         f_sets, classification, presentation.system.alphabet

@@ -140,12 +140,19 @@ def check_subsemigroup_closed(
     reps = [
         word for word in irreducible_words(system, max_len - 1) if word not in complement
     ]
+    # A product word has one split per inner position, so its normal form
+    # is computed once and looked up for the other splits.
+    forms: dict[Word, Word] = {}
     violations = []
     for u in reps:
         for v in reps:
             if len(u) + len(v) > max_len:
                 break  # reps run by length, so every later v is too long as well
-            if normal_form(u + v, system, step_cap) in complement:
+            word = u + v
+            form = forms.get(word)
+            if form is None:
+                form = forms[word] = normal_form(word, system, step_cap)
+            if form in complement:
                 violations.append((u, v))
     return violations
 
@@ -164,9 +171,12 @@ def prepare_presentation(
 ) -> Presentation:
     """Canonicalize the complement, letterize it, and interreduce.
 
-    The input system must already be complete; completeness is re-verified
-    after each stage, and a failure is an internal contradiction rather
-    than a user error.  The result satisfies Q1, Q2 and Q3.
+    The input system must be verified complete, or a PreconditionError
+    says so.  A stage that changes the system (letterization that
+    introduces a letter, interreduction that changes the rules) is
+    verified again, and a failure is an internal contradiction rather
+    than a user error; a stage that returns its input cannot break
+    completeness and is not.  The result satisfies Q1, Q2 and Q3.
     """
     if not presentation.complement:
         raise InputError("a complement declaration is required")
@@ -180,10 +190,12 @@ def prepare_presentation(
         presentation.system, canonicalize_complement(presentation, step_cap)
     )
     letterized = letterize_complement(canonical, step_cap)
-    _verify_stage(letterized.system, "letterize", step_cap)
+    if letterized.system is not presentation.system:
+        _verify_stage(letterized.system, "letterize", step_cap)
 
     interreduced = normalize_q2_q3(letterized.system, step_cap)
-    _verify_stage(interreduced, "interreduce", step_cap)
+    if interreduced.rules != letterized.system.rules:
+        _verify_stage(interreduced, "interreduce", step_cap)
 
     final = Presentation(interreduced, letterized.complement)
     if not satisfies_q1(final):

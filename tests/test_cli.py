@@ -16,7 +16,7 @@ from frs.core import (
     PreconditionError,
     RewriteError,
 )
-from frs.fileformat import ParseError
+from frs.fileformat import ParseError, Presentation, parse_presentation, serialize_presentation
 from frs.large_sub import ConstructionError
 
 FREE_A = "alphabet: a\n"
@@ -31,6 +31,9 @@ IDCOMM = "alphabet: a b\nrule: a a -> a\nrule: b a -> a b\ncomplement: a\n"
 COMM_AB = "alphabet: a b\nrule: b a -> a b\ncomplement: a ; b\n"
 THREEBASE = "alphabet: a b c\nrule: c a -> a c\nrule: c b -> b c\n"
 MONO42 = "alphabet: a\nrule: a a a a -> a a\ncomplement: a\n"
+# Meets Q1-Q3 but is not complete: b c b reduces to b and to b b.
+INCOMPLETE_Q123 = "alphabet: a b c\nrule: b c -> c\nrule: c b -> b\ncomplement: a\n"
+NOT_COMPLETE = "precondition error: input system is not verified complete (verdict: incomplete)\n"
 REGENERATE = (
     "input error: the target file has no 'generator:' lines; regenerate it "
     "with 'frs large-sub' or 'frs letter-intro'\n"
@@ -230,6 +233,17 @@ class TestPrepareAndLargeSub:
         src = write("c.frs", "alphabet: a b\ncomplement: a b\n")
         assert main(["large-sub", src, "-o", str(tmp_path / "o.frs")]) == 2
 
+    def test_incomplete_source_is_refused_as_prepare_refuses_it(
+        self, files, tmp_path, capsys
+    ):
+        write, _ = files
+        src = write("inc.frs", INCOMPLETE_Q123)
+        for command in ("prepare", "large-sub"):
+            out = tmp_path / f"{command}.frs"
+            assert main([command, src, "-o", str(out)]) == 2
+            assert capsys.readouterr() == ("", NOT_COMPLETE)
+            assert not out.exists()
+
     def test_no_generator_letters_is_a_precondition_error(self, files, tmp_path, capsys):
         # a a -> a leaves only the complement letter a, and a a is not in T.
         write, _ = files
@@ -243,6 +257,25 @@ class TestPrepareAndLargeSub:
 
 
 class TestVerifyCommands:
+    @pytest.mark.parametrize(
+        "args",
+        [["verify-tuple", "--bound-a", "4", "--bound-b", "2"], ["verify-iso", "--bound", "3"]],
+        ids=["verify-tuple", "verify-iso"],
+    )
+    def test_incomplete_source_is_refused(self, args, files, capsys):
+        # The library entry builds from the presentation as given; the
+        # command line prepares the source, which verifies it complete.
+        write, _ = files
+        src = write("inc.frs", INCOMPLETE_Q123)
+        construction = frs.build_construction(parse_presentation(INCOMPLETE_Q123))
+        generators = tuple(construction.images.items())
+        target = write(
+            "inc.t", serialize_presentation(Presentation(construction.r_t, generators=generators))
+        )
+        command, *bounds = args
+        assert main([command, src, target, *bounds]) == 2
+        assert capsys.readouterr() == ("", NOT_COMPLETE)
+
     def test_verify_tuple_letter_intro(self, files, tmp_path, capsys):
         write, _ = files
         src = write("f.frs", FREE_A)
@@ -624,7 +657,7 @@ class TestModulesRun:
         [
             (["nf", "comm", "--word", "b a"], set()),
             (["check", "threebase.t"], {"completeness"}),
-            (["large-sub", "comm_aa.p", "-o", "out"], {"large_sub", "pipeline"}),
+            (["large-sub", "comm_aa.p", "-o", "out"], {"completeness", "large_sub", "pipeline"}),
             (
                 ["large-sub", "comm_aa", "-o", "out"],
                 {"completeness", "large_sub", "letter_intro", "pipeline"},
@@ -644,7 +677,7 @@ class TestModulesRun:
             ),
             (
                 ["verify-iso", "comm", "comm.t", "--bound", "3"],
-                {"large_sub", "parallel", "pipeline", "property_r"},
+                {"completeness", "large_sub", "parallel", "pipeline", "property_r"},
             ),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else None,

@@ -36,7 +36,7 @@ from frs.completeness import (
     CriticalPair,
     TerminationEvidence,
 )
-from frs.core import DEFAULT_STEP_CAP, irreducible_words
+from frs.core import _QUIET_STEPS, DEFAULT_STEP_CAP, LhsMatcher, irreducible_words
 from frs.large_sub import CLetter, FSets, LargeSubConstruction, LetterClassification
 from frs.letter_intro import LetterIntroResult
 from frs.pipeline import Presentation
@@ -653,6 +653,45 @@ class TestNormalForm:
         trace = err.value.trace
         assert len(trace) == cap + 1 and trace[0] == word
         assert not is_irreducible(trace[-1], comm)
+
+    @pytest.mark.parametrize("text, cap", [("aba", DEFAULT_STEP_CAP), ("ab", 3)])
+    def test_a_periodic_walk_stops_at_its_first_repeat(self, text, cap, monkeypatch):
+        # a b a -> b a a -> a b a -> ...: the error and its replayed trace
+        # are those of the cap, but the walk ends a few steps in.
+        cycle = system("a b", ("ab", "ba"), ("ba", "ab"))
+        word = w(cycle.alphabet, text)
+        walked = []
+        walk = LhsMatcher.walk
+
+        def counted(self, start):
+            for current in walk(self, start):
+                walked.append(current)
+                yield current
+
+        monkeypatch.setattr(LhsMatcher, "walk", counted)
+        with pytest.raises(NonTerminationError) as err:
+            normal_form(word, cycle, cap)
+        assert len(walked) <= 2 * _QUIET_STEPS + 2
+        assert str(err.value) == f"possible non-termination: {cap} reduction steps exceeded"
+        assert err.value.trace == tuple(naive_trace(word, cycle, cap + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        looping_systems(),
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=4),
+        st.sampled_from([0, 1, 15, 16, 17, 40, DEFAULT_STEP_CAP]),
+    )
+    def test_looping_walks_agree_with_the_reference(self, sys, word, step_cap):
+        # Right-hand sides cut to their left-hand side's length keep the
+        # loops but not the growth, so every walk that does not end repeats.
+        sys = sys.with_rules(Rule(rule.lhs, rule.rhs[: len(rule.lhs)]) for rule in sys.rules)
+        word = sys.alphabet.word(word)
+        expected = outcome(naive_normal_form, word, sys, step_cap)
+        assert outcome(normal_form, word, sys, step_cap) == expected
+        if expected[0] == "step cap":
+            message = f"possible non-termination: {step_cap} reduction steps exceeded"
+            with pytest.raises(NonTerminationError, match=f"^{message}$"):
+                normal_form(word, sys, step_cap)
 
     def test_every_fixture_word_agrees_with_the_reference_at_its_own_distance(
         self, sys_moves, sys_aaa

@@ -20,6 +20,7 @@ from frs import (
     show,
     words_over,
 )
+from frs import completeness, pipeline
 from frs.core import DEFAULT_STEP_CAP
 from frs.pipeline import satisfies_q1, satisfies_q2, satisfies_q3
 
@@ -248,6 +249,23 @@ class TestPrepare:
         with pytest.raises(PreconditionError):
             prepare_presentation(present(sys_nonconfluent, "a"))
 
+    @pytest.mark.parametrize("name, calls", [("comm", 1), ("comm_aa", 2), ("two", 3)])
+    def test_verifies_only_the_stages_that_change_the_system(self, name, calls, monkeypatch):
+        # comm already meets Q1-Q3; comm_aa gains a letter and keeps its
+        # rules through interreduction; two changes at both stages.
+        letters, rules, complement = LADDER_SHAPES[name]
+        verify = completeness.verify_complete
+        systems = []
+
+        def counted(system, *args, **kwargs):
+            systems.append(system)
+            return verify(system, *args, **kwargs)
+
+        monkeypatch.setattr(completeness, "verify_complete", counted)
+        prepared = prepare_presentation(present(system(letters, *rules), *complement))
+        assert len(systems) == calls
+        assert systems[-1] == prepared.system
+
     def test_complement_words_all_letters_after(self, free_ab):
         prepared = prepare_presentation(present(free_ab, "ab", "ba", "b"))
         assert all(len(word) == 1 for word in prepared.complement)
@@ -290,9 +308,10 @@ def reference_subsemigroup_closed(presentation, max_len=6, step_cap=DEFAULT_STEP
     ]
 
 
-# The ladder's inputs (comm, two, comm_ab, three, free3) and one that is not closed.
+# The ladder's inputs (comm, comm_aa, two, comm_ab, three, free3) and one that is not closed.
 LADDER_SHAPES = {
     "comm": ("a b", [("ba", "ab")], ["a"]),
+    "comm_aa": ("a b", [("ba", "ab")], ["a", "aa"]),
     "two": ("a b", [("aaa", "a"), ("bb", "b")], ["a", "aa"]),
     "comm_ab": ("a b", [("ba", "ab")], ["a", "b"]),
     "three": ("a b c", [("ca", "ac"), ("cb", "bc")], ["a", "b"]),
@@ -318,6 +337,23 @@ class TestSubsemigroupCheckAgainstReference:
         violations = check_subsemigroup_closed(prepared, max_len)
         assert violations == reference_subsemigroup_closed(prepared, max_len)
         assert bool(violations) == (name == "not_closed" and max_len > 1)
+
+    def test_one_normal_form_per_product_word(self, monkeypatch):
+        # free3 without a: 4,198 splits u v of 1,081 distinct words, plus
+        # the complement word a, which the complement's canonical form
+        # reduces once.
+        letters, rules, complement = LADDER_SHAPES["free3"]
+        prepared = prepare_presentation(present(system(letters, *rules), *complement))
+        reduce = pipeline.normal_form
+        words = []
+
+        def counted(word, *args):
+            words.append(word)
+            return reduce(word, *args)
+
+        monkeypatch.setattr(pipeline, "normal_form", counted)
+        assert check_subsemigroup_closed(prepared) == []
+        assert len(words) == len(set(words)) == 1081 + 1
 
     @settings(max_examples=100, deadline=None)
     @given(
