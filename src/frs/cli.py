@@ -51,8 +51,8 @@ def _write(path: str, presentation: Presentation) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _require_complete(system: RewritingSystem, max_len: int, step_cap: int, label: str) -> None:
-    report = completeness.verify_complete(system, max_len, step_cap)
+def _require_complete(system: RewritingSystem, step_cap: int, label: str) -> None:
+    report = completeness.verify_complete(system, step_cap=step_cap)
     if report.verdict != completeness.COMPLETE:
         raise InputError(f"{label} is not verified complete (verdict: {report.verdict})")
 
@@ -96,7 +96,7 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 
 def _cmd_letter_intro(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
-    _require_complete(presentation.system, args.max_len, args.step_cap, "the input system")
+    _require_complete(presentation.system, args.step_cap, "the input system")
     w0 = _word_from(args.w0, presentation.system)
     result = letter_intro.build_letter_intro(presentation.system, w0, args.name, args.step_cap)
     generators = tuple(result.images.items())
@@ -166,9 +166,7 @@ def _candidate_tuple(
         classification = large_sub.classify_letters(source, step_cap)
         b_alphabet, c_letters = large_sub.generator_letters(classification, images)
     else:
-        _require_complete(
-            source.system, DEFAULT_SEARCH_LEN, step_cap, "the source system"
-        )
+        _require_complete(source.system, step_cap, "the source system")
         if len(images) != 1:
             raise InputError("a letter introduction target has exactly one 'generator:' line")
         b_alphabet = source.system.alphabet.extended(images)
@@ -183,7 +181,7 @@ def _candidate_tuple(
         construction = large_sub.LargeSubConstruction(
             source, classification, c_letters, b_alphabet, system
         )
-        return construction.as_candidate_tuple()
+        return construction.as_candidate_tuple(step_cap)
     ((s_name, w0),) = images.items()
     result = letter_intro.LetterIntroResult(
         b_alphabet.get(s_name), w0, b_alphabet, system, source.system
@@ -254,7 +252,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--w0", required=True, help="the word to name")
     p.add_argument("--name", default="s", help="preferred fresh letter name")
-    p.add_argument("--max-len", type=int, default=DEFAULT_SEARCH_LEN)
     p.add_argument("-o", "--output", required=True)
     common(p)
     p.set_defaults(func=_cmd_letter_intro)

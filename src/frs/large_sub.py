@@ -123,14 +123,16 @@ class LargeSubConstruction:
     def _a_s(self) -> frozenset[Letter]:
         return frozenset(self.classification.a_s)
 
-    def as_candidate_tuple(self) -> property_r.CandidateTuple:
+    def as_candidate_tuple(self, step_cap: int = DEFAULT_STEP_CAP) -> property_r.CandidateTuple:
+        """The tuple (B, R_T, A(T), phi, rho); membership and rho reduce
+        within ``step_cap`` steps."""
         return property_r.CandidateTuple(
             base=self.presentation.system,
             system=self.r_t,
             images=self.images,
-            rho=lambda word: rho_t(word, self),
-            in_at=lambda word: in_AT(word, self.presentation),
-            in_t=lambda word: in_T(word, self.presentation),
+            rho=lambda word: rho_t(word, self, step_cap=step_cap),
+            in_at=lambda word: in_AT(word, self.presentation, step_cap),
+            in_t=lambda word: in_T(word, self.presentation, step_cap),
         )
 
 
@@ -394,19 +396,15 @@ def build_construction(
     here (the command line prepares every source with
     :func:`pipeline.prepare_presentation`, which verifies it).  The
     letter classification runs first, and with it the Q1-Q3 gate.  The
-    bounded subsemigroup-closure check comes next: with a finite
-    complement one cannot decide closure outright, so products of
-    representatives are tested up to the check's default length and any
-    violation is rejected as a precondition failure.
+    bounded subsemigroup-closure check comes next
+    (:func:`pipeline.require_subsemigroup_closed`).
+
+    R_T is built in the order it is written: the D1 rules by length and
+    then letter order of B, then the D2 rules in letter order; nothing is
+    sorted afterwards.
     """
     classification = classify_letters(presentation, step_cap)
-    violations = pipeline.check_subsemigroup_closed(presentation, step_cap=step_cap)
-    if violations:
-        u, v = violations[0]
-        raise PreconditionError(
-            f"the complement does not define a subsemigroup: the product of "
-            f"T-representatives '{show(u)}' and '{show(v)}' lands in the complement"
-        )
+    pipeline.require_subsemigroup_closed(presentation, step_cap)
 
     f_sets = build_f_sets(classification, presentation, step_cap)
     b_alphabet, c_letters = build_b_alphabet(
@@ -420,33 +418,30 @@ def build_construction(
 
     emitter = RuleEmitter()
 
-    # D1: depth-first over B-words, pruned by the image-length cap; the
-    # image only grows with the word, so overlong prefixes cut the subtree.
+    # D1: the B-words level by level, each carried with its image.  A level
+    # extends in letter order, so the words, and their rules, come by
+    # length and then letter order.  The image only grows with the word,
+    # so a word whose image passes N is dropped with all its extensions.
     images = construction.images
-    image_len = {
-        letter: len(images[letter]) if letter in images else 1
-        for letter in b_alphabet
-    }
     letters = b_alphabet.names()
-
-    def extend(prefix: list[Letter], length: int) -> None:
-        for letter in letters:
-            total = length + image_len[letter]
-            if total > n_bound:
-                continue
-            prefix.append(letter)
-            u_prime = tuple(prefix)
-            image = phi_t(u_prime, construction)
-            reduced = normal_form(image, system, step_cap)
-            if reduced != image:
-                emitter.emit(u_prime, rho_t(reduced, construction, step_cap=step_cap), D1)
-            extend(prefix, total)
-            prefix.pop()
-
-    extend([], 0)
+    letter_images = [(x, images.get(x, (x,))) for x in letters]
+    level: list[tuple[Word, Word]] = [((), ())]
+    while level:
+        longer = []
+        for word, image in level:
+            for x, x_image in letter_images:
+                u_prime, u_image = word + (x,), image + x_image
+                if len(u_image) > n_bound:
+                    continue
+                longer.append((u_prime, u_image))
+                reduced = normal_form(u_image, system, step_cap)
+                if reduced != u_image:
+                    emitter.emit(u_prime, rho_t(reduced, construction, step_cap=step_cap), D1)
+        level = longer
 
     # D2: every length-2 word whose image is a representative but is not
-    # already that image's canonical factorization.
+    # already that image's canonical factorization, after every D1 rule; a
+    # rule emitted by both keeps its D1 place.
     for x in letters:
         for y in letters:
             u_prime = (x, y)
@@ -457,15 +452,5 @@ def build_construction(
             if canonical != u_prime:
                 emitter.emit(u_prime, canonical, D2)
 
-    emitted = emitter.rules()
-    order = {letter: i for i, letter in enumerate(letters)}
-    d1 = sorted(
-        (rule for rule in emitted if rule.tags[0] == D1),
-        key=lambda r: (len(r.lhs), tuple(map(order.__getitem__, r.lhs))),
-    )
-    d2 = sorted(
-        (rule for rule in emitted if rule.tags[0] == D2),
-        key=lambda r: tuple(map(order.__getitem__, r.lhs)),
-    )
-    r_t = RewritingSystem(b_alphabet, tuple(d1 + d2))
+    r_t = RewritingSystem(b_alphabet, emitter.rules())
     return LargeSubConstruction(presentation, classification, c_letters, b_alphabet, r_t)

@@ -19,6 +19,7 @@ from .core import (
     InputError,
     InternalError,
     LhsMatcher,
+    NonTerminationError,
     PreconditionError,
     RewritingSystem,
     Rule,
@@ -26,6 +27,7 @@ from .core import (
     irreducible_words,
     is_irreducible,
     normal_form,
+    show,
 )
 from .fileformat import Presentation
 
@@ -157,13 +159,40 @@ def check_subsemigroup_closed(
     return violations
 
 
-def _verify_stage(system: RewritingSystem, stage: str, step_cap: int) -> None:
-    report = completeness.verify_complete(system, step_cap=step_cap)
-    if report.verdict != completeness.COMPLETE:
-        raise InternalError(
-            f"stage '{stage}' broke completeness: termination "
-            f"{report.termination.status}, confluence {report.local_confluence.status}"
+def require_subsemigroup_closed(
+    presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP
+) -> None:
+    """Reject, as a precondition failure, a complement that the bounded
+    closure check (:func:`check_subsemigroup_closed`) finds a product of
+    representatives landing in: with a finite complement, closure cannot
+    be decided outright."""
+    violations = check_subsemigroup_closed(presentation, step_cap=step_cap)
+    if violations:
+        u, v = violations[0]
+        raise PreconditionError(
+            f"the complement does not define a subsemigroup: the product of "
+            f"T-representatives '{show(u)}' and '{show(v)}' lands in the complement"
         )
+
+
+def _verify_stage(
+    system: RewritingSystem, stage: str, source: Presentation, step_cap: int
+) -> None:
+    """Verify a stage's system complete.  When it is not, a ``source``
+    whose complement is not closed is the input's fault and is refused as
+    such; otherwise an ``incomplete`` verdict contradicts the stage's
+    theorem, and an ``inconclusive`` one is reported as inconclusive."""
+    report = completeness.verify_complete(system, step_cap=step_cap)
+    if report.verdict == completeness.COMPLETE:
+        return
+    require_subsemigroup_closed(source, step_cap)
+    halves = (
+        f"termination {report.termination.status}, "
+        f"confluence {report.local_confluence.status}"
+    )
+    if report.verdict == completeness.INCOMPLETE:
+        raise InternalError(f"stage '{stage}' broke completeness: {halves}")
+    raise NonTerminationError(f"stage '{stage}' is not verified complete: {halves}")
 
 
 def prepare_presentation(
@@ -174,9 +203,13 @@ def prepare_presentation(
     The input system must be verified complete, or a PreconditionError
     says so.  A stage that changes the system (letterization that
     introduces a letter, interreduction that changes the rules) is
-    verified again, and a failure is an internal contradiction rather
-    than a user error; a stage that returns its input cannot break
-    completeness and is not.  The result satisfies Q1, Q2 and Q3.
+    verified again; a stage that returns its input cannot break
+    completeness and is not.  When a stage's system is not verified
+    complete, the canonical complement is checked for closure first, so a
+    complement that is no subsemigroup's is refused as a precondition
+    failure; an ``incomplete`` stage is an internal contradiction, and an
+    ``inconclusive`` one raises NonTerminationError.  The result
+    satisfies Q1, Q2 and Q3.
     """
     if not presentation.complement:
         raise InputError("a complement declaration is required")
@@ -191,11 +224,11 @@ def prepare_presentation(
     )
     letterized = letterize_complement(canonical, step_cap)
     if letterized.system is not presentation.system:
-        _verify_stage(letterized.system, "letterize", step_cap)
+        _verify_stage(letterized.system, "letterize", canonical, step_cap)
 
     interreduced = normalize_q2_q3(letterized.system, step_cap)
     if interreduced.rules != letterized.system.rules:
-        _verify_stage(interreduced, "interreduce", step_cap)
+        _verify_stage(interreduced, "interreduce", canonical, step_cap)
 
     final = Presentation(interreduced, letterized.complement)
     if not satisfies_q1(final):

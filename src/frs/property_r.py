@@ -26,6 +26,7 @@ again every counterexample and inconclusive result comes from the sweep.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, TypeVar
 
@@ -208,29 +209,35 @@ def check_p1_to_p6(
     base, system = tup.base, tup.system
     results: list[PropertyResult] = []
 
-    # The representative set, checked on words of length <= 6 to sit
-    # between the irreducible T-words and all T-words; a supplied predicate
-    # violating that is a bad input, not a property failure.
-    a_members: list[Word] = []
-    for word in words_over(base.alphabet, bound_a):
-        member = tup.in_at(word)
-        if len(word) <= 6:
-            if member and not tup.in_t(word):
-                raise PreconditionError(
-                    f"representative set contains '{show(word)}' whose class is outside T"
-                )
-            if not member and tup.in_t(word) and is_irreducible(word, base):
-                raise PreconditionError(
-                    f"representative set misses the irreducible T-word '{show(word)}'"
-                )
-        if member:
-            a_members.append(word)
-    # rho of a_members[:len(rhos)], filled in order by P1 and then by P5.
+    # The representative set, listed on first use by P1 or P5, so that a
+    # step cap hit while listing leaves those two inconclusive.  It is
+    # checked on words of length <= 6 to sit between the irreducible
+    # T-words and all T-words; a supplied predicate violating that is a bad
+    # input, not a property failure.
+    @cache
+    def a_members() -> list[Word]:
+        members: list[Word] = []
+        for word in words_over(base.alphabet, bound_a):
+            member = tup.in_at(word)
+            if len(word) <= 6:
+                if member and not tup.in_t(word):
+                    raise PreconditionError(
+                        f"representative set contains '{show(word)}' whose class is outside T"
+                    )
+                if not member and tup.in_t(word) and is_irreducible(word, base):
+                    raise PreconditionError(
+                        f"representative set misses the irreducible T-word '{show(word)}'"
+                    )
+            if member:
+                members.append(word)
+        return members
+
+    # rho of a_members()[:len(rhos)], filled in order by P1 and then by P5.
     rhos: list[Word] = []
 
     def rho_of(i: int) -> Word:
         if i == len(rhos):
-            rhos.append(tup.rho(a_members[i]))
+            rhos.append(tup.rho(a_members()[i]))
         return rhos[i]
 
     b_letters = system.alphabet.names()
@@ -253,7 +260,7 @@ def check_p1_to_p6(
                 if res is not None and res.status == VERIFIED:
                     note = f"every length: {count} words of length <= {length}"
                     return res._replace(witness_count=witnesses(), note=note)
-            return check(len(a_members))
+            return check(len(a_members()))
 
         return run
 
@@ -264,7 +271,7 @@ def check_p1_to_p6(
     def p1(count: int) -> PropertyResult:
         witnesses = 0
         successors = base.matcher.successors
-        for i, u in enumerate(a_members[:count]):
+        for i, u in enumerate(a_members()[:count]):
             rho_u = _require_known(rho_of(i), system)
             # u was drawn over the base alphabet, so its reducts need no check.
             base_reducts = successors(u)
@@ -349,11 +356,11 @@ def check_p1_to_p6(
 
     # P5: rho is a section of phi on the representative set.
     def p5(count: int) -> PropertyResult:
-        for i, u in enumerate(a_members[:count]):
+        for i, u in enumerate(a_members()[:count]):
             image = tup.phi(rho_of(i))
             if image != u:
                 return PropertyResult("P5", COUNTEREXAMPLE, bound_a, 0, (u, image))
-        return PropertyResult("P5", VERIFIED, bound_a, len(a_members))
+        return PropertyResult("P5", VERIFIED, bound_a, len(a_members()))
 
     # P6: every B-word whose image is a representative reduces to the
     # canonical form of that image.  Image-preserving steps keep phi, and
@@ -404,7 +411,7 @@ def check_p1_to_p6(
         p2,
         p3,
         p4,
-        every_length(p5, lambda: len(a_members)),
+        every_length(p5, lambda: len(a_members())),
         p6,
     )
     for name, bound, check in zip(PROPERTY_NAMES, bounds, checks):

@@ -34,6 +34,9 @@ MONO42 = "alphabet: a\nrule: a a a a -> a a\ncomplement: a\n"
 # Meets Q1-Q3 but is not complete: b c b reduces to b and to b b.
 INCOMPLETE_Q123 = "alphabet: a b c\nrule: b c -> c\nrule: c b -> b\ncomplement: a\n"
 NOT_COMPLETE = "precondition error: input system is not verified complete (verdict: incomplete)\n"
+# a . b lands in the complement; after letterizing c a and a b the check
+# leaves the system's termination unknown.
+NOT_CLOSED = "alphabet: a b c\nrule: a c -> c a\ncomplement: c a ; a b\n"
 REGENERATE = (
     "input error: the target file has no 'generator:' lines; regenerate it "
     "with 'frs large-sub' or 'frs letter-intro'\n"
@@ -244,6 +247,48 @@ class TestPrepareAndLargeSub:
             assert capsys.readouterr() == ("", NOT_COMPLETE)
             assert not out.exists()
 
+    def test_complement_that_is_not_closed_is_refused_before_letterizing(
+        self, files, tmp_path, capsys
+    ):
+        write, _ = files
+        src = write("open.frs", NOT_CLOSED)
+        for command in ("prepare", "large-sub"):
+            out = tmp_path / f"{command}.frs"
+            assert main([command, src, "-o", str(out)]) == 2
+            assert capsys.readouterr() == (
+                "",
+                "precondition error: the complement does not define a subsemigroup: "
+                "the product of T-representatives 'a' and 'b' lands in the complement\n",
+            )
+            assert not out.exists()
+
+    def test_inconclusive_stage_exits_three(self, files, tmp_path, capsys, monkeypatch):
+        # TWO's complement is closed; its letterized system is made to come
+        # back inconclusive, as the check leaves NOT_CLOSED's.
+        verify_complete = completeness.verify_complete
+        calls = []
+
+        def inconclusive_after_the_input(*args, **kwargs):
+            report = verify_complete(*args, **kwargs)
+            calls.append(report)
+            if len(calls) == 1:
+                return report
+            termination = completeness.TerminationEvidence(completeness.UNKNOWN)
+            return report._replace(
+                termination=termination, verdict=completeness.INCONCLUSIVE
+            )
+
+        monkeypatch.setattr(completeness, "verify_complete", inconclusive_after_the_input)
+        write, _ = files
+        out = tmp_path / "two.p"
+        assert main(["prepare", write("two.frs", TWO), "-o", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "inconclusive: stage 'letterize' is not verified complete: "
+            "termination unknown, confluence all_joined\n",
+        )
+        assert not out.exists()
+
     def test_no_generator_letters_is_a_precondition_error(self, files, tmp_path, capsys):
         # a a -> a leaves only the complement letter a, and a a is not in T.
         write, _ = files
@@ -389,16 +434,19 @@ class TestVerifyCommands:
         args = ["--bound-a", "4", "--bound-b", "3", "--step-cap", "2"]
         assert main(["verify-tuple", src, out, *args]) == 3
         assert capsys.readouterr().out.splitlines() == [
-            "P1: verified (bound 4, 17 witnesses)",
+            # Membership and rho reduce within the cap as well.
+            "P1: inconclusive (bound 4) [possible non-termination: 2 reduction "
+            "steps exceeded]",
             "P2: inconclusive (bound 0) [reachability search exceeded 2 states]",
             "P3: verified (bound 3, 18 witnesses) [letters {c_a_a_a, c_a_b_a, "
             "c_b_a} are eliminated, or keep their count and move right at "
             "constant length]",
             "P4: inconclusive (bound 3) [possible non-termination: 2 reduction "
             "steps exceeded]",
-            "P5: verified (bound 4, 29 witnesses)",
-            # Every straightening path of a P6 word takes at most two steps.
-            "P6: verified (bound 3, 258 witnesses)",
+            "P5: inconclusive (bound 4) [possible non-termination: 2 reduction "
+            "steps exceeded]",
+            "P6: inconclusive (bound 3) [possible non-termination: 2 reduction "
+            "steps exceeded]",
             "overall: not verified",
         ]
 
@@ -485,7 +533,6 @@ class TestBoundsBelowOne:
             ("check", "--max-len", "0"),
             ("check", "--max-len", "-1"),
             ("nf", "--step-cap", "0"),
-            ("letter-intro", "--max-len", "0"),
             ("prepare", "--step-cap", "0"),
             ("large-sub", "--step-cap", "-3"),
             ("verify-tuple", "--bound-a", "0"),

@@ -1,8 +1,9 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from frs import (
     Alphabet,
@@ -16,6 +17,8 @@ from frs import (
     Word,
     build_construction,
     build_f_sets,
+    check_isomorphism_slice,
+    check_p1_to_p6,
     classify_letters,
     in_AT,
     in_T,
@@ -30,8 +33,9 @@ from frs import (
     words_over,
 )
 from frs.completeness import right_drift_letters
-from frs.core import DEFAULT_STEP_CAP
-from frs.large_sub import C_M1, C_M2, C_R, ConstructionError, build_b_alphabet
+from frs.core import DEFAULT_STEP_CAP, RuleEmitter
+from frs.large_sub import C_M1, C_M2, C_R, D1, D2, ConstructionError, build_b_alphabet
+from frs.property_r import COUNTEREXAMPLE
 
 from conftest import rule_set, system, w
 
@@ -118,6 +122,66 @@ def prepared_presentations(draw):
         return prepare_presentation(presentation)
     except RewriteError:
         assume(False)
+
+
+@st.composite
+def random_inputs(draw):
+    """Random inputs of 1-2 letters: 0-3 length-reducing rules with
+    left-hand sides of 2-4 letters, optionally the commutation b a -> a b,
+    and 1-2 complement words of 1-2 letters.  Most are not complete."""
+    alphabet = Alphabet(draw(st.sampled_from([["a"], ["a", "b"]])))
+    names = "".join(alphabet.names())
+    rules = []
+    for lhs in draw(st.lists(st.text(names, min_size=2, max_size=4), max_size=3)):
+        rhs = draw(st.text(names, min_size=1, max_size=len(lhs) - 1))
+        rules.append(Rule(alphabet.word(list(lhs)), alphabet.word(list(rhs))))
+    if len(names) == 2 and draw(st.booleans()):
+        rules.append(Rule(("b", "a"), ("a", "b")))
+    complement = draw(st.lists(st.text(names, min_size=1, max_size=2), min_size=1, max_size=2))
+    return Presentation(
+        RewritingSystem(alphabet, tuple(rules)),
+        tuple(alphabet.word(list(text)) for text in complement),
+    )
+
+
+def reference_rules(cons):
+    """R_T as a depth-first D1 search and two rule sorts build it: D1 for
+    each B-word whose image is reducible and at most N long, D2 for each
+    length-2 word whose image is a representative not in canonical form;
+    then D1 sorted by length and letter order of B, D2 by letter order, and
+    a rule emitted by both sorted with D1."""
+    letters = cons.b_alphabet.names()
+    system = cons.presentation.system
+    emitter = RuleEmitter()
+
+    def extend(prefix):
+        for letter in letters:
+            word = prefix + (letter,)
+            image = phi_t(word, cons)
+            if len(image) > cons.n_bound:
+                continue
+            reduced = normal_form(image, system)
+            if reduced != image:
+                emitter.emit(word, rho_t(reduced, cons), D1)
+            extend(word)
+
+    extend(())
+    for x in letters:
+        for y in letters:
+            image = phi_t((x, y), cons)
+            if in_AT(image, cons.presentation):
+                canonical = rho_t(image, cons, check=False)
+                if canonical != (x, y):
+                    emitter.emit((x, y), canonical, D2)
+    order = {letter: i for i, letter in enumerate(letters)}
+
+    def key(rule):
+        return tuple(map(order.__getitem__, rule.lhs))
+
+    rules = emitter.rules()
+    d1 = sorted((r for r in rules if r.tags[0] == D1), key=lambda r: (len(r.lhs), key(r)))
+    d2 = sorted((r for r in rules if r.tags[0] == D2), key=key)
+    return tuple(d1 + d2)
 
 
 @pytest.fixture
@@ -445,6 +509,52 @@ class TestConstruction:
         )
         with pytest.raises(PreconditionError):
             build_construction(pres)
+
+
+class TestRuleOrder:
+    @pytest.mark.parametrize("shape", sorted({**LADDER_SHAPES, **MORE_LADDER_SHAPES}))
+    def test_ladder_rules_come_in_the_sorted_order(self, shape):
+        cons = build_construction(ladder_presentation(shape))
+        assert cons.r_t.rules == reference_rules(cons)
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @given(prepared_presentations())
+    def test_random_rules_come_in_the_sorted_order(self, presentation):
+        try:
+            cons = build_construction(presentation)
+        except PreconditionError:
+            assume(False)
+        assert cons.r_t.rules == reference_rules(cons)
+
+
+class TestTheoremOnRandomInputs:
+    """The paper's theorem as an oracle: a complete S with a finite
+    complement gives an R_T that presents T with a complete system.  So no
+    property P1-P6 has a counterexample and the isomorphism slice has no
+    mismatch.  Inputs that are not verified complete, whose complement is
+    not closed or leaves no generator, or whose construction has more than
+    14 generators are skipped, and each skip is counted as a hypothesis
+    event (``--hypothesis-show-statistics``)."""
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @given(random_inputs())
+    def test_no_counterexample_and_no_mismatch(self, presentation):
+        try:
+            cons = build_construction(prepare_presentation(presentation))
+        except (PreconditionError, NonTerminationError) as exc:
+            event("skipped: " + re.split(r" \(|:", str(exc))[0])
+            assume(False)
+        if len(cons.b_alphabet) > 14:
+            event("skipped: more than 14 generators")
+            assume(False)
+        tup = cons.as_candidate_tuple()
+        report = check_p1_to_p6(tup, bound_a=5, bound_b=3)
+        assert [res for res in report.results if res.status == COUNTEREXAMPLE] == []
+        assert check_isomorphism_slice(tup, 3).mismatches == ()
 
 
 class TestRuleLaws:
