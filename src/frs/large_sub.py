@@ -427,17 +427,16 @@ def build_construction(
     letter_images = [(x, images.get(x, (x,))) for x in letters]
     level: list[tuple[Word, Word]] = [((), ())]
     while level:
-        longer = []
-        for word, image in level:
-            for x, x_image in letter_images:
-                u_prime, u_image = word + (x,), image + x_image
-                if len(u_image) > n_bound:
-                    continue
-                longer.append((u_prime, u_image))
-                reduced = normal_form(u_image, system, step_cap)
-                if reduced != u_image:
-                    emitter.emit(u_prime, rho_t(reduced, construction, step_cap=step_cap), D1)
-        level = longer
+        level = [
+            (word + (x,), image + x_image)
+            for word, image in level
+            for x, x_image in letter_images
+            if len(image) + len(x_image) <= n_bound
+        ]
+        for u_prime, u_image in level:
+            reduced = normal_form(u_image, system, step_cap)
+            if reduced != u_image:
+                emitter.emit(u_prime, rho_t(reduced, construction, step_cap=step_cap), D1)
 
     # D2: every length-2 word whose image is a representative but is not
     # already that image's canonical factorization, after every D1 rule; a

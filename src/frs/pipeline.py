@@ -176,7 +176,7 @@ def require_subsemigroup_closed(
 
 
 def _verify_stage(
-    system: RewritingSystem, stage: str, source: Presentation, step_cap: int
+    system: RewritingSystem, stage: str, step_cap: int, source: Presentation | None = None
 ) -> None:
     """Verify a stage's system complete.  When it is not, a ``source``
     whose complement is not closed is the input's fault and is refused as
@@ -185,7 +185,8 @@ def _verify_stage(
     report = completeness.verify_complete(system, step_cap=step_cap)
     if report.verdict == completeness.COMPLETE:
         return
-    require_subsemigroup_closed(source, step_cap)
+    if source is not None:
+        require_subsemigroup_closed(source, step_cap)
     halves = (
         f"termination {report.termination.status}, "
         f"confluence {report.local_confluence.status}"
@@ -204,7 +205,7 @@ def prepare_presentation(
     says so.  A stage that changes the system (letterization that
     introduces a letter, interreduction that changes the rules) is
     verified again; a stage that returns its input cannot break
-    completeness and is not.  When a stage's system is not verified
+    completeness and is not.  When the letterized system is not verified
     complete, the canonical complement is checked for closure first, so a
     complement that is no subsemigroup's is refused as a precondition
     failure; an ``incomplete`` stage is an internal contradiction, and an
@@ -224,11 +225,11 @@ def prepare_presentation(
     )
     letterized = letterize_complement(canonical, step_cap)
     if letterized.system is not presentation.system:
-        _verify_stage(letterized.system, "letterize", canonical, step_cap)
+        _verify_stage(letterized.system, "letterize", step_cap, canonical)
 
     interreduced = normalize_q2_q3(letterized.system, step_cap)
     if interreduced.rules != letterized.system.rules:
-        _verify_stage(interreduced, "interreduce", canonical, step_cap)
+        _verify_stage(interreduced, "interreduce", step_cap)
 
     final = Presentation(interreduced, letterized.complement)
     if not satisfies_q1(final):
