@@ -55,7 +55,6 @@ _LAZY_EXPORTS = {
     ),
     "letter_intro": ("LetterIntroResult", "build_letter_intro", "rho_s", "self_overlaps"),
     "large_sub": (
-        "CLetter",
         "ConstructionError",
         "LargeSubConstruction",
         "LetterClassification",

@@ -51,12 +51,6 @@ def _write(path: str, presentation: Presentation) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _require_complete(system: RewritingSystem, step_cap: int, label: str) -> None:
-    report = completeness.verify_complete(system, step_cap=step_cap)
-    if report.verdict != completeness.COMPLETE:
-        raise InputError(f"{label} is not verified complete (verdict: {report.verdict})")
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
     report = completeness.verify_complete(
@@ -96,7 +90,7 @@ def _cmd_nf(args: argparse.Namespace) -> int:
 
 def _cmd_letter_intro(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
-    _require_complete(presentation.system, args.step_cap, "the input system")
+    completeness.require_complete(presentation.system, args.step_cap)
     w0 = _word_from(args.w0, presentation.system)
     result = letter_intro.build_letter_intro(presentation.system, w0, args.name, args.step_cap)
     generators = tuple(result.images.items())
@@ -150,9 +144,10 @@ def _candidate_tuple(
 
     phi comes from the target's generator lines and rho from the source
     and those images.  A source with a complement is prepared as
-    ``large-sub`` prepares it, so one that is not verified complete is
-    refused.  B lists the usable source letters in source order,
-    then the generators in file order, as the construction does.
+    ``large-sub`` prepares it; any other source is checked complete as
+    ``letter-intro`` checks it; either way one that is not verified
+    complete is refused.  B lists the usable source letters in source
+    order, then the generators in file order, as the construction does.
     """
     if not t_pres.generators:
         raise InputError(
@@ -164,9 +159,9 @@ def _candidate_tuple(
     images = {name: source.system.alphabet.word(image) for name, image in t_pres.generators}
     if from_large_sub:
         classification = large_sub.classify_letters(source, step_cap)
-        b_alphabet, c_letters = large_sub.generator_letters(classification, images)
+        b_alphabet = large_sub.generator_letters(classification, images)
     else:
-        _require_complete(source.system, step_cap, "the source system")
+        completeness.require_complete(source.system, step_cap)
         if len(images) != 1:
             raise InputError("a letter introduction target has exactly one 'generator:' line")
         b_alphabet = source.system.alphabet.extended(images)
@@ -178,15 +173,10 @@ def _candidate_tuple(
         )
     system = RewritingSystem(b_alphabet, t_pres.system.rules)
     if from_large_sub:
-        construction = large_sub.LargeSubConstruction(
-            source, classification, c_letters, b_alphabet, system
-        )
+        construction = large_sub.LargeSubConstruction(source, classification, images, system)
         return construction.as_candidate_tuple(step_cap)
     ((s_name, w0),) = images.items()
-    result = letter_intro.LetterIntroResult(
-        b_alphabet.get(s_name), w0, b_alphabet, system, source.system
-    )
-    return result.as_candidate_tuple()
+    return letter_intro.LetterIntroResult(s_name, w0, system, source.system).as_candidate_tuple()
 
 
 def _cmd_verify_tuple(args: argparse.Namespace) -> int:

@@ -30,6 +30,7 @@ from .core import (
     Alphabet,
     Letter,
     NonTerminationError,
+    PreconditionError,
     RewritingSystem,
     Rule,
     Word,
@@ -448,3 +449,13 @@ def verify_complete(
     else:
         verdict = INCONCLUSIVE
     return CompletenessReport(termination, confluence, verdict)
+
+
+def require_complete(system: RewritingSystem, step_cap: int) -> None:
+    """Refuse, as a precondition failure, an input system that
+    :func:`verify_complete` does not find complete."""
+    report = verify_complete(system, step_cap=step_cap)
+    if report.verdict != COMPLETE:
+        raise PreconditionError(
+            f"input system is not verified complete (verdict: {report.verdict})"
+        )

@@ -169,7 +169,7 @@ def parse_presentation(text: str) -> Presentation:
         for token, column in tokens:
             if token not in alphabet:
                 raise ParseError(f"unknown letter token {token!r}", lineno, column)
-            letters.append(alphabet.get(token))
+            letters.append(token)
         return tuple(letters)
 
     rules: list[Rule] = []

@@ -59,12 +59,6 @@ class LetterClassification(NamedTuple):
     excluded: tuple[Letter, ...] = ()
 
 
-class CLetter(NamedTuple):
-    kind: str
-    image: Word
-    letter: Letter
-
-
 class FSets(NamedTuple):
     f1: tuple[Word, ...]
     f2: tuple[Word, ...]
@@ -74,7 +68,14 @@ class FSets(NamedTuple):
 
 class LargeSubConstruction:
     """The output of :func:`build_construction`: the prepared presentation,
-    its letter split, the C-letters, B = A1 + C and the system R_T."""
+    its letter split, phi's generator table and the system R_T.
+
+    ``images`` maps each generator letter to its boundary word, in B order;
+    a generator's kind is its image's shape.  B = A1 + C is R_T's alphabet,
+    read back as ``b_alphabet``.  Two constructions are equal when their
+    fields are, the generator table compared as a dict, whatever the order
+    of its entries.
+    """
 
     __setattr__ = __delattr__ = _read_only
 
@@ -82,35 +83,34 @@ class LargeSubConstruction:
         self,
         presentation: Presentation,
         classification: LetterClassification,
-        c_letters: tuple[CLetter, ...],
-        b_alphabet: Alphabet,
+        images: dict[Letter, Word],
         r_t: RewritingSystem,
     ):
         self.__dict__.update(
-            presentation=presentation, classification=classification,
-            c_letters=c_letters, b_alphabet=b_alphabet, r_t=r_t,
+            presentation=presentation, classification=classification, images=images, r_t=r_t
         )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        fields = ("presentation", "classification", "c_letters", "b_alphabet", "r_t")
+        fields = ("presentation", "classification", "images", "r_t")
         return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    @property
+    def b_alphabet(self) -> Alphabet:
+        """B, the alphabet of R_T."""
+        return self.r_t.alphabet
 
     @property
     def n_bound(self) -> int:
         """The D1 image-length cap N: longest base left-hand side + 4."""
         return self.presentation.system.matcher.maxlen + 4
 
-    # The tables phi and rho read, built once per construction on first use
-    # (no field can be reassigned, so they cannot go stale).
-    @cached_property
-    def images(self) -> dict[Letter, Word]:
-        return {c.letter: c.image for c in self.c_letters}
-
+    # The tables rho reads, built once per construction on first use (no
+    # field can be reassigned, so they cannot go stale).
     @cached_property
     def _by_image(self) -> dict[Word, Letter]:
-        by_image = {c.image: c.letter for c in self.c_letters}
+        by_image = {image: letter for letter, image in self.images.items()}
         for letter in self.classification.a1:
             by_image.setdefault((letter,), letter)
         return by_image
@@ -118,10 +118,6 @@ class LargeSubConstruction:
     @cached_property
     def _a1(self) -> frozenset[Letter]:
         return frozenset(self.classification.a1)
-
-    @cached_property
-    def _a_s(self) -> frozenset[Letter]:
-        return frozenset(self.classification.a_s)
 
     def as_candidate_tuple(self, step_cap: int = DEFAULT_STEP_CAP) -> property_r.CandidateTuple:
         """The tuple (B, R_T, A(T), phi, rho); membership and rho reduce
@@ -303,42 +299,43 @@ def build_b_alphabet(
     f_sets: FSets,
     classification: LetterClassification,
     base_alphabet: Alphabet,
-) -> tuple[Alphabet, tuple[CLetter, ...]]:
-    """Materialize one fresh letter per boundary word, names derived from
-    the image (c_<letters>); numeric suffix on collision."""
+) -> tuple[Alphabet, dict[Letter, Word]]:
+    """B and phi's generator table: one fresh letter per boundary word,
+    named after its image (c_<letters>, numeric suffix on collision), the
+    generators ordered by kind (C_R, C_L1, C_L2, C_M1, C_M2), then by
+    image length and image."""
     kind_order = {C_R: 0, C_L1: 1, C_L2: 2, C_M1: 3, C_M2: 4}
     boundary = sorted(
         f_sets.f3 + f_sets.f2 + f_sets.f4,
         key=lambda w: (kind_order[_c_kind(w, classification)], len(w), w),
     )
-    images: dict[str, Word] = {}
+    images: dict[Letter, Word] = {}
     taken = base_alphabet
     for image in boundary:
         name = taken.fresh_name("c_" + "_".join(image))
         taken = taken.extended([name])
         images[name] = image
-    alphabet, c_letters = generator_letters(classification, images)
+    alphabet = generator_letters(classification, images)
     if len(alphabet) == 0:
         raise ConstructionError(
             "the subsemigroup is not expressible: no generator letters "
             "(empty a1 and no admissible boundary words)"
         )
-    return alphabet, c_letters
+    return alphabet, images
 
 
 def generator_letters(
-    classification: LetterClassification, images: dict[str, Word]
-) -> tuple[Alphabet, tuple[CLetter, ...]]:
-    """B in construction order: the a1 letters in base order, then one
-    generator per entry of ``images`` (name -> boundary word over the base
-    alphabet), of the kind its image's shape gives."""
+    classification: LetterClassification, images: dict[Letter, Word]
+) -> Alphabet:
+    """B in construction order: the a1 letters in base order, then the
+    generators of ``images`` (name -> boundary word over the base
+    alphabet) in its order.  A table read from a file may hold anything,
+    so an image that is not 2 or 3 letters long is refused."""
     alphabet = Alphabet([*classification.a1, *images])
-    c_letters = []
     for name, image in images.items():
         if len(image) not in (2, 3):
             raise InputError(f"generator {name!r}: a boundary word has 2 or 3 letters")
-        c_letters.append(CLetter(_c_kind(image, classification), image, alphabet.get(name)))
-    return alphabet, tuple(c_letters)
+    return alphabet
 
 
 def phi_t(word: Word, construction: LargeSubConstruction) -> Word:
@@ -362,7 +359,8 @@ def rho_t(
         raise PreconditionError(
             f"'{show(word)}' is not in the representative set; rho is undefined on it"
         )
-    a1, a_s, by_image = construction._a1, construction._a_s, construction._by_image
+    a1, by_image = construction._a1, construction._by_image
+    a_s = construction.presentation.membership.complement_letters
     out: list[Letter] = []
     start = 0  # the part of the word left to factor is word[start:]
     while True:
@@ -407,12 +405,10 @@ def build_construction(
     pipeline.require_subsemigroup_closed(presentation, step_cap)
 
     f_sets = build_f_sets(classification, presentation, step_cap)
-    b_alphabet, c_letters = build_b_alphabet(
-        f_sets, classification, presentation.system.alphabet
-    )
+    b_alphabet, images = build_b_alphabet(f_sets, classification, presentation.system.alphabet)
     system = presentation.system
     construction = LargeSubConstruction(
-        presentation, classification, c_letters, b_alphabet, RewritingSystem(b_alphabet)
+        presentation, classification, images, RewritingSystem(b_alphabet)
     )
     n_bound = construction.n_bound
 
@@ -422,7 +418,6 @@ def build_construction(
     # extends in letter order, so the words, and their rules, come by
     # length and then letter order.  The image only grows with the word,
     # so a word whose image passes N is dropped with all its extensions.
-    images = construction.images
     letters = b_alphabet.names()
     letter_images = [(x, images.get(x, (x,))) for x in letters]
     level: list[tuple[Word, Word]] = [((), ())]
@@ -452,4 +447,4 @@ def build_construction(
                 emitter.emit(u_prime, canonical, D2)
 
     r_t = RewritingSystem(b_alphabet, emitter.rules())
-    return LargeSubConstruction(presentation, classification, c_letters, b_alphabet, r_t)
+    return LargeSubConstruction(presentation, classification, images, r_t)

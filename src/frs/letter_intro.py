@@ -28,7 +28,6 @@ from .core import (
     is_irreducible,
     normal_form,
     show,
-    substitute,
 )
 
 C1, C2, C3, C4, C5, C6 = "C1", "C2", "C3", "C4", "C5", "C6"
@@ -97,7 +96,9 @@ def self_overlaps(w0: Word) -> list[tuple[Word, Word, Word]]:
 
 
 class LetterIntroResult:
-    """Output of one letter-introduction round."""
+    """Output of one letter-introduction round: the fresh letter, the word
+    w0 it names, the system R_S and the base system it extends.  B = A + {s}
+    is R_S's alphabet, read back as ``b_alphabet``."""
 
     __setattr__ = __delattr__ = _read_only
 
@@ -105,19 +106,21 @@ class LetterIntroResult:
         self,
         new_letter: Letter,
         w0: Word,
-        b_alphabet: Alphabet,
         r_s: RewritingSystem,
         base: RewritingSystem,
     ):
-        self.__dict__.update(
-            new_letter=new_letter, w0=w0, b_alphabet=b_alphabet, r_s=r_s, base=base
-        )
+        self.__dict__.update(new_letter=new_letter, w0=w0, r_s=r_s, base=base)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        fields = ("new_letter", "w0", "b_alphabet", "r_s", "base")
+        fields = ("new_letter", "w0", "r_s", "base")
         return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    @property
+    def b_alphabet(self) -> Alphabet:
+        """B, the alphabet of R_S."""
+        return self.r_s.alphabet
 
     @cached_property
     def images(self) -> dict[Letter, Word]:
@@ -132,9 +135,6 @@ class LetterIntroResult:
 
     def rho(self, word: Word) -> Word:
         return rho_s(word, self.w0, self.new_letter)
-
-    def phi(self, word: Word) -> Word:
-        return substitute(word, self.images)
 
     def in_at(self, word: Word) -> bool:
         """Every A-word represents an element of the target semigroup
@@ -173,9 +173,8 @@ def build_letter_intro(
     if not is_irreducible(w0, system):
         raise PreconditionError(f"the named word '{show(w0)}' must be irreducible")
 
-    fresh = system.alphabet.fresh_name(s_name)
-    b_alphabet = system.alphabet.extended([fresh])
-    s = b_alphabet.get(fresh)
+    s = system.alphabet.fresh_name(s_name)
+    b_alphabet = system.alphabet.extended([s])
 
     def rho(word: Word) -> Word:
         return rho_s(word, w0, s)
@@ -226,4 +225,4 @@ def build_letter_intro(
     # canonical order: C1 block, C2, C3 block, C4, C5, C6; a deduplicated
     # rule keeps its first position and accumulates tags.
     r_s = RewritingSystem(b_alphabet, emitter.rules())
-    return LetterIntroResult(s, w0, b_alphabet, r_s, system)
+    return LetterIntroResult(s, w0, r_s, system)

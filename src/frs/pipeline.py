@@ -202,23 +202,20 @@ def prepare_presentation(
     """Canonicalize the complement, letterize it, and interreduce.
 
     The input system must be verified complete, or a PreconditionError
-    says so.  A stage that changes the system (letterization that
-    introduces a letter, interreduction that changes the rules) is
-    verified again; a stage that returns its input cannot break
-    completeness and is not.  When the letterized system is not verified
-    complete, the canonical complement is checked for closure first, so a
-    complement that is no subsemigroup's is refused as a precondition
-    failure; an ``incomplete`` stage is an internal contradiction, and an
+    says so (:func:`completeness.require_complete`).  A stage that
+    changes the system (letterization that introduces a letter,
+    interreduction that changes the rules) is verified again; a stage
+    that returns its input cannot break completeness and is not.  When
+    the letterized system is not verified complete, the canonical
+    complement is checked for closure first, so a complement that is no
+    subsemigroup's is refused as a precondition failure; an
+    ``incomplete`` stage is an internal contradiction, and an
     ``inconclusive`` one raises NonTerminationError.  The result
     satisfies Q1, Q2 and Q3.
     """
     if not presentation.complement:
         raise InputError("a complement declaration is required")
-    report = completeness.verify_complete(presentation.system, step_cap=step_cap)
-    if report.verdict != completeness.COMPLETE:
-        raise PreconditionError(
-            f"input system is not verified complete (verdict: {report.verdict})"
-        )
+    completeness.require_complete(presentation.system, step_cap)
 
     canonical = Presentation(
         presentation.system, canonicalize_complement(presentation, step_cap)

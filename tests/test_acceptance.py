@@ -202,8 +202,9 @@ def test_criterion_6_invariant_sweeps(built):
 
     # Retraction laws of the letter-introduction map.
     for result in (built["intro_aa"], built["intro_ab"]):
+        phi = result.as_candidate_tuple().phi
         for word in words_over(result.base.alphabet, 8):
-            violations += result.phi(result.rho(word)) != word
+            violations += phi(result.rho(word)) != word
         s_word = w(result.b_alphabet, result.new_letter)
         for word in (u for u in words_over(result.base.alphabet, 8) if len(u) >= 2):
             rho_word = result.rho(word)

@@ -10,6 +10,7 @@ import frs
 from frs import cli, completeness
 from frs.cli import main
 from frs.core import (
+    DEFAULT_STEP_CAP,
     InputError,
     InternalError,
     NonTerminationError,
@@ -18,6 +19,9 @@ from frs.core import (
 )
 from frs.fileformat import ParseError, Presentation, parse_presentation, serialize_presentation
 from frs.large_sub import ConstructionError
+
+from conftest import system, w
+from test_large_sub import LADDER_SHAPES, MORE_LADDER_SHAPES
 
 FREE_A = "alphabet: a\n"
 FREE_AB = "alphabet: a b\n"
@@ -184,6 +188,29 @@ class TestLetterIntro:
             main(["letter-intro", write("n.frs", NONCONFLUENT), "--w0", "a a", "-o", out])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [["letter-intro", "--w0", "a a"], ["verify-tuple", "--bound-a", "4", "--bound-b", "2"],
+         ["verify-iso", "--bound", "3"]],
+        ids=["letter-intro", "verify-tuple", "verify-iso"],
+    )
+    def test_incomplete_input_is_refused_as_prepare_refuses_it(self, args, files, capsys):
+        # The verify commands get a target that the library entry, which
+        # takes its system as given, built from the incomplete source.
+        write, tmp = files
+        src = write("n.frs", NONCONFLUENT)
+        command, *rest = args
+        if command == "letter-intro":
+            argv = [command, src, *rest, "-o", str(tmp / "out.frs")]
+        else:
+            result = frs.build_letter_intro(parse_presentation(NONCONFLUENT).system, ("a", "a"))
+            generators = tuple(result.images.items())
+            target = write("n.t", serialize_presentation(Presentation(result.r_s, None, generators)))
+            argv = [command, src, target, *rest]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", NOT_COMPLETE)
+        assert not (tmp / "out.frs").exists()
 
 
 class TestPrepareAndLargeSub:
@@ -559,6 +586,46 @@ class TestBoundsBelowOne:
         assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
 
+def _round_trip(source, target):
+    """The tuple the verify commands rebuild from ``target`` written out
+    and read back."""
+    generators = tuple(target.images.items())
+    parsed = parse_presentation(serialize_presentation(Presentation(target.system, None, generators)))
+    return cli._candidate_tuple(source, parsed, DEFAULT_STEP_CAP)
+
+
+def _assert_same_tuple(rebuilt, built, bound=5):
+    assert rebuilt.base == built.base
+    assert rebuilt.system == built.system
+    assert rebuilt.images == built.images
+    for word in frs.words_over(built.base.alphabet, bound):
+        assert rebuilt.in_at(word) == built.in_at(word)
+        if built.in_at(word):
+            assert rebuilt.rho(word) == built.rho(word)
+
+
+class TestCandidateTupleRoundTrip:
+    """The verify commands rebuild from the source and the target file the
+    tuple that the construction holds in process."""
+
+    @pytest.mark.parametrize("shape", sorted({**LADDER_SHAPES, **MORE_LADDER_SHAPES}))
+    def test_large_sub_target(self, shape):
+        letters, rules, complement = {**LADDER_SHAPES, **MORE_LADDER_SHAPES}[shape]
+        base = system(letters, *rules)
+        source = Presentation(base, tuple(w(base.alphabet, text) for text in complement))
+        built = frs.build_construction(frs.prepare_presentation(source)).as_candidate_tuple()
+        _assert_same_tuple(_round_trip(source, built), built)
+
+    @pytest.mark.parametrize("w0", ["a b", "a b a"])
+    def test_letter_intro_target(self, w0):
+        source = parse_presentation(THREEBASE)
+        result = frs.build_letter_intro(source.system, source.system.alphabet.word(w0))
+        built = result.as_candidate_tuple()
+        rebuilt = _round_trip(source, built)
+        assert rebuilt.letter_intro == result
+        _assert_same_tuple(rebuilt, built)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args, source",
@@ -749,7 +816,7 @@ class TestModulesRun:
 # The public names of the package, as they were when it imported every
 # module at once.
 PUBLIC_NAMES = {
-    "Alphabet", "CLetter", "CandidateTuple", "CompletenessReport", "ConstructionError",
+    "Alphabet", "CandidateTuple", "CompletenessReport", "ConstructionError",
     "CriticalPair", "InputError", "InternalError", "IsomorphismReport",
     "LargeSubConstruction", "LetterClassification", "LetterIntroResult",
     "NonTerminationError", "ParseError", "PreconditionError", "Presentation",

@@ -37,7 +37,7 @@ from frs.completeness import (
     TerminationEvidence,
 )
 from frs.core import _QUIET_STEPS, DEFAULT_STEP_CAP, LhsMatcher, irreducible_words
-from frs.large_sub import CLetter, FSets, LargeSubConstruction, LetterClassification
+from frs.large_sub import FSets, LargeSubConstruction, LetterClassification
 from frs.letter_intro import LetterIntroResult
 from frs.pipeline import Presentation
 from frs.property_r import CandidateTuple, IsomorphismReport, PropertyResult, PropertyRReport
@@ -354,10 +354,8 @@ def record_cases():
     confluence = ConfluenceEvidence("counterexample", 2, pair, a_b, ba)
     split = ((ab.get("b"),), (ab.get("a"),), (ab.get("b"),))
     classification = LetterClassification(*split)
-    c_letter_fields = ("C_R", a_b, ab.get("b"))
-    c_letter = CLetter(*c_letter_fields)
     result = PropertyResult("P4", "counterexample", 3, 5, (ba,), "note")
-    intro = LetterIntroResult(ab.get("b"), a_b, ab, comm, comm)
+    intro = LetterIntroResult(ab.get("b"), a_b, comm, comm)
     return [
         (ReductionStep, ("rule_index", "position"), {}, (1, 2)),
         (Rule, ("lhs", "rhs", "tags"), {"tags": ()}, (ba, a_b, ("D1",))),
@@ -373,12 +371,11 @@ def record_cases():
         (CompletenessReport, ("termination", "local_confluence", "verdict"), {},
          (termination, confluence, "incomplete")),
         (LetterClassification, ("a1", "a_s", "excluded"), {"excluded": ()}, split),
-        (CLetter, ("kind", "image", "letter"), {}, c_letter_fields),
         (FSets, ("f1", "f2", "f3", "f4"), {}, ((a,), (ba,), (a_b,), ())),
-        (LargeSubConstruction, ("presentation", "classification", "c_letters", "b_alphabet", "r_t"),
-         {}, (presentation, classification, (c_letter,), ab, comm)),
-        (LetterIntroResult, ("new_letter", "w0", "b_alphabet", "r_s", "base"), {},
-         (ab.get("b"), a_b, ab, comm, comm)),
+        (LargeSubConstruction, ("presentation", "classification", "images", "r_t"),
+         {}, (presentation, classification, {"c": a_b}, comm)),
+        (LetterIntroResult, ("new_letter", "w0", "r_s", "base"), {},
+         (ab.get("b"), a_b, comm, comm)),
         (Presentation, ("system", "complement", "generators"),
          {"complement": None, "generators": ()},
          (comm, (a,), (("c", ("a", "b")),))),
@@ -407,7 +404,7 @@ class TestRecords:
     record."""
 
     def test_every_record_is_covered(self):
-        assert len({cls for cls, *_ in RECORD_CASES}) == 17
+        assert len({cls for cls, *_ in RECORD_CASES}) == 16
 
     @pytest.mark.parametrize("case", RECORD_CASES, ids=lambda case: case[0].__name__)
     def test_positional_and_keyword_construction(self, case):

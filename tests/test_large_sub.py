@@ -34,7 +34,7 @@ from frs import (
 )
 from frs.completeness import right_drift_letters
 from frs.core import DEFAULT_STEP_CAP, RuleEmitter
-from frs.large_sub import C_M1, C_M2, C_R, D1, D2, ConstructionError, build_b_alphabet
+from frs.large_sub import C_M1, C_M2, C_R, D1, D2, ConstructionError, _c_kind, build_b_alphabet
 from frs.property_r import COUNTEREXAMPLE
 
 from conftest import rule_set, system, w
@@ -367,7 +367,10 @@ class TestBAlphabet:
             "c_a_b_a",
             "c_a_a_a",
         )
-        kinds = {c.letter: c.kind for c in cons_free.c_letters}
+        kinds = {
+            letter: _c_kind(image, cons_free.classification)
+            for letter, image in cons_free.images.items()
+        }
         assert kinds == {
             "c_b_a": "C_R",
             "c_a_b": "C_L1",
@@ -378,18 +381,22 @@ class TestBAlphabet:
 
     def test_single_boundary_letter(self, cons_aaa):
         assert cons_aaa.b_alphabet.names() == ("c_a_a",)
-        assert cons_aaa.c_letters[0].kind == "C_L2"
+        assert _c_kind(cons_aaa.images["c_a_a"], cons_aaa.classification) == "C_L2"
 
     def test_every_image_short(self, cons_free, cons_aaa):
         for cons in (cons_free, cons_aaa):
-            for c in cons.c_letters:
-                assert 2 <= len(c.image) <= 3
+            for image in cons.images.values():
+                assert 2 <= len(image) <= 3
 
     @pytest.mark.parametrize("shape", sorted({**LADDER_SHAPES, **MORE_LADDER_SHAPES}))
     def test_right_drift_letters_are_the_right_drift_kinds(self, shape):
         # The image shapes pick the generators of kinds C_R, C_M1 and C_M2.
         cons = build_construction(ladder_presentation(shape))
-        kinds = {c.letter for c in cons.c_letters if c.kind in (C_R, C_M1, C_M2)}
+        kinds = {
+            letter
+            for letter, image in cons.images.items()
+            if _c_kind(image, cons.classification) in (C_R, C_M1, C_M2)
+        }
         assert right_drift_letters(cons.images, cons.b_alphabet) == kinds
 
 

@@ -306,8 +306,9 @@ class TestConstructionLaws:
 
     def test_retraction_is_left_inverse_of_substitution(self, free_a, free_ab):
         for result in _fixtures(free_a, free_ab):
+            phi = result.as_candidate_tuple().phi
             for word in words_over(result.base.alphabet, 8):
-                assert result.phi(result.rho(word)) == word
+                assert phi(result.rho(word)) == word
 
     def test_rho_tail_factorization(self, free_a, free_ab):
         # If rho splits off the last factor of a triple product, it also
@@ -348,6 +349,7 @@ class TestConstructionLaws:
 
     def test_every_extended_word_reaches_its_canonical_form(self, free_a, free_ab):
         for result in _fixtures(free_a, free_ab):
+            phi = result.as_candidate_tuple().phi
             for word in words_over(result.b_alphabet, 6):
-                target = result.rho(result.phi(word))
+                target = result.rho(phi(word))
                 assert reduces_to(word, target, result.r_s)
