@@ -104,8 +104,6 @@ def _cmd_letter_intro(args: argparse.Namespace) -> int:
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
-    if presentation.complement is None:
-        raise InputError("the input file must declare a complement")
     prepared = pipeline.prepare_presentation(presentation, args.step_cap)
     _write(args.output, prepared)
     print(
@@ -118,8 +116,6 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 def _cmd_large_sub(args: argparse.Namespace) -> int:
     presentation = _load(args.file)
-    if presentation.complement is None:
-        raise InputError("the input file must declare a complement")
     prepared = pipeline.prepare_presentation(presentation, args.step_cap)
     construction = large_sub.build_construction(prepared, args.step_cap)
     system = construction.r_t

@@ -4,7 +4,8 @@ Termination of a finite rewriting system is undecidable in general, so the
 checker is tiered: it first looks for a reduction-order certificate (strict
 length decrease, or a lexicographic measure that lets a designated set of
 "heavy" letters only disappear or drift to the right), and otherwise falls
-back to an exhaustive cycle search over all words up to a length bound.
+back to an exhaustive cycle search over all words up to a length bound,
+followed, when it finds no cycle, by a scan for a self-embedding rule.
 When the letters' images under a homomorphism phi are known (a generated
 presentation's ``generator:`` lines), a measure pulled back along phi can
 prove that no cycle exists; the search's answer is then computed, not
@@ -371,7 +372,10 @@ def check_termination(
        sets, ``seed`` first;
     3. exhaustive cycle search over words of length <= max_len ->
        bounded_verified, or a concrete cycle as counterexample; unknown
-       when more than ``step_cap`` states are entered.
+       when more than ``step_cap`` states are entered;
+    4. when the search finds no cycle, a self-embedding rule l -> x l y,
+       which rewrites forever in a chain that only grows, is a
+       counterexample (lhs, rhs) all the same.
 
     With the letters' ``images`` under phi, a certificate pulled back along
     phi (:func:`_pulled_back_certificate`) can show that the system has no
@@ -379,7 +383,8 @@ def check_termination(
     the search would return: it would enter every word of length <=
     max_len once, so it is unknown exactly when there are more than
     max(step_cap, 0) such words, and bounded_verified otherwise.  A cycle
-    is only ever reported by the search.
+    is only ever reported by the search, and a system that either
+    certificate proves terminating has no self-embedding rule.
     """
     certificate = find_measure_certificate(system, seed)
     if certificate is not None:
@@ -388,7 +393,12 @@ def check_termination(
         if _more_words_than(len(system.alphabet), max_len, step_cap):
             return TerminationEvidence(UNKNOWN, certificate=_cap_message(step_cap))
         return TerminationEvidence(BOUNDED_VERIFIED, depth=max_len)
-    return _bounded_cycle_search(system, max_len, step_cap)
+    evidence = _bounded_cycle_search(system, max_len, step_cap)
+    if evidence.status != COUNTEREXAMPLE:
+        for i, rule in enumerate(system.rules):
+            if any(j == i for _, j in system.matcher.redexes(rule.rhs)):
+                return TerminationEvidence(COUNTEREXAMPLE, cycle=(rule.lhs, rule.rhs))
+    return evidence
 
 
 def check_local_confluence(

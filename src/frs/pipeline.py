@@ -67,10 +67,7 @@ def letterize_complement(
             return Presentation(system, complement)
         result = letter_intro.build_letter_intro(system, long_words[0], step_cap=step_cap)
         system = result.r_s
-        renamed = tuple(normal_form(word, system, step_cap) for word in complement)
-        complement = canonicalize_complement(
-            Presentation(system, renamed), step_cap
-        )
+        complement = canonicalize_complement(Presentation(system, complement), step_cap)
     raise InternalError(
         f"complement letterization did not converge within {bound} rounds"
     )
@@ -214,15 +211,12 @@ def prepare_presentation(
     satisfies Q1, Q2 and Q3.
     """
     if not presentation.complement:
-        raise InputError("a complement declaration is required")
+        raise InputError("the input file must declare a complement")
     completeness.require_complete(presentation.system, step_cap)
 
-    canonical = Presentation(
-        presentation.system, canonicalize_complement(presentation, step_cap)
-    )
-    letterized = letterize_complement(canonical, step_cap)
+    letterized = letterize_complement(presentation, step_cap)
     if letterized.system is not presentation.system:
-        _verify_stage(letterized.system, "letterize", step_cap, canonical)
+        _verify_stage(letterized.system, "letterize", step_cap, presentation)
 
     interreduced = normalize_q2_q3(letterized.system, step_cap)
     if interreduced.rules != letterized.system.rules:

@@ -7,28 +7,31 @@ decides the property outright (termination of the image-preserving rule
 subset).  Each property reports verified-to-bound, a concrete
 counterexample, or inconclusive when a step cap was hit.
 
-P4 and P6 take the B-words a class at a time
-(:meth:`~frs.core.LhsMatcher.walk_classes`): the words of a class share
-their normal form and their image, so one test passes them all.  When a
-class fails, a walk passes the step cap or a function of the tuple raises,
-the property sweeps its B-words one by one instead (``_sweep``), so every
+P1, P4, P5 and P6 each have a fast proof and a sweep, joined by one rule
+(``_proved_or_swept``): the proof's result stands when it verifies the
+property.  Otherwise (the proof returns None or another result, or
+raises, a step cap hit included) the property is swept, so every
 counterexample, inconclusive result and error comes from the sweep.
 
-P1 and P5 of a letter introduction with a borderless named word are
-proved at every length by the A-words of length <= L (the lemma at
-:func:`frs.letter_intro.rho_s`), when L is below the A-bound and the
-tuple's rho, phi and representative set are still the letter
-introduction's own.  The property then reports the witness count of the
-sweep to the A-bound, with a note naming the short words.  When a short
-word fails or passes the step cap, the property sweeps every A-word, so
-again every counterexample and inconclusive result comes from the sweep.
+P4 and P6 are proved a class of B-words at a time
+(:meth:`~frs.core.LhsMatcher.walk_classes`): the words of a class share
+their normal form and their image, so one test passes them all.  Their
+sweeps take the B-words one by one (``_sweep``).
+
+P1 and P5 check the A-words they are given.  Those of a letter
+introduction with a borderless named word are proved at every length by
+the A-words of length <= L (the lemma at :func:`frs.letter_intro.rho_s`),
+when L is below the A-bound and the tuple's rho, phi, representative set
+and T-membership are still the letter introduction's own.  The proof
+reports the witness count of the sweep to the A-bound, with a note naming
+the short words.  Only a sweep lists the representative set.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from . import completeness
 from .core import (
@@ -121,51 +124,67 @@ class IsomorphismReport(NamedTuple):
     image_count: int = 0
 
 
-def _sweep(words: Iterator[Item], ok: Callable[[Item], bool]) -> tuple[int, Item | None]:
+def _sweep(
+    name: str,
+    bound: int,
+    words: Iterator[Item],
+    ok: Callable[[Item], bool],
+    counterexample: Callable[[Item], tuple[Word, ...]],
+) -> PropertyResult:
     """Map ``ok`` over ``words`` (B-words, or B-words paired with their
     images) one chunk of ``SWEEP_CHUNK`` at a time.
 
-    Returns how many words were swept and the first word that fails, if
-    any; the sweep stops after the chunk that holds it, so a step cap hit
-    in a later chunk is never reached.
+    The property is verified with one witness per word swept, or has the
+    ``counterexample`` of the first word that fails; the sweep stops after
+    the chunk that holds it, so a step cap hit in a later chunk is never
+    reached.
     """
     swept = 0
     while chunk := list(islice(words, SWEEP_CHUNK)):
         for word, good in zip(chunk, pmap(ok, chunk)):
             if not good:
-                return swept, word
+                return PropertyResult(name, COUNTEREXAMPLE, bound, 0, counterexample(word))
         swept += len(chunk)
-    return swept, None
+    return PropertyResult(name, VERIFIED, bound, swept)
 
 
-def _unless_raised(count: Callable[[], Item | None]) -> Item | None:
-    """``count()``, or None when it raises.  Nothing is lost: the property
-    then sweeps word by word, meets the same failure and reports it as the
-    sweep does."""
+def _proved_or_swept(
+    proof: Callable[[], PropertyResult | None], sweep: Callable[[], PropertyResult]
+) -> PropertyResult:
+    """The proof's result when it is verified; otherwise, also when the
+    proof returns None or raises, the sweep's.  Nothing is lost: every
+    counterexample, inconclusive result and error comes from the sweep."""
     try:
-        return count()
+        res = proof()
     except Exception:
-        return None
+        res = None
+    return res if res is not None and res.status == VERIFIED else sweep()
 
 
-def _short_words(tup: CandidateTuple, bound_a: int) -> tuple[int, int] | None:
-    """(count, L) when the A-words of length <= L, ``count`` of them, prove
-    P1 and P5 at every length: the tuple is a letter introduction's own
-    (equal images, the same rho and in_at), the named word w0 is
-    borderless, and L = maxlen(base) + 2(|w0| - 1) is below ``bound_a``.
-    The proof is at :func:`frs.letter_intro.rho_s`.  None otherwise.
+def _short_words(tup: CandidateTuple, bound_a: int) -> int | None:
+    """L when the A-words of length <= L prove P1 and P5 at every length:
+    the tuple is a letter introduction's own (equal images, the same rho,
+    in_at and in_t), the named word w0 is borderless, and L = maxlen(base)
+    + 2(|w0| - 1) is below ``bound_a``.  The proof is at
+    :func:`frs.letter_intro.rho_s`.  Every A-word is then a representative,
+    so the proof skips no validation of the representative set.  None
+    otherwise.
     """
     intro = tup.letter_intro
-    if intro is None or (tup.images, tup.rho, tup.in_at) != (intro.images, intro.rho, intro.in_at):
+    if intro is None or not intro.borderless:
         return None
-    if not intro.borderless:
+    own = (intro.images, intro.rho, intro.in_at, intro.in_at)
+    if (tup.images, tup.rho, tup.in_at, tup.in_t) != own:
         return None
-    base = tup.base
-    length = max((len(rule.lhs) for rule in base.rules), default=0) + 2 * (len(intro.w0) - 1)
-    if length >= bound_a:
-        return None
+    length = max((len(rule.lhs) for rule in tup.base.rules), default=0) + 2 * (len(intro.w0) - 1)
+    return length if length < bound_a else None
+
+
+def _p5_witnesses(base: RewritingSystem, bound_a: int) -> int:
+    """The witnesses of a P5 sweep of a letter introduction that verifies:
+    every A-word of length <= bound_a is a representative."""
     size = len(base.alphabet)
-    return sum(size**n for n in range(1, length + 1)), length
+    return sum(size**n for n in range(1, bound_a + 1))
 
 
 def _p1_witnesses(base: RewritingSystem, bound_a: int) -> int:
@@ -201,10 +220,12 @@ def check_p1_to_p6(
     """Verify the six properties at the given bounds.
 
     bound_a limits the A-side properties (P1, P5), bound_b the B-side ones
-    (P3, P4, P6); P2 is per-rule and needs no bound.  P1 and P5 of a
-    letter introduction may be proved at every length by the A-words up to
-    a shorter length (see the module docstring); they still report
-    bound_a and the witness count of the sweep to it.
+    (P3, P4, P6); P2 is per-rule and needs no bound.  P1, P4, P5 and P6
+    are proved where a proof applies and swept otherwise
+    (:func:`_proved_or_swept`); P1 and P5 of a letter introduction may be
+    proved at every length by the A-words up to a shorter length, and
+    still report bound_a and the witness count of the sweep to it (see the
+    module docstring).
     """
     base, system = tup.base, tup.system
     results: list[PropertyResult] = []
@@ -232,47 +253,35 @@ def check_p1_to_p6(
                 members.append(word)
         return members
 
-    # rho of a_members()[:len(rhos)], filled in order by P1 and then by P5.
-    rhos: list[Word] = []
-
-    def rho_of(i: int) -> Word:
-        if i == len(rhos):
-            rhos.append(tup.rho(a_members()[i]))
-        return rhos[i]
-
+    # rho of each word P1 or P5 checks, computed once for both.
+    rho = cache(tup.rho)
     b_letters = system.alphabet.names()
     # The image-preserving rules, in system order (P3, P6).
     preserved = system.with_rules(r for r in system.rules if tup.phi(r.lhs) == tup.phi(r.rhs))
 
-    # P1 and P5 check the first ``count`` representatives.  They check the
-    # short words first when those prove every length, and report the
-    # witness count of the sweep; a failure, step-cap hit or error on a
-    # short word sweeps them all.
-    short = _short_words(tup, bound_a)
+    # P1 and P5 check the words they are given: the representative set when
+    # swept, or the short words when those prove every length.  A proof
+    # reports the witness count of the sweep to bound_a.
+    length = _short_words(tup, bound_a)
+    short = None if length is None else list(words_over(base.alphabet, length))
 
     def every_length(
-        check: Callable[[int], PropertyResult], witnesses: Callable[[], int]
-    ) -> Callable[[], PropertyResult]:
-        def run() -> PropertyResult:
-            if short is not None:
-                count, length = short
-                res = _unless_raised(lambda: check(count))
-                if res is not None and res.status == VERIFIED:
-                    note = f"every length: {count} words of length <= {length}"
-                    return res._replace(witness_count=witnesses(), note=note)
-            return check(len(a_members()))
-
-        return run
+        check: Callable[[Iterable[Word]], PropertyResult], witnesses: int
+    ) -> PropertyResult | None:
+        if short is None:
+            return None
+        note = f"every length: {len(short)} words of length <= {length}"
+        return check(short)._replace(witness_count=witnesses, note=note)
 
     # P1: each reduction out of a representative is mirrored by one step of
     # the candidate system, landing phi-above a descendant.  One search from
     # each base reduct v1 looks for the images of all of the candidate's
     # reducts at once; with no candidate reduct there is nothing to search.
-    def p1(count: int) -> PropertyResult:
+    def p1(words: Iterable[Word]) -> PropertyResult:
         witnesses = 0
         successors = base.matcher.successors
-        for i, u in enumerate(a_members()[:count]):
-            rho_u = _require_known(rho_of(i), system)
+        for u in words:
+            rho_u = _require_known(rho(u), system)
             # u was drawn over the base alphabet, so its reducts need no check.
             base_reducts = successors(u)
             if not base_reducts:
@@ -322,21 +331,18 @@ def check_p1_to_p6(
     # P4: every B-word reaches one whose image is a representative.  The
     # words of a class share their normal form, so one test of each
     # distinct normal form passes them all; otherwise the sweep decides.
-    def p4() -> PropertyResult:
-        def by_class() -> int | None:
-            passed: set[Word] = set()
-            words = 0
-            for _, nf, weight, _ in system.matcher.walk_classes(b_letters, bound_b, step_cap):
-                if nf not in passed:
-                    if not tup.in_at(tup.phi(nf)):
-                        return None
-                    passed.add(nf)
-                words += weight
-            return words
+    def p4_by_class() -> PropertyResult | None:
+        passed: set[Word] = set()
+        words = 0
+        for _, nf, weight, _ in system.matcher.walk_classes(b_letters, bound_b, step_cap):
+            if nf not in passed:
+                if not tup.in_at(tup.phi(nf)):
+                    return None
+                passed.add(nf)
+            words += weight
+        return PropertyResult("P4", VERIFIED, bound_b, words)
 
-        if (words := _unless_raised(by_class)) is not None:
-            return PropertyResult("P4", VERIFIED, bound_b, words)
-
+    def p4_sweep() -> PropertyResult:
         def ok(u_prime: Word) -> bool:
             if tup.in_at(tup.phi(normal_form(u_prime, system, step_cap))):
                 return True
@@ -349,18 +355,17 @@ def check_p1_to_p6(
                 f"P4 search from '{show(u_prime)}' exceeded {step_cap} states",
             )
 
-        swept, bad = _sweep(words_over(system.alphabet, bound_b), ok)
-        if bad is not None:
-            return PropertyResult("P4", COUNTEREXAMPLE, bound_b, 0, (bad,))
-        return PropertyResult("P4", VERIFIED, bound_b, swept)
+        return _sweep("P4", bound_b, words_over(system.alphabet, bound_b), ok, lambda bad: (bad,))
 
     # P5: rho is a section of phi on the representative set.
-    def p5(count: int) -> PropertyResult:
-        for i, u in enumerate(a_members()[:count]):
-            image = tup.phi(rho_of(i))
+    def p5(words: Iterable[Word]) -> PropertyResult:
+        count = 0
+        for u in words:
+            image = tup.phi(rho(u))
             if image != u:
                 return PropertyResult("P5", COUNTEREXAMPLE, bound_a, 0, (u, image))
-        return PropertyResult("P5", VERIFIED, bound_a, len(a_members()))
+            count += 1
+        return PropertyResult("P5", VERIFIED, bound_a, count)
 
     # P6: every B-word whose image is a representative reduces to the
     # canonical form of that image.  Image-preserving steps keep phi, and
@@ -368,21 +373,18 @@ def check_p1_to_p6(
     # walk all have the image of the class's normal form nf; when rho of a
     # representative image is nf, each word's walk reaches it within the
     # cap.  Otherwise the sweep decides.
-    def p6() -> PropertyResult:
-        preserving = preserved.matcher
+    preserving = preserved.matcher
 
-        def by_class() -> int | None:
-            words = 0
-            for _, nf, weight, _ in preserving.walk_classes(b_letters, bound_b, step_cap):
-                if tup.in_at(image := tup.phi(nf)):
-                    if tup.rho(image) != nf:
-                        return None
-                    words += weight
-            return words
+    def p6_by_class() -> PropertyResult | None:
+        words = 0
+        for _, nf, weight, _ in preserving.walk_classes(b_letters, bound_b, step_cap):
+            if tup.in_at(image := tup.phi(nf)):
+                if tup.rho(image) != nf:
+                    return None
+                words += weight
+        return PropertyResult("P6", VERIFIED, bound_b, words)
 
-        if (words := _unless_raised(by_class)) is not None:
-            return PropertyResult("P6", VERIFIED, bound_b, words)
-
+    def p6_sweep() -> PropertyResult:
         def ok(word_and_image: tuple[Word, Word]) -> bool:
             u_prime, image = word_and_image
             target = tup.rho(image)
@@ -396,23 +398,21 @@ def check_p1_to_p6(
             for u_prime in words_over(system.alphabet, bound_b)
             if tup.in_at(image := tup.phi(u_prime))
         )
-        swept, bad = _sweep(b_words, ok)
-        if bad is not None:
-            bad_word, bad_image = bad
-            return PropertyResult(
-                "P6", COUNTEREXAMPLE, bound_b, 0, (bad_word, tup.rho(bad_image))
-            )
-        return PropertyResult("P6", VERIFIED, bound_b, swept)
+        return _sweep("P6", bound_b, b_words, ok, lambda bad: (bad[0], tup.rho(bad[1])))
 
     # The bound each property is swept to, also when a step cap stops it.
     bounds = (bound_a, 0, bound_b, bound_b, bound_a, bound_b)
     checks = (
-        every_length(p1, lambda: _p1_witnesses(base, bound_a)),
+        lambda: _proved_or_swept(
+            lambda: every_length(p1, _p1_witnesses(base, bound_a)), lambda: p1(a_members())
+        ),
         p2,
         p3,
-        p4,
-        every_length(p5, lambda: len(a_members())),
-        p6,
+        lambda: _proved_or_swept(p4_by_class, p4_sweep),
+        lambda: _proved_or_swept(
+            lambda: every_length(p5, _p5_witnesses(base, bound_a)), lambda: p5(a_members())
+        ),
+        lambda: _proved_or_swept(p6_by_class, p6_sweep),
     )
     for name, bound, check in zip(PROPERTY_NAMES, bounds, checks):
         try:

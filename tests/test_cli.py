@@ -124,6 +124,17 @@ class TestCheck:
         assert main(["check", path]) == code
         assert len(calls) == searches
 
+    def test_self_embedding_rule_is_a_counterexample(self, files, capsys):
+        # a -> a a never terminates, though no word of the bounded search
+        # comes back to itself.
+        write, _ = files
+        assert main(["check", write("grow.frs", "alphabet: a b\nrule: a -> a a\n")]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "termination: counterexample (a -> a a)",
+            "local confluence: all 0 critical pairs joined",
+            "verdict: incomplete",
+        ]
+
     def test_parse_error_exits_two(self, files, capsys):
         write, _ = files
         assert main(["check", write("bad.frs", "alphabet: a\nrule: -> a\n")]) == 2
@@ -273,6 +284,27 @@ class TestPrepareAndLargeSub:
             assert main([command, src, "-o", str(out)]) == 2
             assert capsys.readouterr() == ("", NOT_COMPLETE)
             assert not out.exists()
+
+    def test_self_embedding_source_is_refused(self, files, tmp_path, capsys):
+        # b -> b b rewrites forever; the source is not complete.
+        write, _ = files
+        src = write("grow.frs", "alphabet: a b\nrule: b -> b b\ncomplement: a\n")
+        for command in ("prepare", "large-sub"):
+            out = tmp_path / f"{command}.frs"
+            assert main([command, src, "-o", str(out)]) == 2
+            assert capsys.readouterr() == ("", NOT_COMPLETE)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["prepare", "large-sub"])
+    def test_missing_complement_message(self, command, files, tmp_path, capsys):
+        write, _ = files
+        out = tmp_path / "o.frs"
+        assert main([command, write("f.frs", FREE_AB), "-o", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "input error: the input file must declare a complement\n",
+        )
+        assert not out.exists()
 
     def test_complement_that_is_not_closed_is_refused_before_letterizing(
         self, files, tmp_path, capsys

@@ -320,6 +320,24 @@ class TestTermination:
         assert evidence.status == "bounded_verified"
         assert evidence.depth == 5
 
+    @pytest.mark.parametrize("step_cap", [1, DEFAULT_STEP_CAP])
+    def test_self_embedding_rule_is_a_counterexample(self, step_cap):
+        # a -> b a b rewrites a forever, but every chain only grows, so the
+        # bounded search meets no cycle (or stops at a cap of 1).
+        grower = system("a b", ("a", "bab"))
+        evidence = check_termination(grower, step_cap=step_cap)
+        assert evidence.status == "counterexample"
+        assert [show(word) for word in evidence.cycle] == ["a", "b a b"]
+
+    def test_cycle_found_by_the_search_comes_first(self):
+        # With the cycle a b -> b a -> a b in reach, the search reports it;
+        # when its cap stops it first, the self-embedding a -> a a decides.
+        sys = system("a b", ("ab", "ba"), ("ba", "ab"), ("a", "aa"))
+        cycle = check_termination(sys).cycle
+        assert [show(word) for word in cycle] == ["a a a a a b", "a a a a b a", "a a a a a b"]
+        capped = check_termination(sys, step_cap=1)
+        assert [show(word) for word in capped.cycle] == ["a", "a a"]
+
 
 # Systems that no letter measure certifies but whose generator images do:
 # name -> (system, images).  Large-sub outputs of idcomm, mono42, comm_ab

@@ -588,7 +588,7 @@ class TestClassWalkAgainstSweep:
             for step_cap in (-1, 0, 1, 2, 3, 4, 5, DEFAULT_STEP_CAP)
         ]
         by_class = [p4_and_p6(variants[name], *rest) for name, *rest in grid]
-        monkeypatch.setattr(property_r, "_unless_raised", lambda count: None)
+        monkeypatch.setattr(property_r, "_proved_or_swept", lambda proof, sweep: sweep())
         for (name, *rest), results in zip(grid, by_class):
             assert results == p4_and_p6(variants[name], *rest), (name, *rest)
         statuses = {res.status for results in by_class for res in results if hasattr(res, "status")}
@@ -658,6 +658,34 @@ class TestShortWordsAgainstSweep:
         assert not tup.letter_intro.borderless
         results = p1_and_p5(tup, bound_a)
         assert results == p1_and_p5(swept(tup), bound_a)
+        assert [res.status for res in results] == ["verified", "verified"]
+        assert all(res.note == "" for res in results)
+
+    @pytest.mark.parametrize("bound_a", [9, 11])
+    def test_proof_draws_only_the_short_words(self, tuple_threebase, bound_a, monkeypatch):
+        # The sweep would list every A-word up to bound_a (29,523 at 9).
+        letters = set(tuple_threebase.base.alphabet.names())
+        drawn = []
+
+        def words_over(alphabet, max_len):
+            for word in property_r_words_over(alphabet, max_len):
+                if set(word) <= letters:
+                    drawn.append(word)
+                yield word
+
+        property_r_words_over = property_r.words_over
+        monkeypatch.setattr(property_r, "words_over", words_over)
+        p1, p5 = p1_and_p5(tuple_threebase, bound_a)
+        assert p1.note == p5.note == "every length: 120 words of length <= 4"
+        assert p5.witness_count == sum(3**n for n in range(1, bound_a + 1))
+        assert len(drawn) <= 120
+
+    def test_replaced_in_t_sweeps(self, tuple_threebase):
+        # The proof skips the representative set's validation, which reads
+        # in_t, so it applies only to the letter introduction's own in_t.
+        tup = tuple_threebase._replace(in_t=lambda word: True)
+        results = p1_and_p5(tup, 6)
+        assert results == p1_and_p5(swept(tuple_threebase), 6)
         assert [res.status for res in results] == ["verified", "verified"]
         assert all(res.note == "" for res in results)
 
