@@ -39,8 +39,9 @@ from .fileformat import ParseError, Presentation, parse_presentation, serialize_
 # The names each lazily loaded module serves from the package.
 _LAZY_EXPORTS = {
     "completeness": (
-        "CompletenessReport",
         "CriticalPair",
+        "Evidence",
+        "Report",
         "check_local_confluence",
         "check_termination",
         "critical_pairs",
@@ -70,7 +71,6 @@ _LAZY_EXPORTS = {
     "property_r": (
         "CandidateTuple",
         "IsomorphismReport",
-        "PropertyRReport",
         "check_isomorphism_slice",
         "check_p1_to_p6",
     ),

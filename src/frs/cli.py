@@ -25,6 +25,9 @@ from .core import (
 from .fileformat import Presentation, parse_presentation, serialize_presentation
 
 OK, FAILED, BAD_INPUT, INCONCLUSIVE = 0, 1, 2, 3
+# The exit code of each verdict of completeness.decide, spelled out so that
+# a command that decides nothing does not load completeness.
+EXIT = {"complete": OK, "incomplete": FAILED, "inconclusive": INCONCLUSIVE}
 
 
 def _load(path: str) -> Presentation:
@@ -56,29 +59,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = completeness.verify_complete(
         presentation.system, args.max_len, args.step_cap, dict(presentation.generators)
     )
-    term = report.termination
-    detail = term.certificate or ""
-    if term.status == completeness.BOUNDED_VERIFIED:
-        detail = f"no reduction cycles among words of length <= {term.depth}"
-    if term.status == completeness.COUNTEREXAMPLE and term.cycle:
-        detail = " -> ".join(map(show, term.cycle))
-    print(f"termination: {term.status}" + (f" ({detail})" if detail else ""))
-    conf = report.local_confluence
-    if conf.status == completeness.ALL_JOINED:
-        print(f"local confluence: all {conf.joined_count} critical pairs joined")
+    term, conf = report.results
+    if term.counterexample:
+        detail = " -> ".join(map(show, term.counterexample))
+    elif term.status == completeness.BOUNDED_VERIFIED:
+        detail = f"no reduction cycles among words of length <= {term.bound}"
     else:
-        pair = conf.counterexample
-        if conf.status == completeness.INCONCLUSIVE:
-            detail = f"step cap {args.step_cap} exceeded"
-        else:
-            detail = f"{show(conf.left_nf)} vs {show(conf.right_nf)}"
-        print(f"local confluence: {conf.status} at source '{show(pair.source)}' ({detail})")
+        detail = term.note
+    print(f"termination: {term.status}" + (f" ({detail})" if detail else ""))
+    if conf.status == completeness.ALL_JOINED:
+        print(f"local confluence: all {conf.witness_count} critical pairs joined")
+    else:
+        source, *normal_forms = conf.counterexample
+        detail = " vs ".join(map(show, normal_forms)) or f"step cap {args.step_cap} exceeded"
+        print(f"local confluence: {conf.status} at source '{show(source)}' ({detail})")
     print(f"verdict: {report.verdict}")
-    if report.verdict == completeness.COMPLETE:
-        return OK
-    if report.verdict == completeness.INCOMPLETE:
-        return FAILED
-    return INCONCLUSIVE
+    return EXIT[report.verdict]
 
 
 def _cmd_nf(args: argparse.Namespace) -> int:
@@ -180,21 +176,17 @@ def _cmd_verify_tuple(args: argparse.Namespace) -> int:
     report = property_r.check_p1_to_p6(tup, args.bound_a, args.bound_b, args.step_cap)
     for res in report.results:
         line = f"{res.name}: {res.status}"
-        if res.status == property_r.VERIFIED:
+        if res.status == completeness.VERIFIED:
             line += f" (bound {res.bound}, {res.witness_count} witnesses)"
-        elif res.status == property_r.INCONCLUSIVE:
+        elif res.status == completeness.INCONCLUSIVE:
             line += f" (bound {res.bound})"
         elif res.counterexample:
             line += " at " + " / ".join(f"'{show(w)}'" for w in res.counterexample)
         if res.note:
             line += f" [{res.note}]"
         print(line)
-    print(f"overall: {'verified' if report.overall else 'not verified'}")
-    if report.overall:
-        return OK
-    if any(res.status == property_r.COUNTEREXAMPLE for res in report.results):
-        return FAILED
-    return INCONCLUSIVE
+    print("overall: " + ("verified" if report.verdict == completeness.COMPLETE else "not verified"))
+    return EXIT[report.verdict]
 
 
 def _cmd_verify_iso(args: argparse.Namespace) -> int:

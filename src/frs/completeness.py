@@ -5,7 +5,8 @@ checker is tiered: it first looks for a reduction-order certificate (strict
 length decrease, or a lexicographic measure that lets a designated set of
 "heavy" letters only disappear or drift to the right), and otherwise falls
 back to an exhaustive cycle search over all words up to a length bound,
-followed, when it finds no cycle, by a scan for a self-embedding rule.
+followed, when it finds no cycle, by a search for a loop l ->+ x l y from
+each left-hand side l.
 When the letters' images under a homomorphism phi are known (a generated
 presentation's ``generator:`` lines), a measure pulled back along phi can
 prove that no cycle exists; the search's answer is then computed, not
@@ -15,14 +16,17 @@ pairs are joined as they are found, one at a time, while
 :func:`critical_pairs` still returns the whole list.  Each distinct result
 word is normalized once per check, and a step-cap hit is not cached (it
 ends the check as inconclusive).
-Completeness = termination + local confluence (Newman's lemma); the report
-records which evidence tier supported the termination half, so bounded
-verdicts are visibly weaker than certified ones.
+Completeness = termination + local confluence (Newman's lemma).  Each half
+is an :class:`Evidence` record, as is each of the properties P1-P6 of
+:mod:`frs.property_r`, and :func:`decide` draws every verdict from such
+records by one rule.  The termination status names the tier that
+supported it, so bounded verdicts are visibly weaker than certified ones.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
@@ -49,10 +53,19 @@ BOUNDED_VERIFIED = "bounded_verified"
 COUNTEREXAMPLE = "counterexample"
 UNKNOWN = "unknown"
 ALL_JOINED = "all_joined"
+VERIFIED = "verified"
 INCONCLUSIVE = "inconclusive"
+# The statuses under which a result holds.
+HOLDS = frozenset({CERTIFIED, BOUNDED_VERIFIED, ALL_JOINED, VERIFIED})
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
+
+TERMINATION = "termination"
+CONFLUENCE = "local confluence"
+
+# The words that the loop search enters from each left-hand side.
+LOOP_STATES = 200
 
 
 class CriticalPair(NamedTuple):
@@ -66,28 +79,48 @@ class CriticalPair(NamedTuple):
     rule_indices: tuple[int, int]
 
 
-class TerminationEvidence(NamedTuple):
+class Evidence(NamedTuple):
+    """The evidence for one verdict: termination, local confluence, or one
+    of the properties P1-P6 (:mod:`frs.property_r`).
+
+    ``bound`` is the length bound searched or swept to (0 where there is
+    none), ``witness_count`` the words, rules or critical pairs that passed,
+    and ``note`` a certificate, a cap message or the words that a proof
+    used.  ``counterexample`` holds the words that refute the claim: a
+    reduction cycle or loop for termination; (source, left normal form,
+    right normal form) for local confluence, or (source,) where a step cap
+    stopped the join; the failing words of a property.
+    """
+
+    name: str
     status: str
-    certificate: str | None = None
-    depth: int | None = None
-    cycle: tuple[Word, ...] | None = None
-
-    def holds(self) -> bool:
-        return self.status in (CERTIFIED, BOUNDED_VERIFIED)
+    bound: int
+    witness_count: int = 0
+    counterexample: tuple[Word, ...] | None = None
+    note: str = ""
 
 
-class ConfluenceEvidence(NamedTuple):
-    status: str
-    joined_count: int = 0
-    counterexample: CriticalPair | None = None
-    left_nf: Word | None = None
-    right_nf: Word | None = None
+class Report(NamedTuple):
+    """Evidence and the verdict that :func:`decide` draws from it."""
 
-
-class CompletenessReport(NamedTuple):
-    termination: TerminationEvidence
-    local_confluence: ConfluenceEvidence
+    results: tuple[Evidence, ...]
     verdict: str
+
+    def result(self, name: str) -> Evidence:
+        for res in self.results:
+            if res.name == name:
+                return res
+        raise KeyError(name)
+
+
+def decide(results: Iterable[Evidence]) -> Report:
+    """The one verdict rule: complete when every result holds, incomplete
+    when one is a counterexample, inconclusive otherwise."""
+    results = tuple(results)
+    statuses = {res.status for res in results}
+    if statuses <= HOLDS:
+        return Report(results, COMPLETE)
+    return Report(results, INCOMPLETE if COUNTEREXAMPLE in statuses else INCONCLUSIVE)
 
 
 def _overlaps(
@@ -316,9 +349,7 @@ def _cap_message(step_cap: int) -> str:
     return f"bounded search stopped: more than {step_cap} states"
 
 
-def _bounded_cycle_search(
-    system: RewritingSystem, max_len: int, step_cap: int
-) -> TerminationEvidence:
+def _bounded_cycle_search(system: RewritingSystem, max_len: int, step_cap: int) -> Evidence:
     """Exhaustive cycle search over the words of length <= max_len: one
     depth-first search from each word, sharing the states seen and the cap.
 
@@ -340,9 +371,41 @@ def _bounded_cycle_search(
     except NonTerminationError as err:
         # A cycle comes as the trace; the cap hit has none.
         if err.trace:
-            return TerminationEvidence(COUNTEREXAMPLE, cycle=err.trace)
-        return TerminationEvidence(UNKNOWN, certificate=cap_message)
-    return TerminationEvidence(BOUNDED_VERIFIED, depth=max_len)
+            return Evidence(TERMINATION, COUNTEREXAMPLE, max_len, counterexample=err.trace)
+        return Evidence(TERMINATION, UNKNOWN, max_len, note=cap_message)
+    return Evidence(TERMINATION, BOUNDED_VERIFIED, max_len)
+
+
+def _occurs(factor: Word, word: Word) -> bool:
+    size = len(factor)
+    return any(word[pos: pos + size] == factor for pos in range(len(word) - size + 1))
+
+
+def _loop(system: RewritingSystem) -> tuple[Word, ...] | None:
+    """A loop, a derivation l ->+ x l y from a left-hand side l, which
+    rewrites l forever; None when none is found.
+
+    First the one-step loops: a rule whose right-hand side holds its
+    left-hand side, as (lhs, rhs).  Then, for each left-hand side l in rule
+    order, a breadth-first search of the words that l reduces to, which
+    enters at most ``LOOP_STATES`` of them and stops at the first reduct
+    that holds l; the derivation from l to it is the loop."""
+    for rule in system.rules:
+        if _occurs(rule.lhs, rule.rhs):
+            return rule.lhs, rule.rhs
+    successors = system.matcher.successors
+    for lhs in dict.fromkeys(rule.lhs for rule in system.rules):
+        seen = {lhs}
+        queue = deque([(lhs,)])
+        while queue:
+            derivation = queue.popleft()
+            for nxt in successors(derivation[-1]):
+                if _occurs(lhs, nxt):
+                    return (*derivation, nxt)
+                if nxt not in seen and len(seen) < LOOP_STATES:
+                    seen.add(nxt)
+                    queue.append((*derivation, nxt))
+    return None
 
 
 def _more_words_than(letters: int, max_len: int, step_cap: int) -> bool:
@@ -362,20 +425,25 @@ def check_termination(
     step_cap: int = DEFAULT_STEP_CAP,
     seed: frozenset[Letter] = frozenset(),
     images: Mapping[Letter, Word] | None = None,
-) -> TerminationEvidence:
-    """Three-tier termination check.
+) -> Evidence:
+    """Tiered termination check; the evidence's bound is ``max_len``.
 
     1. every rule strictly length-reducing -> certified (tried first
        unless ``seed`` is a nonempty set);
     2. a lexicographic heavy-letter measure strictly decreases ->
        certified; :func:`find_measure_certificate` searches the heavy
        sets, ``seed`` first;
-    3. exhaustive cycle search over words of length <= max_len ->
-       bounded_verified, or a concrete cycle as counterexample; unknown
-       when more than ``step_cap`` states are entered;
-    4. when the search finds no cycle, a self-embedding rule l -> x l y,
-       which rewrites forever in a chain that only grows, is a
-       counterexample (lhs, rhs) all the same.
+    3. exhaustive cycle search over words of length <= max_len -> a
+       concrete cycle as counterexample; unknown when more than
+       ``step_cap`` states are entered;
+    4. when the search finds no cycle, a loop from a left-hand side
+       (:func:`_loop`), which rewrites forever in a chain that need not
+       cycle, is a counterexample all the same; with none, the search's
+       answer stands: unknown, or bounded_verified, which means no cycle
+       among the words of length <= max_len and no loop from any
+       left-hand side within ``LOOP_STATES`` words.
+
+    A certificate goes in the note, as does the cap message of unknown.
 
     With the letters' ``images`` under phi, a certificate pulled back along
     phi (:func:`_pulled_back_certificate`) can show that the system has no
@@ -384,34 +452,34 @@ def check_termination(
     max_len once, so it is unknown exactly when there are more than
     max(step_cap, 0) such words, and bounded_verified otherwise.  A cycle
     is only ever reported by the search, and a system that either
-    certificate proves terminating has no self-embedding rule.
+    certificate proves terminating has no loop.
     """
     certificate = find_measure_certificate(system, seed)
     if certificate is not None:
-        return TerminationEvidence(CERTIFIED, certificate=certificate)
+        return Evidence(TERMINATION, CERTIFIED, max_len, note=certificate)
     if images and _pulled_back_certificate(system, images):
         if _more_words_than(len(system.alphabet), max_len, step_cap):
-            return TerminationEvidence(UNKNOWN, certificate=_cap_message(step_cap))
-        return TerminationEvidence(BOUNDED_VERIFIED, depth=max_len)
+            return Evidence(TERMINATION, UNKNOWN, max_len, note=_cap_message(step_cap))
+        return Evidence(TERMINATION, BOUNDED_VERIFIED, max_len)
     evidence = _bounded_cycle_search(system, max_len, step_cap)
     if evidence.status != COUNTEREXAMPLE:
-        for i, rule in enumerate(system.rules):
-            if any(j == i for _, j in system.matcher.redexes(rule.rhs)):
-                return TerminationEvidence(COUNTEREXAMPLE, cycle=(rule.lhs, rule.rhs))
+        loop = _loop(system)
+        if loop is not None:
+            return Evidence(TERMINATION, COUNTEREXAMPLE, max_len, counterexample=loop)
     return evidence
 
 
-def check_local_confluence(
-    system: RewritingSystem, step_cap: int = DEFAULT_STEP_CAP
-) -> ConfluenceEvidence:
+def check_local_confluence(system: RewritingSystem, step_cap: int = DEFAULT_STEP_CAP) -> Evidence:
     """Join every critical pair via normal forms, as the pairs are found:
-    the list of :func:`critical_pairs` is never built.
+    the list of :func:`critical_pairs` is never built.  The witnesses are
+    the pairs joined.
 
     Each distinct result word is normalized once: the normal forms are
     kept, by result word, for the rest of the call.  A step-cap hit is not
     kept; it ends the call on the pair that reached it, reported as
-    inconclusive rather than as a counterexample.  Decisive only when
-    termination is already established.
+    inconclusive with the counterexample (source,) rather than as a
+    counterexample (source, left normal form, right normal form).
+    Decisive only when termination is already established.
     """
     normal: dict[Word, Word] = {}
 
@@ -422,24 +490,15 @@ def check_local_confluence(
         return found
 
     joined = 0
-    for overlap in _overlaps(system):
+    for source, left, right, _, _ in _overlaps(system):
         try:
-            left_nf = normal_of(overlap[1])
-            right_nf = normal_of(overlap[2])
+            left_nf, right_nf = normal_of(left), normal_of(right)
         except NonTerminationError:
-            return ConfluenceEvidence(
-                INCONCLUSIVE, joined_count=joined, counterexample=CriticalPair(*overlap)
-            )
+            return Evidence(CONFLUENCE, INCONCLUSIVE, 0, joined, (source,))
         if left_nf != right_nf:
-            return ConfluenceEvidence(
-                COUNTEREXAMPLE,
-                joined_count=joined,
-                counterexample=CriticalPair(*overlap),
-                left_nf=left_nf,
-                right_nf=right_nf,
-            )
+            return Evidence(CONFLUENCE, COUNTEREXAMPLE, 0, joined, (source, left_nf, right_nf))
         joined += 1
-    return ConfluenceEvidence(ALL_JOINED, joined_count=joined)
+    return Evidence(CONFLUENCE, ALL_JOINED, 0, joined)
 
 
 def verify_complete(
@@ -447,18 +506,11 @@ def verify_complete(
     max_len: int = DEFAULT_SEARCH_LEN,
     step_cap: int = DEFAULT_STEP_CAP,
     images: Mapping[Letter, Word] | None = None,
-) -> CompletenessReport:
-    """Full report: termination evidence, local confluence, verdict.
-    ``images`` is passed on to :func:`check_termination`."""
+) -> Report:
+    """Termination and local confluence, and the verdict on them (Newman's
+    lemma).  ``images`` is passed on to :func:`check_termination`."""
     termination = check_termination(system, max_len, step_cap, images=images)
-    confluence = check_local_confluence(system, step_cap)
-    if termination.holds() and confluence.status == ALL_JOINED:
-        verdict = COMPLETE
-    elif termination.status == COUNTEREXAMPLE or confluence.status == COUNTEREXAMPLE:
-        verdict = INCOMPLETE
-    else:
-        verdict = INCONCLUSIVE
-    return CompletenessReport(termination, confluence, verdict)
+    return decide((termination, check_local_confluence(system, step_cap)))
 
 
 def require_complete(system: RewritingSystem, step_cap: int) -> None:

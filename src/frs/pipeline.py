@@ -184,10 +184,8 @@ def _verify_stage(
         return
     if source is not None:
         require_subsemigroup_closed(source, step_cap)
-    halves = (
-        f"termination {report.termination.status}, "
-        f"confluence {report.local_confluence.status}"
-    )
+    term, conf = report.results
+    halves = f"termination {term.status}, confluence {conf.status}"
     if report.verdict == completeness.INCOMPLETE:
         raise InternalError(f"stage '{stage}' broke completeness: {halves}")
     raise NonTerminationError(f"stage '{stage}' is not verified complete: {halves}")

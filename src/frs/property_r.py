@@ -5,7 +5,10 @@ The six properties quantify over infinitely many words; the checks here
 are exhaustive up to length bounds, except where a structural certificate
 decides the property outright (termination of the image-preserving rule
 subset).  Each property reports verified-to-bound, a concrete
-counterexample, or inconclusive when a step cap was hit.
+counterexample, or inconclusive when a step cap was hit, in a
+:class:`frs.completeness.Evidence` record; :func:`frs.completeness.decide`
+draws the report's verdict from the six, by the rule that decides
+completeness.
 
 P1, P4, P5 and P6 each have a fast proof and a sweep, joined by one rule
 (``_proved_or_swept``): the proof's result stands when it verifies the
@@ -34,6 +37,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from . import completeness
+from .completeness import COUNTEREXAMPLE, INCONCLUSIVE, VERIFIED, Evidence, Report
 from .core import (
     DEFAULT_STEP_CAP,
     Letter,
@@ -57,16 +61,20 @@ from .parallel import pmap
 if TYPE_CHECKING:
     from .letter_intro import LetterIntroResult
 
-VERIFIED = "verified"
-COUNTEREXAMPLE = "counterexample"
-INCONCLUSIVE = "inconclusive"
-
 PROPERTY_NAMES = ("P1", "P2", "P3", "P4", "P5", "P6")
 
 # B-words drawn per ``pmap`` call in the P4 and P6 sweeps.
 SWEEP_CHUNK = 4096
 
 Item = TypeVar("Item")
+
+# P3's status for each termination status.
+_P3_STATUS = {
+    completeness.CERTIFIED: VERIFIED,
+    completeness.BOUNDED_VERIFIED: VERIFIED,
+    completeness.UNKNOWN: INCONCLUSIVE,
+    COUNTEREXAMPLE: COUNTEREXAMPLE,
+}
 
 
 class CandidateTuple(NamedTuple):
@@ -95,26 +103,6 @@ class CandidateTuple(NamedTuple):
         return substitute(word, self.images)
 
 
-class PropertyResult(NamedTuple):
-    name: str
-    status: str
-    bound: int
-    witness_count: int = 0
-    counterexample: tuple[Word, ...] | None = None
-    note: str = ""
-
-
-class PropertyRReport(NamedTuple):
-    results: tuple[PropertyResult, ...]
-    overall: bool
-
-    def result(self, name: str) -> PropertyResult:
-        for res in self.results:
-            if res.name == name:
-                return res
-        raise KeyError(name)
-
-
 class IsomorphismReport(NamedTuple):
     slice_bound: int
     forward_injective: bool
@@ -130,7 +118,7 @@ def _sweep(
     words: Iterator[Item],
     ok: Callable[[Item], bool],
     counterexample: Callable[[Item], tuple[Word, ...]],
-) -> PropertyResult:
+) -> Evidence:
     """Map ``ok`` over ``words`` (B-words, or B-words paired with their
     images) one chunk of ``SWEEP_CHUNK`` at a time.
 
@@ -143,14 +131,14 @@ def _sweep(
     while chunk := list(islice(words, SWEEP_CHUNK)):
         for word, good in zip(chunk, pmap(ok, chunk)):
             if not good:
-                return PropertyResult(name, COUNTEREXAMPLE, bound, 0, counterexample(word))
+                return Evidence(name, COUNTEREXAMPLE, bound, 0, counterexample(word))
         swept += len(chunk)
-    return PropertyResult(name, VERIFIED, bound, swept)
+    return Evidence(name, VERIFIED, bound, swept)
 
 
 def _proved_or_swept(
-    proof: Callable[[], PropertyResult | None], sweep: Callable[[], PropertyResult]
-) -> PropertyResult:
+    proof: Callable[[], Evidence | None], sweep: Callable[[], Evidence]
+) -> Evidence:
     """The proof's result when it is verified; otherwise, also when the
     proof returns None or raises, the sweep's.  Nothing is lost: every
     counterexample, inconclusive result and error comes from the sweep."""
@@ -216,7 +204,7 @@ def check_p1_to_p6(
     bound_a: int = 8,
     bound_b: int = 5,
     step_cap: int = DEFAULT_STEP_CAP,
-) -> PropertyRReport:
+) -> Report:
     """Verify the six properties at the given bounds.
 
     bound_a limits the A-side properties (P1, P5), bound_b the B-side ones
@@ -228,7 +216,7 @@ def check_p1_to_p6(
     module docstring).
     """
     base, system = tup.base, tup.system
-    results: list[PropertyResult] = []
+    results: list[Evidence] = []
 
     # The representative set, listed on first use by P1 or P5, so that a
     # step cap hit while listing leaves those two inconclusive.  It is
@@ -266,8 +254,8 @@ def check_p1_to_p6(
     short = None if length is None else list(words_over(base.alphabet, length))
 
     def every_length(
-        check: Callable[[Iterable[Word]], PropertyResult], witnesses: int
-    ) -> PropertyResult | None:
+        check: Callable[[Iterable[Word]], Evidence], witnesses: int
+    ) -> Evidence | None:
         if short is None:
             return None
         note = f"every length: {len(short)} words of length <= {length}"
@@ -277,7 +265,7 @@ def check_p1_to_p6(
     # the candidate system, landing phi-above a descendant.  One search from
     # each base reduct v1 looks for the images of all of the candidate's
     # reducts at once; with no candidate reduct there is nothing to search.
-    def p1(words: Iterable[Word]) -> PropertyResult:
+    def p1(words: Iterable[Word]) -> Evidence:
         witnesses = 0
         successors = base.matcher.successors
         for u in words:
@@ -294,44 +282,35 @@ def check_p1_to_p6(
                 cap = f"P1 search from '{show(v1)}' exceeded {step_cap} states"
                 if targets and _reach(v1, base, targets.__contains__, step_cap, cap):
                     continue
-                return PropertyResult("P1", COUNTEREXAMPLE, bound_a, witnesses, (u, v1))
-        return PropertyResult("P1", VERIFIED, bound_a, witnesses)
+                return Evidence("P1", COUNTEREXAMPLE, bound_a, witnesses, (u, v1))
+        return Evidence("P1", VERIFIED, bound_a, witnesses)
 
     # P2: every rule's image reduces in the base system (context closure
     # follows because phi is a homomorphism).
-    def p2() -> PropertyResult:
+    def p2() -> Evidence:
         for rule in system.rules:
             if not reduces_to(tup.phi(rule.lhs), tup.phi(rule.rhs), base, step_cap):
-                return PropertyResult(
-                    "P2", COUNTEREXAMPLE, 0, 0, (rule.lhs, rule.rhs)
-                )
-        return PropertyResult("P2", VERIFIED, 0, len(system.rules))
+                return Evidence("P2", COUNTEREXAMPLE, 0, 0, (rule.lhs, rule.rhs))
+        return Evidence("P2", VERIFIED, 0, len(system.rules))
 
-    # P3: no infinite chain of image-preserving steps; checked as
-    # termination of the image-preserving rule subset.  The certificate
-    # search tries the right-drift letters of phi's images first, then every
-    # other letter set; only when none certifies does the cycle search run.
-    def p3() -> PropertyResult:
+    # P3: no infinite chain of image-preserving steps: the termination
+    # evidence of the image-preserving rule subset, under P3's name and
+    # statuses.  The certificate search tries the right-drift letters of
+    # phi's images first, then every other letter set; only when none
+    # certifies does the cycle search run.
+    def p3() -> Evidence:
         seed = completeness.right_drift_letters(tup.images, system.alphabet)
         evidence = completeness.check_termination(preserved, bound_b, step_cap, seed=seed)
-        if evidence.status == completeness.COUNTEREXAMPLE:
-            return PropertyResult(
-                "P3", COUNTEREXAMPLE, bound_b, 0, evidence.cycle
-            )
-        if evidence.holds():
-            return PropertyResult(
-                "P3",
-                VERIFIED,
-                bound_b,
-                len(preserved.rules),
-                note=evidence.certificate or f"no cycles up to length {evidence.depth}",
-            )
-        return PropertyResult("P3", INCONCLUSIVE, bound_b, 0, note=evidence.certificate or "")
+        res = evidence._replace(name="P3", status=_P3_STATUS[evidence.status])
+        if res.status != VERIFIED:
+            return res
+        note = res.note or f"no cycles up to length {bound_b}"
+        return res._replace(witness_count=len(preserved.rules), note=note)
 
     # P4: every B-word reaches one whose image is a representative.  The
     # words of a class share their normal form, so one test of each
     # distinct normal form passes them all; otherwise the sweep decides.
-    def p4_by_class() -> PropertyResult | None:
+    def p4_by_class() -> Evidence | None:
         passed: set[Word] = set()
         words = 0
         for _, nf, weight, _ in system.matcher.walk_classes(b_letters, bound_b, step_cap):
@@ -340,9 +319,9 @@ def check_p1_to_p6(
                     return None
                 passed.add(nf)
             words += weight
-        return PropertyResult("P4", VERIFIED, bound_b, words)
+        return Evidence("P4", VERIFIED, bound_b, words)
 
-    def p4_sweep() -> PropertyResult:
+    def p4_sweep() -> Evidence:
         def ok(u_prime: Word) -> bool:
             if tup.in_at(tup.phi(normal_form(u_prime, system, step_cap))):
                 return True
@@ -358,14 +337,14 @@ def check_p1_to_p6(
         return _sweep("P4", bound_b, words_over(system.alphabet, bound_b), ok, lambda bad: (bad,))
 
     # P5: rho is a section of phi on the representative set.
-    def p5(words: Iterable[Word]) -> PropertyResult:
+    def p5(words: Iterable[Word]) -> Evidence:
         count = 0
         for u in words:
             image = tup.phi(rho(u))
             if image != u:
-                return PropertyResult("P5", COUNTEREXAMPLE, bound_a, 0, (u, image))
+                return Evidence("P5", COUNTEREXAMPLE, bound_a, 0, (u, image))
             count += 1
-        return PropertyResult("P5", VERIFIED, bound_a, count)
+        return Evidence("P5", VERIFIED, bound_a, count)
 
     # P6: every B-word whose image is a representative reduces to the
     # canonical form of that image.  Image-preserving steps keep phi, and
@@ -375,16 +354,16 @@ def check_p1_to_p6(
     # cap.  Otherwise the sweep decides.
     preserving = preserved.matcher
 
-    def p6_by_class() -> PropertyResult | None:
+    def p6_by_class() -> Evidence | None:
         words = 0
         for _, nf, weight, _ in preserving.walk_classes(b_letters, bound_b, step_cap):
             if tup.in_at(image := tup.phi(nf)):
                 if tup.rho(image) != nf:
                     return None
                 words += weight
-        return PropertyResult("P6", VERIFIED, bound_b, words)
+        return Evidence("P6", VERIFIED, bound_b, words)
 
-    def p6_sweep() -> PropertyResult:
+    def p6_sweep() -> Evidence:
         def ok(word_and_image: tuple[Word, Word]) -> bool:
             u_prime, image = word_and_image
             target = tup.rho(image)
@@ -418,11 +397,8 @@ def check_p1_to_p6(
         try:
             results.append(check())
         except NonTerminationError as exc:
-            results.append(
-                PropertyResult(name, INCONCLUSIVE, bound, 0, note=str(exc))
-            )
-    overall = all(res.status == VERIFIED for res in results)
-    return PropertyRReport(tuple(results), overall)
+            results.append(Evidence(name, INCONCLUSIVE, bound, 0, note=str(exc)))
+    return completeness.decide(results)
 
 
 def check_isomorphism_slice(

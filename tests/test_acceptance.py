@@ -80,8 +80,8 @@ def test_criterion_1_letter_intro_exactness(tmp_path):
         ok = ok and (
             code == 0
             and rule_set(produced.system) == expected
-            and rep.termination.status == "certified"
-            and rep.local_confluence.status == "all_joined"
+            and rep.result("termination").status == "certified"
+            and rep.result("local confluence").status == "all_joined"
             and elapsed < 1.0
         )
     report(1, "letter-introduction exactness", ok)
@@ -158,7 +158,7 @@ def test_criterion_5_property_suite(built):
     ok = True
     for label, tup in tuples:
         rep = check_p1_to_p6(tup, 8, 5)
-        ok = ok and rep.overall
+        ok = ok and rep.verdict == "complete"
 
     def sabotage(tup, rules):
         return CandidateTuple(
@@ -264,8 +264,8 @@ def test_criterion_7_oracle_agreement():
     nonconfluent = system("a b", ("ab", "a"), ("ab", "b"))
     rep = verify_complete(nonconfluent)
     ok = ok and rep.verdict == "incomplete"
-    pair = rep.local_confluence
-    ok = ok and (show(pair.left_nf), show(pair.right_nf)) == ("a", "b")
+    _, left_nf, right_nf = rep.result("local confluence").counterexample
+    ok = ok and (show(left_nf), show(right_nf)) == ("a", "b")
     report(7, "class oracle agrees with normal forms; witness pair found", ok)
 
 

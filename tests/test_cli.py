@@ -1,13 +1,19 @@
 import ast
+import io
+import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frs
-from frs import cli, completeness
+from frs import cli, completeness, property_r
 from frs.cli import main
 from frs.core import (
     DEFAULT_STEP_CAP,
@@ -134,6 +140,23 @@ class TestCheck:
             "local confluence: all 0 critical pairs joined",
             "verdict: incomplete",
         ]
+
+    @pytest.mark.parametrize(
+        "rules, loop",
+        [
+            ("rule: a -> b b\nrule: b -> a\n", "a -> b b -> a b"),
+            ("rule: a b -> b a a\nrule: b a -> a b\n", "a b -> b a a -> a b a"),
+        ],
+        ids=["a-bb-b-a", "ab-baa-ba-ab"],
+    )
+    def test_loop_through_two_rules_is_a_counterexample(self, rules, loop, files, capsys):
+        # No rule's right-hand side holds its own left-hand side, and every
+        # chain grows, so the bounded search meets no cycle; yet a
+        # left-hand side reaches a word that holds it, and rewrites forever.
+        write, _ = files
+        assert main(["check", write("loop.frs", "alphabet: a b\n" + rules)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert (lines[0], lines[-1]) == (f"termination: counterexample ({loop})", "verdict: incomplete")
 
     def test_parse_error_exits_two(self, files, capsys):
         write, _ = files
@@ -285,6 +308,15 @@ class TestPrepareAndLargeSub:
             assert capsys.readouterr() == ("", NOT_COMPLETE)
             assert not out.exists()
 
+    def test_looping_source_is_refused(self, files, tmp_path, capsys):
+        # a -> b b -> a b holds a, so a rewrites forever.
+        write, _ = files
+        src = write("loop.frs", "alphabet: a b\nrule: a -> b b\nrule: b -> a\ncomplement: a\n")
+        out = tmp_path / "loop.t"
+        assert main(["large-sub", src, "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", NOT_COMPLETE)
+        assert not out.exists()
+
     def test_self_embedding_source_is_refused(self, files, tmp_path, capsys):
         # b -> b b rewrites forever; the source is not complete.
         write, _ = files
@@ -332,9 +364,9 @@ class TestPrepareAndLargeSub:
             calls.append(report)
             if len(calls) == 1:
                 return report
-            termination = completeness.TerminationEvidence(completeness.UNKNOWN)
-            return report._replace(
-                termination=termination, verdict=completeness.INCONCLUSIVE
+            termination, confluence = report.results
+            return completeness.decide(
+                (termination._replace(status=completeness.UNKNOWN), confluence)
             )
 
         monkeypatch.setattr(completeness, "verify_complete", inconclusive_after_the_input)
@@ -749,6 +781,123 @@ def test_traced_benchmark_finds_every_probed_name():
     assert (result.returncode, result.stdout, result.stderr) == (0, "ok\n", "")
 
 
+def test_traced_benchmark_hooks_read_the_result_records(files, tmp_path, capsys):
+    # The result hooks of bench/spans.py read the records that the probed
+    # functions return: the property witness counts and the critical-pair
+    # list.  A renamed field fails here, not only in a traced benchmark run.
+    bench = Path(__file__).parent.parent / "bench"
+    env = dict(os.environ, PYTHONPATH=str(Path(frs.__file__).parent.parent))
+    write, _ = files
+    src, target = write("comm.frs", COMM), str(tmp_path / "comm.t")
+    assert main(["large-sub", src, "-o", target]) == 0
+    capsys.readouterr()
+    assert main(["check", target]) == 3
+    untraced_check = capsys.readouterr().out
+
+    def traced(*args):
+        dump = tmp_path / "trace.json"
+        command = [sys.executable, str(bench / "traced_cli.py"), str(dump), *args]
+        result = subprocess.run(command, env=env, capture_output=True, text=True)
+        return result, json.loads(dump.read_text(encoding="utf-8"))
+
+    result, trace = traced("verify-tuple", src, target, "--bound-a", "4", "--bound-b", "2")
+    assert (result.returncode, result.stderr) == (0, "")
+    printed = re.findall(r"^(P\d): verified \(bound \d+, (\d+) witnesses\)", result.stdout, re.M)
+    assert [name for name, _ in printed] == list(property_r.PROPERTY_NAMES)
+    for name, witnesses in printed:
+        assert trace["counts"][f"property_r.{name}.witnesses"] == int(witnesses)
+    result, trace = traced("check", target)
+    assert (result.returncode, result.stdout, result.stderr) == (3, untraced_check, "")
+    assert any(name == "completeness.check_local_confluence" for _, name, *_ in trace["edges"])
+    # No command calls critical_pairs (check joins each pair as it is
+    # found), so its hook runs on a direct call under the recorder.
+    probe = (
+        f"import sys; sys.path.insert(0, {str(bench)!r}); import json, frs.cli, spans; "
+        "recorder = spans.Recorder(); recorder.install(); "
+        "from frs import completeness, parse_presentation; "
+        f"text = open({target!r}, encoding='utf-8').read(); "
+        "pairs = completeness.critical_pairs(parse_presentation(text).system); "
+        "recorder.uninstall(); print(len(pairs), json.dumps(recorder.dump()['counts']))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    pairs, counts = result.stdout.split(" ", 1)
+    assert int(pairs) > 0 and json.loads(counts) == {"completeness.critical_pairs.count": int(pairs)}
+
+
+# The statuses that each kind of evidence takes.
+TERMINATION_STATUSES = ("certified", "bounded_verified", "counterexample", "unknown")
+CONFLUENCE_STATUSES = ("all_joined", "counterexample", "inconclusive")
+PROPERTY_STATUSES = ("verified", "counterexample", "inconclusive")
+
+
+def reference_completeness_verdict(termination, confluence):
+    """The verdict rule that verify_complete wrote out for itself."""
+    if termination in ("certified", "bounded_verified") and confluence == "all_joined":
+        return "complete"
+    if termination == "counterexample" or confluence == "counterexample":
+        return "incomplete"
+    return "inconclusive"
+
+
+def reference_property_exit(statuses):
+    """check_p1_to_p6's ``overall`` and the exit code that verify-tuple
+    drew from it and the statuses, as each wrote it out."""
+    overall = all(status == "verified" for status in statuses)
+    if overall:
+        return overall, 0
+    return overall, 1 if "counterexample" in statuses else 3
+
+
+def drawn_evidence(name, status):
+    """Evidence with the fields that the command line renders for ``status``."""
+    word = ("a",)
+    if status == "counterexample":
+        return completeness.Evidence(name, status, 1, 0, (word, word, word))
+    if status == "inconclusive" and name == completeness.CONFLUENCE:
+        return completeness.Evidence(name, status, 1, 0, (word,))
+    return completeness.Evidence(name, status, 1)
+
+
+@pytest.fixture(scope="module")
+def any_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verdicts") / "free.frs"
+    path.write_text(FREE_A)
+    return str(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(TERMINATION_STATUSES),
+    st.sampled_from(CONFLUENCE_STATUSES),
+    st.lists(st.sampled_from(PROPERTY_STATUSES), min_size=6, max_size=6),
+)
+def test_one_verdict_rule_agrees_with_the_rules_it_replaced(
+    any_file, termination, confluence, properties
+):
+    halves = completeness.decide(
+        (
+            drawn_evidence(completeness.TERMINATION, termination),
+            drawn_evidence(completeness.CONFLUENCE, confluence),
+        )
+    )
+    verdict = reference_completeness_verdict(termination, confluence)
+    assert halves.verdict == verdict
+    six = completeness.decide(map(drawn_evidence, property_r.PROPERTY_NAMES, properties))
+    overall, code = reference_property_exit(properties)
+    assert (six.verdict == "complete") == overall
+    with (
+        mock.patch.object(completeness, "verify_complete", return_value=halves),
+        mock.patch.object(cli, "_candidate_tuple"),
+        mock.patch.object(property_r, "check_p1_to_p6", return_value=six),
+        redirect_stdout(io.StringIO()) as out,
+    ):
+        assert main(["check", any_file]) == {"complete": 0, "incomplete": 1}.get(verdict, 3)
+        assert main(["verify-tuple", any_file, any_file]) == code
+    printed = out.getvalue().splitlines()
+    assert printed[-1] == f"overall: {'verified' if overall else 'not verified'}"
+    assert f"verdict: {verdict}" in printed
+
+
 COMM_AA = "alphabet: a b\nrule: b a -> a b\ncomplement: a ; a a\n"
 # The modules that every process runs: each command reads a file.
 LOADED_FIRST = {"__init__", "cli", "core", "fileformat"}
@@ -848,11 +997,11 @@ class TestModulesRun:
 # The public names of the package, as they were when it imported every
 # module at once.
 PUBLIC_NAMES = {
-    "Alphabet", "CandidateTuple", "CompletenessReport", "ConstructionError",
-    "CriticalPair", "InputError", "InternalError", "IsomorphismReport",
+    "Alphabet", "CandidateTuple", "ConstructionError", "CriticalPair", "Evidence",
+    "InputError", "InternalError", "IsomorphismReport",
     "LargeSubConstruction", "LetterClassification", "LetterIntroResult",
     "NonTerminationError", "ParseError", "PreconditionError", "Presentation",
-    "PropertyRReport", "ReductionStep", "RewriteError", "RewritingSystem", "Rule", "Word",
+    "ReductionStep", "Report", "RewriteError", "RewritingSystem", "Rule", "Word",
     "build_b_alphabet", "build_construction", "build_f_sets", "build_letter_intro",
     "canonicalize_complement", "check_isomorphism_slice", "check_local_confluence",
     "check_p1_to_p6", "check_subsemigroup_closed", "check_termination", "classify_letters",

@@ -29,14 +29,16 @@ from frs import completeness
 from frs.completeness import (
     ALL_JOINED,
     BOUNDED_VERIFIED,
+    CONFLUENCE,
     COUNTEREXAMPLE,
     EMBEDDING,
+    HOLDS,
     INCONCLUSIVE,
     SUFFIX_PREFIX,
+    TERMINATION,
     UNKNOWN,
-    ConfluenceEvidence,
     CriticalPair,
-    TerminationEvidence,
+    Evidence,
 )
 from frs.core import DEFAULT_STEP_CAP, LhsMatcher
 
@@ -173,17 +175,11 @@ def reference_local_confluence(sys, step_cap=DEFAULT_STEP_CAP, pairs=None):
             left_nf = normal_form(pair.left_result, sys, step_cap)
             right_nf = normal_form(pair.right_result, sys, step_cap)
         except NonTerminationError:
-            return ConfluenceEvidence(INCONCLUSIVE, joined_count=joined, counterexample=pair)
+            return Evidence(CONFLUENCE, INCONCLUSIVE, 0, joined, (pair.source,))
         if left_nf != right_nf:
-            return ConfluenceEvidence(
-                COUNTEREXAMPLE,
-                joined_count=joined,
-                counterexample=pair,
-                left_nf=left_nf,
-                right_nf=right_nf,
-            )
+            return Evidence(CONFLUENCE, COUNTEREXAMPLE, 0, joined, (pair.source, left_nf, right_nf))
         joined += 1
-    return ConfluenceEvidence(ALL_JOINED, joined_count=joined)
+    return Evidence(CONFLUENCE, ALL_JOINED, 0, joined)
 
 
 def reference_bounded_cycle_search(sys, max_len, step_cap):
@@ -203,9 +199,11 @@ def reference_bounded_cycle_search(sys, max_len, step_cap):
                 path.append(node)
                 explored += 1
                 if explored > step_cap:
-                    return TerminationEvidence(
+                    return Evidence(
+                        TERMINATION,
                         UNKNOWN,
-                        certificate=f"bounded search stopped: more than {step_cap} states",
+                        max_len,
+                        note=f"bounded search stopped: more than {step_cap} states",
                     )
                 succ = [
                     result
@@ -215,7 +213,9 @@ def reference_bounded_cycle_search(sys, max_len, step_cap):
                 for nxt in succ:
                     if color.get(nxt) == 1:
                         cycle = path[path.index(nxt):] + [nxt]
-                        return TerminationEvidence(COUNTEREXAMPLE, cycle=tuple(cycle))
+                        return Evidence(
+                            TERMINATION, COUNTEREXAMPLE, max_len, counterexample=tuple(cycle)
+                        )
                 stack.append((node, succ))
                 for nxt in succ:
                     if color.get(nxt) is None:
@@ -223,14 +223,14 @@ def reference_bounded_cycle_search(sys, max_len, step_cap):
             else:
                 color[node] = 2
                 path.pop()
-    return TerminationEvidence(BOUNDED_VERIFIED, depth=max_len)
+    return Evidence(TERMINATION, BOUNDED_VERIFIED, max_len)
 
 
 def assert_cycle_search_matches_reference(sys, max_len, step_cap):
     found = completeness._bounded_cycle_search(sys, max_len, step_cap)
     assert found == reference_bounded_cycle_search(sys, max_len, step_cap)
-    if found.cycle is not None:
-        assert all(type(word) is tuple for word in found.cycle)
+    if found.counterexample is not None:
+        assert all(type(word) is tuple for word in found.counterexample)
 
 
 class TestCriticalPairs:
@@ -295,30 +295,32 @@ class TestTermination:
     def test_length_reducing_certified(self, sys_aaa):
         evidence = check_termination(sys_aaa)
         assert evidence.status == "certified"
-        assert "length-reducing" in evidence.certificate
+        assert "length-reducing" in evidence.note
 
     def test_rightward_measure_certified(self, sys_moves):
         evidence = check_termination(sys_moves)
         assert evidence.status == "certified"
-        assert "{s}" in evidence.certificate
+        assert "{s}" in evidence.note
 
     def test_two_cycle_found_by_bounded_search(self):
         loop = system("a b", ("a", "b"), ("b", "a"))
         evidence = check_termination(loop)
         assert evidence.status == "counterexample"
-        assert [show(word) for word in evidence.cycle] == ["a", "b", "a"]
+        assert [show(word) for word in evidence.counterexample] == ["a", "b", "a"]
 
     def test_declared_heavy_set_used(self, sys_moves):
         seed = frozenset({sys_moves.alphabet.get("s")})
         assert check_termination(sys_moves, seed=seed).status == "certified"
 
     def test_bounded_verification_when_no_certificate(self):
-        # The second rule grows words, so no built-in measure certifies;
-        # the bounded verdict only states cycle-freeness within the window.
-        grower = system("a b", ("ab", "ba"), ("ba", "aab"))
+        # a b -> b b a terminates, as each a only moves right, but it grows
+        # words and keeps the count of a, so no built-in measure certifies;
+        # the bounded verdict only states cycle-freeness within the window
+        # and that no left-hand side loops within the loop search's states.
+        grower = system("a b", ("ab", "bba"))
         evidence = check_termination(grower, max_len=5)
         assert evidence.status == "bounded_verified"
-        assert evidence.depth == 5
+        assert evidence.bound == 5
 
     @pytest.mark.parametrize("step_cap", [1, DEFAULT_STEP_CAP])
     def test_self_embedding_rule_is_a_counterexample(self, step_cap):
@@ -327,16 +329,46 @@ class TestTermination:
         grower = system("a b", ("a", "bab"))
         evidence = check_termination(grower, step_cap=step_cap)
         assert evidence.status == "counterexample"
-        assert [show(word) for word in evidence.cycle] == ["a", "b a b"]
+        assert [show(word) for word in evidence.counterexample] == ["a", "b a b"]
 
     def test_cycle_found_by_the_search_comes_first(self):
         # With the cycle a b -> b a -> a b in reach, the search reports it;
         # when its cap stops it first, the self-embedding a -> a a decides.
         sys = system("a b", ("ab", "ba"), ("ba", "ab"), ("a", "aa"))
-        cycle = check_termination(sys).cycle
+        cycle = check_termination(sys).counterexample
         assert [show(word) for word in cycle] == ["a a a a a b", "a a a a b a", "a a a a a b"]
         capped = check_termination(sys, step_cap=1)
-        assert [show(word) for word in capped.cycle] == ["a", "a a"]
+        assert [show(word) for word in capped.counterexample] == ["a", "a a"]
+
+    @pytest.mark.parametrize("step_cap", [1, DEFAULT_STEP_CAP])
+    def test_loop_through_two_rules_is_a_counterexample(self, step_cap):
+        # a -> b b -> a b holds a, so a rewrites forever, though no rule's
+        # right-hand side holds its own left-hand side and every chain only
+        # grows: the bounded search meets no cycle (or stops at a cap of 1).
+        looping = system("a b", ("a", "bb"), ("b", "a"))
+        evidence = check_termination(looping, step_cap=step_cap)
+        assert evidence.status == "counterexample"
+        assert [show(word) for word in evidence.counterexample] == ["a", "b b", "a b"]
+
+    def test_loop_search_enters_at_most_loop_states_words(self, monkeypatch):
+        # The loop from a needs a second word, b b, to be entered.
+        looping = system("a b", ("a", "bb"), ("b", "a"))
+        monkeypatch.setattr(completeness, "LOOP_STATES", 1)
+        assert check_termination(looping).status == "bounded_verified"
+        monkeypatch.setattr(completeness, "LOOP_STATES", 2)
+        assert check_termination(looping).status == "counterexample"
+
+    @settings(max_examples=200, deadline=None)
+    @given(looping_systems())
+    def test_every_loop_found_regrows_its_left_hand_side(self, sys):
+        loop = completeness._loop(sys)
+        if loop is None:
+            return
+        start, *_, end = loop
+        assert start in {rule.lhs for rule in sys.rules}
+        for word, nxt in zip(loop, loop[1:]):
+            assert nxt in {result for _, result in one_step_reductions(word, sys)}
+        assert any(end[pos: pos + len(start)] == start for pos in range(len(end)))
 
 
 # Systems that no letter measure certifies but whose generator images do:
@@ -429,7 +461,7 @@ class TestPulledBackCertificate:
         looping = sys.with_rules(sys.rules + (undo,))
         assert not completeness._pulled_back_certificate(looping, images)
         evidence = check_termination(looping, images=images)
-        assert [show(word) for word in evidence.cycle] == [
+        assert [show(word) for word in evidence.counterexample] == [
             "b c_a_b", "c_b_a b", "b c_a_b"
         ]
 
@@ -438,17 +470,17 @@ class TestLocalConfluence:
     def test_all_joined(self, sys_moves):
         evidence = check_local_confluence(sys_moves)
         assert evidence.status == "all_joined"
-        assert evidence.joined_count == 2
+        assert evidence.witness_count == 2
 
     def test_counterexample(self, sys_nonconfluent):
         evidence = check_local_confluence(sys_nonconfluent)
         assert evidence.status == "counterexample"
-        assert (show(evidence.left_nf), show(evidence.right_nf)) == ("a", "b")
+        assert [show(word) for word in evidence.counterexample] == ["a b", "a", "b"]
 
     def test_one_rule_self_overlaps_join(self, sys_aaa):
         evidence = check_local_confluence(sys_aaa)
         assert evidence.status == "all_joined"
-        assert evidence.joined_count == 2
+        assert evidence.witness_count == 2
 
     def test_joins_stable_under_rightmost_strategy(self, sys_moves, sys_aaa):
         for sys in (sys_moves, sys_aaa):
@@ -459,29 +491,38 @@ class TestLocalConfluence:
 
 
 class TestVerifyComplete:
+    def test_report_results_are_looked_up_by_name(self, sys_nonconfluent):
+        report = verify_complete(sys_nonconfluent)
+        termination, confluence = report.results
+        assert (termination.name, confluence.name) == (TERMINATION, CONFLUENCE)
+        assert report.result("local confluence") is confluence
+        with pytest.raises(KeyError):
+            report.result("P1")
+
     def test_complete(self, sys_aaa):
         assert verify_complete(sys_aaa).verdict == "complete"
 
     def test_incomplete(self, sys_nonconfluent):
         report = verify_complete(sys_nonconfluent)
         assert report.verdict == "incomplete"
-        assert report.termination.status == "certified"
+        assert report.result("termination").status == "certified"
 
     def test_empty_system_complete(self, free_ab):
         report = verify_complete(free_ab)
         assert report.verdict == "complete"
-        assert report.local_confluence.joined_count == 0
+        assert report.result("local confluence").witness_count == 0
 
     def test_verdict_matches_components(self, sys_moves, sys_nonconfluent):
         for sys in (sys_moves, sys_nonconfluent):
             report = verify_complete(sys)
+            termination, confluence = report.results
             if report.verdict == "complete":
-                assert report.termination.holds()
-                assert report.local_confluence.status == "all_joined"
+                assert termination.status in HOLDS
+                assert confluence.status == "all_joined"
             elif report.verdict == "incomplete":
                 assert (
-                    report.termination.status == "counterexample"
-                    or report.local_confluence.status == "counterexample"
+                    termination.status == "counterexample"
+                    or confluence.status == "counterexample"
                 )
 
     def test_random_words_strategy_independent_on_complete_fixtures(
@@ -500,7 +541,8 @@ class TestVerifyComplete:
 
 class TestBoundedSearchBudget:
     def test_unknown_when_state_budget_exceeded(self):
-        grower = system("a b", ("ab", "ba"), ("ba", "aab"))
+        # A terminating system without a certificate: the search runs.
+        grower = system("a b", ("ab", "bba"))
         evidence = completeness.check_termination(grower, max_len=6, step_cap=10)
         assert evidence.status == "unknown"
 
@@ -577,7 +619,7 @@ class TestConfluenceAgainstReference:
         split = system("a s b", ("aa", "s"), ("sa", "as"), ("ab", "a"), ("ab", "b"))
         for sys, status, joined in ((loop, INCONCLUSIVE, 2), (split, COUNTEREXAMPLE, 1)):
             evidence = check_local_confluence(sys, 30)
-            assert (evidence.status, evidence.joined_count) == (status, joined)
+            assert (evidence.status, evidence.witness_count) == (status, joined)
             assert evidence == reference_local_confluence(sys, 30)
 
 
@@ -864,7 +906,7 @@ def test_step_cap_trace_is_not_replayed_by_the_join(monkeypatch):
 
     monkeypatch.setattr(LhsMatcher, "first_redex", counted)
     evidence = check_local_confluence(cycle, 50)
-    assert (evidence.status, evidence.joined_count) == (INCONCLUSIVE, 0)
+    assert (evidence.status, evidence.witness_count) == (INCONCLUSIVE, 0)
     assert len(calls) <= 51
 
 

@@ -30,17 +30,12 @@ from frs import (
     show,
     words_over,
 )
-from frs.completeness import (
-    CompletenessReport,
-    ConfluenceEvidence,
-    CriticalPair,
-    TerminationEvidence,
-)
+from frs.completeness import CriticalPair, Evidence, Report
 from frs.core import _QUIET_STEPS, DEFAULT_STEP_CAP, LhsMatcher, irreducible_words
 from frs.large_sub import FSets, LargeSubConstruction, LetterClassification
 from frs.letter_intro import LetterIntroResult
 from frs.pipeline import Presentation
-from frs.property_r import CandidateTuple, IsomorphismReport, PropertyResult, PropertyRReport
+from frs.property_r import CandidateTuple, IsomorphismReport
 
 from conftest import (
     all_normal_forms,
@@ -301,7 +296,7 @@ class TestRepresentation:
         words += [rho_t(image, cons), phi_t(rho_t(image, cons), cons)]
         words.append(rho_s(w(sys_moves.alphabet, "aaa"), w(sys_moves.alphabet, "aa"), "t"))
         loop = system("a b", ("ab", "ba"), ("ba", "ab"))
-        words += check_termination(loop, max_len=2).cycle
+        words += check_termination(loop, max_len=2).counterexample
         for search in (normal_form, disorder):
             with pytest.raises(NonTerminationError) as err:
                 search(w(loop.alphabet, "ab"), loop, 3)
@@ -349,12 +344,9 @@ def record_cases():
     rule = Rule(ba, a_b, ("D1",))
     comm = RewritingSystem(ab, (rule,))
     presentation = Presentation(comm, (a,), (("c", ("a", "b")),))
-    pair = CriticalPair(ba, a_b, a_b, "embedding", (0, 0))
-    termination = TerminationEvidence("bounded_verified", "length", 4, (ba, a_b))
-    confluence = ConfluenceEvidence("counterexample", 2, pair, a_b, ba)
     split = ((ab.get("b"),), (ab.get("a"),), (ab.get("b"),))
     classification = LetterClassification(*split)
-    result = PropertyResult("P4", "counterexample", 3, 5, (ba,), "note")
+    result = Evidence("P4", "counterexample", 3, 5, (ba,), "note")
     intro = LetterIntroResult(ab.get("b"), a_b, comm, comm)
     return [
         (ReductionStep, ("rule_index", "position"), {}, (1, 2)),
@@ -362,14 +354,10 @@ def record_cases():
         (RewritingSystem, ("alphabet", "rules"), {"rules": ()}, (ab, (rule,))),
         (CriticalPair, ("source", "left_result", "right_result", "overlap_kind", "rule_indices"),
          {}, (ba, a_b, ba, "suffix-prefix", (0, 1))),
-        (TerminationEvidence, ("status", "certificate", "depth", "cycle"),
-         {"certificate": None, "depth": None, "cycle": None},
-         ("bounded_verified", "length", 4, (ba, a_b))),
-        (ConfluenceEvidence, ("status", "joined_count", "counterexample", "left_nf", "right_nf"),
-         {"joined_count": 0, "counterexample": None, "left_nf": None, "right_nf": None},
-         ("counterexample", 2, pair, a_b, ba)),
-        (CompletenessReport, ("termination", "local_confluence", "verdict"), {},
-         (termination, confluence, "incomplete")),
+        (Evidence, ("name", "status", "bound", "witness_count", "counterexample", "note"),
+         {"witness_count": 0, "counterexample": None, "note": ""},
+         ("P4", "counterexample", 3, 5, (ba,), "note")),
+        (Report, ("results", "verdict"), {}, ((result,), "incomplete")),
         (LetterClassification, ("a1", "a_s", "excluded"), {"excluded": ()}, split),
         (FSets, ("f1", "f2", "f3", "f4"), {}, ((a,), (ba,), (a_b,), ())),
         (LargeSubConstruction, ("presentation", "classification", "images", "r_t"),
@@ -381,10 +369,6 @@ def record_cases():
          (comm, (a,), (("c", ("a", "b")),))),
         (CandidateTuple, ("base", "system", "images", "rho", "in_at", "in_t", "letter_intro"),
          {"letter_intro": None}, (comm, comm, {"b": a_b}, repr, bool, callable, intro)),
-        (PropertyResult, ("name", "status", "bound", "witness_count", "counterexample", "note"),
-         {"witness_count": 0, "counterexample": None, "note": ""},
-         ("P4", "counterexample", 3, 5, (ba,), "note")),
-        (PropertyRReport, ("results", "overall"), {}, ((result,), True)),
         (IsomorphismReport,
          ("slice_bound", "forward_injective", "slice_surjective", "mismatches", "t_class_count",
           "image_count"),
@@ -404,7 +388,7 @@ class TestRecords:
     record."""
 
     def test_every_record_is_covered(self):
-        assert len({cls for cls, *_ in RECORD_CASES}) == 16
+        assert len({cls for cls, *_ in RECORD_CASES}) == 13
 
     @pytest.mark.parametrize("case", RECORD_CASES, ids=lambda case: case[0].__name__)
     def test_positional_and_keyword_construction(self, case):
@@ -513,8 +497,8 @@ class TestRecords:
             "Presentation(system=RewritingSystem([a, b]; b a->a b), "
             "complement=(('a',),), generators=())"
         )
-        assert repr(PropertyResult("P1", "verified", 4)) == (
-            "PropertyResult(name='P1', status='verified', bound=4, witness_count=0, "
+        assert repr(Evidence("P1", "verified", 4)) == (
+            "Evidence(name='P1', status='verified', bound=4, witness_count=0, "
             "counterexample=None, note='')"
         )
 

@@ -118,6 +118,10 @@ def reference_straightening_path(word, target, preserving, step_cap):
     return current == target
 
 
+# A loop, a -> a a, as a termination counterexample.
+A_LOOP = (("a",), ("a", "a"))
+
+
 def preserving_system(tup):
     """The image-preserving rules, in system order."""
     return tup.system.with_rules(
@@ -168,13 +172,13 @@ def drop_rules(tup, predicate):
 class TestProperties:
     def test_letter_intro_tuple_fully_verified(self, tuple_aa):
         report = check_p1_to_p6(tuple_aa, 8, 6)
-        assert report.overall
+        assert report.verdict == "complete"
         assert all(res.status == "verified" for res in report.results)
 
     def test_subsemigroup_tuples_fully_verified(self, tuple_aaa, tuple_free):
         for tup in (tuple_aaa, tuple_free):
             report = check_p1_to_p6(tup, 6, 4)
-            assert report.overall
+            assert report.verdict == "complete"
 
     def test_dropping_the_commutation_rule_breaks_p6(self, tuple_aa):
         sabotaged = drop_rules(tuple_aa, lambda rule: "C6" in rule.tags)
@@ -182,7 +186,7 @@ class TestProperties:
         res = report.result("P6")
         assert res.status == "counterexample"
         assert show(res.counterexample[0]) == "s a"
-        assert not report.overall
+        assert report.verdict == "incomplete"
 
     def test_breaking_a_rule_image_breaks_p2(self, tuple_aa):
         alphabet = tuple_aa.system.alphabet
@@ -246,6 +250,33 @@ class TestProperties:
         assert res.status == "counterexample"
         assert [show(word) for word in res.counterexample] == ["a s", "s a", "a s"]
 
+    @pytest.mark.parametrize(
+        "status, note, p3",
+        [
+            ("certified", "a measure", ("verified", 2, None, "a measure")),
+            ("bounded_verified", "", ("verified", 2, None, "no cycles up to length 3")),
+            ("unknown", "a cap", ("inconclusive", 0, None, "a cap")),
+            ("counterexample", "", ("counterexample", 0, A_LOOP, "")),
+        ],
+    )
+    def test_p3_is_the_termination_evidence_relabelled(
+        self, status, note, p3, tuple_aa, monkeypatch
+    ):
+        # The evidence of the 2 image-preserving rules keeps its bound and
+        # counterexample; P3 names it, maps its status, counts the rules
+        # when it holds, and says what a bounded search verified.
+        counterexample = A_LOOP if status == "counterexample" else None
+        checked = []
+
+        def check_termination(system, max_len, *args, **kwargs):
+            checked.append(system)
+            return completeness.Evidence("termination", status, max_len, 0, counterexample, note)
+
+        monkeypatch.setattr(completeness, "check_termination", check_termination)
+        res = check_p1_to_p6(tuple_aa, 4, 3).result("P3")
+        assert checked == [preserving_system(tuple_aa)] and len(checked[0].rules) == 2
+        assert res == completeness.Evidence("P3", p3[0], 3, *p3[1:])
+
     def test_p3_searches_past_a_failing_heavy_set(self, tuple_aa, monkeypatch):
         # Under {a}, s a -> a s moves a to the left, so the seed certifies
         # nothing; the singleton {s} does, and the cycle search never runs.
@@ -255,7 +286,7 @@ class TestProperties:
         res = completeness.check_termination(preserved, 3, seed=frozenset({"a"}))
         assert calls == []
         assert res.status == "certified"
-        assert res.certificate == (
+        assert res.note == (
             "length-nonincreasing; on length ties the letters {s} are eliminated or move right"
         )
 
@@ -317,7 +348,7 @@ class TestProperties:
             res = report.result(name)
             assert res.status == "inconclusive"
             assert res.bound == bound
-        assert not report.overall
+        assert report.verdict == "inconclusive"
 
     def test_p4_search_cap_names_the_word_and_the_cap(self, tuple_free):
         # Leaving the image of u out of the representative set sends P4 on
@@ -346,13 +377,13 @@ class TestProperties:
 
     def test_letter_intro_threebase_witnesses_at_default_bounds(self, tuple_threebase):
         report = check_p1_to_p6(tuple_threebase)
-        assert report.overall
+        assert report.verdict == "complete"
         counts = {res.name: res.witness_count for res in report.results}
         assert counts == {"P1": 14216, "P2": 4, "P3": 1, "P4": 1364, "P5": 9840, "P6": 1364}
 
     def test_two_is_verified_with_witnesses_at_default_bounds(self, tuple_two):
         report = check_p1_to_p6(tuple_two)
-        assert report.overall
+        assert report.verdict == "complete"
         counts = {res.name: res.witness_count for res in report.results}
         assert counts == {"P1": 1292, "P2": 367, "P3": 18, "P4": 66429, "P5": 678, "P6": 7029}
 
@@ -369,7 +400,7 @@ class TestProperties:
             return tuple_comm.rho(word)
 
         report = check_p1_to_p6(tuple_comm._replace(rho=rho), 6, 3)
-        assert report.overall
+        assert report.verdict == "complete"
         # P1 and P5 share rho(u) for each representative u; P6 takes one
         # rho(phi(nf)) per class of its B-words whose image is in A(T).
         classes = [
@@ -503,7 +534,7 @@ class TestSweepChunks:
         assert p4[0] > 2 * SWEEP_CHUNK
         assert report.result("P4").witness_count == p4[0]
         assert report.result("P6").witness_count == p6[0]
-        assert report.overall
+        assert report.verdict == "complete"
 
     def test_failure_past_the_first_chunk_is_reported(self, tuple_free):
         words = list(words_over(tuple_free.system.alphabet, self.BOUND_B))
@@ -721,10 +752,10 @@ class TestShortWordsAgainstSweep:
         # length, where the sweep stops at the cap on a word of length 6.
         by_lemma = p1_and_p5(tuple_threebase, 6, 2)
         by_sweep = p1_and_p5(swept(tuple_threebase), 6, 2)
-        assert by_sweep[0] == property_r.PropertyResult(
+        assert by_sweep[0] == completeness.Evidence(
             "P1", "inconclusive", 6, note="P1 search from 'c a c a c b' exceeded 2 states"
         )
-        assert by_lemma[0] == property_r.PropertyResult(
+        assert by_lemma[0] == completeness.Evidence(
             "P1", "verified", 6, 1094, note="every length: 120 words of length <= 4"
         )
         # A cap of 0 stops a short word's search, so the sweep decides.
