@@ -132,7 +132,10 @@ def _candidate_tuple(
     s_pres: Presentation, t_pres: Presentation, step_cap: int
 ) -> property_r.CandidateTuple:
     """The tuple (B, R_T, A(T), phi, rho) of a target written by
-    ``large-sub`` (the source declares a complement) or ``letter-intro``.
+    ``large-sub`` or ``letter-intro``.  ``letter-intro`` copies the
+    source's complement declaration into its target and ``large-sub``
+    writes none, so a target is read as a ``large-sub`` one exactly when
+    the source declares a complement and the target does not.
 
     phi comes from the target's generator lines and rho from the source
     and those images.  A source with a complement is prepared as
@@ -146,7 +149,7 @@ def _candidate_tuple(
             "the target file has no 'generator:' lines; regenerate it with "
             "'frs large-sub' or 'frs letter-intro'"
         )
-    from_large_sub = bool(s_pres.complement)
+    from_large_sub = s_pres.complement is not None and t_pres.complement is None
     source = pipeline.prepare_presentation(s_pres, step_cap) if from_large_sub else s_pres
     images = {name: source.system.alphabet.word(image) for name, image in t_pres.generators}
     if from_large_sub:

@@ -168,7 +168,9 @@ def substitute(word: Word, images: Mapping[str, Word]) -> Word:
 
 
 def _read_only(self, name: str, *value: object) -> None:
-    """``__setattr__`` and ``__delattr__`` of the immutable plain classes."""
+    """``__setattr__`` and ``__delattr__`` of the immutable classes whose
+    instances have a dict: the plain ``Rule`` and ``RewritingSystem``, and
+    the NamedTuple subclasses that keep caches."""
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 

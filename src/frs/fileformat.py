@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     LETTER_NAME,
@@ -33,78 +34,99 @@ from .core import (
     Rule,
     Word,
     _read_only,
+    is_irreducible,
     show,
 )
 
 _TOKEN = re.compile(r"\S+")
 
 
-class Presentation:
+class _PresentationFields(NamedTuple):
+    system: RewritingSystem
+    complement: tuple[Word, ...] | None = None
+    generators: tuple[tuple[str, tuple[str, ...]], ...] = ()
+
+
+class Presentation(_PresentationFields):
     """A rewriting system, optionally with a complement declaration (the
     representative words of the finitely many classes outside the target
     subsemigroup) and, if generated, its generators' images under phi as
-    source letter names."""
+    source letter names.
+
+    A complement holds at least one word, every word nonempty and over the
+    alphabet, as in a file; the constructor refuses any other with
+    InputError, and so does ``_replace``.
+    """
 
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(
-        self,
-        system: RewritingSystem,
-        complement: tuple[Word, ...] | None = None,
-        generators: tuple[tuple[str, tuple[str, ...]], ...] = (),
-    ):
-        if complement is not None:
-            for word in complement:
+    def __new__(cls, *fields, **named):
+        self = super().__new__(cls, *fields, **named)
+        if self.complement is not None:
+            if not self.complement or () in self.complement:
+                raise InputError("empty complement word")
+            for word in self.complement:
                 for letter in word:
-                    if letter not in system.alphabet:
+                    if letter not in self.system.alphabet:
                         raise InputError(
                             f"complement word '{show(word)}' uses letter "
                             f"{letter!r} outside the alphabet"
                         )
-        self.__dict__.update(system=system, complement=complement, generators=generators)
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = ("system", "complement", "generators")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
-
-    def __repr__(self) -> str:
-        return (
-            f"Presentation(system={self.system!r}, complement={self.complement!r}, "
-            f"generators={self.generators!r})"
-        )
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @cached_property
     def membership(self) -> "Membership":
-        """The complement sets and membership tables, built on first use.
+        """The complement letters and membership tables, built on first use.
 
-        The cache lives in the instance dict and takes no part in
-        ``__eq__``, like :attr:`RewritingSystem.matcher`.
+        Membership is defined under Q1 only, so a presentation without a
+        complement, or whose complement is not Q1, raises
+        PreconditionError.  The cache lives in the instance dict and takes
+        no part in equality, like :attr:`RewritingSystem.matcher`.
         """
         if self.complement is None:
             raise PreconditionError(
                 "the presentation has no complement declaration, so membership "
                 "in T and in the representative set is undefined"
             )
+        if not satisfies_q1(self):
+            raise PreconditionError(NOT_Q1)
         return Membership(self.complement)
 
 
-class Membership:
-    """What membership tests read from one presentation's complement.
+NOT_Q1 = (
+    "the presentation must satisfy Q1: every complement class a single "
+    "irreducible letter (run the preparation pipeline first)"
+)
 
-    ``complement_words`` is the set of complement words and
-    ``complement_letters`` the set of their first letters (the complement
-    letters, under Q1).  ``factor_ok`` maps a step cap to the table of
-    ``large_sub.in_AT``'s factor test, keyed by tuples of letters; entries
-    are only ever added, and only for tests that finished within that cap.
+
+def satisfies_q1(presentation: Presentation) -> bool:
+    """Every complement class is a single irreducible alphabet letter."""
+    if not presentation.complement:
+        return False
+    return all(
+        len(word) == 1 and is_irreducible(word, presentation.system)
+        for word in presentation.complement
+    )
+
+
+class Membership:
+    """What membership tests read from one presentation's complement,
+    which satisfies Q1.
+
+    ``complement_letters`` is the set of complement letters.  ``factor_ok``
+    maps a step cap to the table of ``large_sub.in_AT``'s factor test,
+    keyed by tuples of letters; entries are only ever added, and only for
+    tests that finished within that cap.
     """
 
-    __slots__ = ("complement_words", "complement_letters", "factor_ok")
+    __slots__ = ("complement_letters", "factor_ok")
 
     def __init__(self, complement: tuple[Word, ...]):
-        self.complement_words = frozenset(complement)
-        self.complement_letters = frozenset(word[0] for word in complement if word)
+        self.complement_letters = frozenset(word[0] for word in complement)
         self.factor_ok: dict[int, dict[Word, bool]] = {}
 
 

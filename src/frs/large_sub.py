@@ -36,7 +36,7 @@ from .core import (
     show,
     substitute,
 )
-from .fileformat import Presentation
+from .fileformat import NOT_Q1, Presentation, satisfies_q1
 
 D1, D2 = "D1", "D2"
 
@@ -66,7 +66,14 @@ class FSets(NamedTuple):
     f4: tuple[Word, ...]
 
 
-class LargeSubConstruction:
+class _ConstructionFields(NamedTuple):
+    presentation: Presentation
+    classification: LetterClassification
+    images: dict[Letter, Word]
+    r_t: RewritingSystem
+
+
+class LargeSubConstruction(_ConstructionFields):
     """The output of :func:`build_construction`: the prepared presentation,
     its letter split, phi's generator table and the system R_T.
 
@@ -78,23 +85,6 @@ class LargeSubConstruction:
     """
 
     __setattr__ = __delattr__ = _read_only
-
-    def __init__(
-        self,
-        presentation: Presentation,
-        classification: LetterClassification,
-        images: dict[Letter, Word],
-        r_t: RewritingSystem,
-    ):
-        self.__dict__.update(
-            presentation=presentation, classification=classification, images=images, r_t=r_t
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = ("presentation", "classification", "images", "r_t")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
     @property
     def b_alphabet(self) -> Alphabet:
@@ -133,11 +123,8 @@ class LargeSubConstruction:
 
 
 def _require_prepared(presentation: Presentation) -> None:
-    if not pipeline.satisfies_q1(presentation):
-        raise PreconditionError(
-            "the presentation must satisfy Q1: every complement class a "
-            "single irreducible letter (run the preparation pipeline first)"
-        )
+    if not satisfies_q1(presentation):
+        raise PreconditionError(NOT_Q1)
     system = presentation.system
     if not pipeline.satisfies_q2(system) or not pipeline.satisfies_q3(system):
         raise PreconditionError(
@@ -156,7 +143,7 @@ def classify_letters(
     for letter in presentation.system.alphabet:
         if letter in complement:
             a_s.append(letter)
-        elif _class_in_t((letter,), presentation, step_cap):
+        elif in_T((letter,), presentation, step_cap):
             a1.append(letter)
         else:
             excluded.append(letter)
@@ -166,16 +153,12 @@ def classify_letters(
 def in_T(
     word: Word, presentation: Presentation, step_cap: int = DEFAULT_STEP_CAP
 ) -> bool:
-    """True iff the word's class lies in the subsemigroup, i.e. its normal
-    form is not a complement word."""
-    complement = presentation.membership.complement_words
-    return normal_form(word, presentation.system, step_cap) not in complement
-
-
-def _class_in_t(word: Word, presentation: Presentation, step_cap: int) -> bool:
-    """True iff the word's normal form is not a complement letter."""
+    """True iff the word's class lies in the subsemigroup T.  Under Q1,
+    which ``presentation.membership`` requires, that is iff its normal
+    form is not a complement letter."""
+    complement = presentation.membership.complement_letters
     form = normal_form(word, presentation.system, step_cap)
-    return not (len(form) == 1 and form[0] in presentation.membership.complement_letters)
+    return not (len(form) == 1 and form[0] in complement)
 
 
 def in_AT(
@@ -183,7 +166,8 @@ def in_AT(
 ) -> bool:
     """Membership in the representative set: the word's class is in T, all
     its letters are usable (in a1 or a_s), and every factor whose class
-    falls outside T is a single complement letter.
+    falls outside T is a single complement letter.  Like :func:`in_T`, it
+    is defined under Q1 only.
 
     Let ok(w) say that every letter of w is usable and every factor of w of
     length at least 2 has its class in T.  The factors of w of length at
@@ -208,7 +192,7 @@ def in_AT(
     if ok is None:
         ok = _factors_ok(word, presentation, table, step_cap)
     if len(word) == 1 and word[0] in membership.complement_letters:
-        return ok and _class_in_t(word, presentation, step_cap)
+        return ok and in_T(word, presentation, step_cap)
     return ok
 
 
@@ -231,7 +215,7 @@ def _factors_ok(
         key = (letter,)
         ok = table.get(key)
         if ok is None:
-            ok = letter in complement or _class_in_t(key, presentation, step_cap)
+            ok = letter in complement or in_T(key, presentation, step_cap)
             table[key] = ok
         if not ok:
             return False
@@ -250,7 +234,7 @@ def _factors_ok(
                 stack.append((i + 1, j))
                 continue
         if ok:
-            ok = _class_in_t(letters[i:j], presentation, step_cap)
+            ok = in_T(letters[i:j], presentation, step_cap)
         table[letters[i:j]] = ok
         stack.pop()
     return table[letters]

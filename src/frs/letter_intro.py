@@ -12,7 +12,7 @@ commutation rule per self-overlap of w0 (family C6).
 
 from __future__ import annotations
 
-from functools import cached_property
+from typing import NamedTuple
 
 from . import property_r
 from .core import (
@@ -24,7 +24,6 @@ from .core import (
     RewritingSystem,
     RuleEmitter,
     Word,
-    _read_only,
     is_irreducible,
     normal_form,
     show,
@@ -95,39 +94,27 @@ def self_overlaps(w0: Word) -> list[tuple[Word, Word, Word]]:
     return out
 
 
-class LetterIntroResult:
+class LetterIntroResult(NamedTuple):
     """Output of one letter-introduction round: the fresh letter, the word
     w0 it names, the system R_S and the base system it extends.  B = A + {s}
     is R_S's alphabet, read back as ``b_alphabet``."""
 
-    __setattr__ = __delattr__ = _read_only
-
-    def __init__(
-        self,
-        new_letter: Letter,
-        w0: Word,
-        r_s: RewritingSystem,
-        base: RewritingSystem,
-    ):
-        self.__dict__.update(new_letter=new_letter, w0=w0, r_s=r_s, base=base)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = ("new_letter", "w0", "r_s", "base")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
+    new_letter: Letter
+    w0: Word
+    r_s: RewritingSystem
+    base: RewritingSystem
 
     @property
     def b_alphabet(self) -> Alphabet:
         """B, the alphabet of R_S."""
         return self.r_s.alphabet
 
-    @cached_property
+    @property
     def images(self) -> dict[Letter, Word]:
         """The generator table phi substitutes: the fresh letter names w0."""
         return {self.new_letter: self.w0}
 
-    @cached_property
+    @property
     def borderless(self) -> bool:
         """Whether no nonempty proper prefix of w0 is also a suffix, so
         that P1 follows from short words (see :func:`rho_s`)."""

@@ -8,7 +8,8 @@ the complement is re-normalized after every round because naming a word
 can change the normal forms of the remaining representatives.
 
 The ``Presentation`` record that every stage takes and returns is defined
-in ``fileformat``, which reads and writes it; it is imported from there.
+in ``fileformat``, which reads and writes it, beside ``satisfies_q1``,
+which its membership tables need; both are imported from there.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .core import (
     normal_form,
     show,
 )
-from .fileformat import Presentation
+from .fileformat import Presentation, satisfies_q1
 
 
 def canonicalize_complement(
@@ -104,16 +105,6 @@ def _reducible_by_other(matcher: LhsMatcher, idx: int) -> bool:
     """True iff the left-hand side of a rule other than ``idx`` occurs in
     the left-hand side of rule ``idx`` (Q3 fails for it)."""
     return any(j != idx for _, j in matcher.redexes(matcher.lhs[idx]))
-
-
-def satisfies_q1(presentation: Presentation) -> bool:
-    """Every complement class is a single irreducible alphabet letter."""
-    if not presentation.complement:
-        return False
-    return all(
-        len(word) == 1 and is_irreducible(word, presentation.system)
-        for word in presentation.complement
-    )
 
 
 def satisfies_q2(system: RewritingSystem) -> bool:

@@ -616,6 +616,22 @@ class TestVerifyCommands:
         assert "T-classes in slice: 29" in stdout
         assert "mismatches: 0" in stdout
 
+    def test_letter_intro_target_of_a_source_with_a_complement(self, files, tmp_path, capsys):
+        # letter-intro copies the complement line into its target and
+        # large-sub writes none, so this target is read as a letter
+        # introduction, not as a large-sub target of the source.
+        write, _ = files
+        src = write("c.frs", FREE_AB_COMP)
+        out = str(tmp_path / "c.li")
+        assert main(["letter-intro", src, "--w0", "a b", "-o", out]) == 0
+        assert "complement: a\n" in Path(out).read_text()
+        capsys.readouterr()
+        assert main(["verify-tuple", src, out, "--bound-a", "5", "--bound-b", "3"]) == 0
+        assert capsys.readouterr().out.endswith("overall: verified\n")
+        assert main(["verify-iso", src, out, "--bound", "4"]) == 0
+        stdout = capsys.readouterr().out
+        assert "T-classes in slice: 30\n" in stdout and "mismatches: 0\n" in stdout
+
 
 class TestBoundsBelowOne:
     @pytest.mark.parametrize(

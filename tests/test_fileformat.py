@@ -1,6 +1,7 @@
 import pytest
 
 from frs import (
+    InputError,
     ParseError,
     Presentation,
     parse_presentation,
@@ -100,6 +101,30 @@ class TestSerialize:
     def test_complement_line(self, sys_aaa):
         pres = Presentation(sys_aaa, (w(sys_aaa.alphabet, "a"),))
         assert serialize_presentation(pres).endswith("complement: a\n")
+
+
+class TestPresentationRecord:
+    @pytest.mark.parametrize("complement", [(), (("a",), ())])
+    def test_complement_that_no_file_can_hold_is_refused(self, complement):
+        # Serialized, each would end in a complement line that the parser
+        # refuses with the same message.
+        comm = system("a b", ("ba", "ab"))
+        with pytest.raises(InputError, match=r"^empty complement word$"):
+            Presentation(comm, complement)
+        text = "alphabet: a b\nrule: b a -> a b\ncomplement: " + " ; ".join(
+            map(show, complement)
+        ) + "\n"
+        with pytest.raises(ParseError, match="empty complement word"):
+            parse_presentation(text)
+
+    def test_replace_runs_the_constructor_check(self):
+        pres = Presentation(system("a b", ("ba", "ab")), (("a",),))
+        assert pres._replace(complement=(("b",),)) == Presentation(pres.system, (("b",),))
+        with pytest.raises(InputError) as exc:
+            pres._replace(complement=(("z",),))
+        assert str(exc.value) == "complement word 'z' uses letter 'z' outside the alphabet"
+        with pytest.raises(InputError, match=r"^empty complement word$"):
+            pres._replace(complement=())
 
 
 class TestGenerators:

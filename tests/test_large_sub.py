@@ -125,18 +125,21 @@ def prepared_presentations(draw):
 
 
 @st.composite
-def random_inputs(draw):
-    """Random inputs of 1-2 letters: 0-3 length-reducing rules with
-    left-hand sides of 2-4 letters, optionally the commutation b a -> a b,
-    and 1-2 complement words of 1-2 letters.  Most are not complete."""
-    alphabet = Alphabet(draw(st.sampled_from([["a"], ["a", "b"]])))
-    names = "".join(alphabet.names())
+def random_inputs(draw, names=None):
+    """Random inputs over ``names`` (1-2 letters when None): 0-3
+    length-reducing rules with left-hand sides of 2-4 letters, optionally
+    each commutation b a -> a b, c a -> a c and c b -> b c over the
+    alphabet, and 1-2 complement words of 1-2 letters.  Most are not
+    complete."""
+    names = names or "".join(draw(st.sampled_from([["a"], ["a", "b"]])))
+    alphabet = Alphabet(list(names))
     rules = []
     for lhs in draw(st.lists(st.text(names, min_size=2, max_size=4), max_size=3)):
         rhs = draw(st.text(names, min_size=1, max_size=len(lhs) - 1))
         rules.append(Rule(alphabet.word(list(lhs)), alphabet.word(list(rhs))))
-    if len(names) == 2 and draw(st.booleans()):
-        rules.append(Rule(("b", "a"), ("a", "b")))
+    for later, earlier in ("ba", "ca", "cb"):
+        if later in names and draw(st.booleans()):
+            rules.append(Rule((later, earlier), (earlier, later)))
     complement = draw(st.lists(st.text(names, min_size=1, max_size=2), min_size=1, max_size=2))
     return Presentation(
         RewritingSystem(alphabet, tuple(rules)),
@@ -251,6 +254,22 @@ class TestMembership:
         for member in (in_AT, in_T):
             with pytest.raises(PreconditionError, match="no complement declaration"):
                 member(word, pres)
+
+    @pytest.mark.parametrize(
+        "rules, complement, word",
+        [
+            # a b and b a are one class, and that class is the complement.
+            ([("ba", "ab")], ["ba"], "ab"),
+            # a is usable and its class lies in T.
+            ([], ["aa"], "a"),
+        ],
+    )
+    def test_complement_outside_q1_rejected(self, rules, complement, word):
+        sys = system("a b", *rules)
+        pres = Presentation(sys, tuple(w(sys.alphabet, text) for text in complement))
+        for member in (in_AT, in_T):
+            with pytest.raises(PreconditionError, match=r"^the presentation must satisfy Q1"):
+                member(w(sys.alphabet, word), pres)
 
 
 class TestMembershipAgainstReference:
@@ -550,18 +569,29 @@ class TestTheoremOnRandomInputs:
     )
     @given(random_inputs())
     def test_no_counterexample_and_no_mismatch(self, presentation):
-        try:
-            cons = build_construction(prepare_presentation(presentation))
-        except (PreconditionError, NonTerminationError) as exc:
-            event("skipped: " + re.split(r" \(|:", str(exc))[0])
-            assume(False)
-        if len(cons.b_alphabet) > 14:
-            event("skipped: more than 14 generators")
-            assume(False)
-        tup = cons.as_candidate_tuple()
-        report = check_p1_to_p6(tup, bound_a=5, bound_b=3)
-        assert [res for res in report.results if res.status == COUNTEREXAMPLE] == []
-        assert check_isomorphism_slice(tup, 3).mismatches == ()
+        assert_theorem_holds(presentation)
+
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+    )
+    @given(random_inputs("abc"))
+    def test_no_counterexample_and_no_mismatch_on_three_letters(self, presentation):
+        assert_theorem_holds(presentation)
+
+
+def assert_theorem_holds(presentation):
+    try:
+        cons = build_construction(prepare_presentation(presentation))
+    except (PreconditionError, NonTerminationError) as exc:
+        event("skipped: " + re.split(r" \(|:", str(exc))[0])
+        assume(False)
+    if len(cons.b_alphabet) > 14:
+        event("skipped: more than 14 generators")
+        assume(False)
+    tup = cons.as_candidate_tuple()
+    report = check_p1_to_p6(tup, bound_a=5, bound_b=3)
+    assert [res for res in report.results if res.status == COUNTEREXAMPLE] == []
+    assert check_isomorphism_slice(tup, 3).mismatches == ()
 
 
 class TestRuleLaws:
